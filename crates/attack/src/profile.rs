@@ -14,7 +14,7 @@ use reveal_template::{
     TemplateSet,
 };
 use reveal_trace::poi::{select_pois, PoiError};
-use reveal_trace::segment::{find_bursts, refined_bursts_into, SegmentError, SegmentScratch};
+use reveal_trace::segment::{refined_bursts_into, SegmentError, SegmentScratch};
 use reveal_trace::{Trace, TraceSet};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -357,8 +357,9 @@ impl ProfileScratch {
 static PROFILE_RUN_COST: reveal_par::CostModel =
     reveal_par::CostModel::new("attack.profile.run", 4_000_000.0);
 
-/// Cost model for classifying one ladder window (units: window samples).
-static ATTACK_WINDOW_COST: reveal_par::CostModel =
+/// Cost model for classifying one ladder window (units: window samples),
+/// shared by the plain and the robust driver.
+pub(crate) static ATTACK_WINDOW_COST: reveal_par::CostModel =
     reveal_par::CostModel::new("attack.window.classify", 100.0);
 
 /// What one profiling run yields: its chosen values and ladder windows,
@@ -784,35 +785,50 @@ impl TrainedAttack {
         Ok(result)
     }
 
-    /// The raw (unnormalized) log-likelihood of the best-fitting *sign*
-    /// class for one ladder window — an absolute goodness-of-fit number, in
-    /// contrast to the softmax probabilities, which always sum to one even
-    /// when every template fits terribly. The robust driver screens windows
-    /// whose score falls far below the per-trace population (misaligned,
-    /// glitched or clipped windows score catastrophically against every
-    /// class at once).
-    ///
-    /// # Errors
-    ///
-    /// Propagates template-classification failures.
-    pub fn sign_fit_score(&self, window: &[f64]) -> Result<f64, AttackError> {
-        let obs: Vec<f64> = self.sign_pois.iter().map(|&i| window[i]).collect();
-        let scores = self.sign_templates.classify(&obs)?;
-        Ok(scores
-            .log_likelihoods()
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(f64::NEG_INFINITY, f64::max))
-    }
-
     /// Classifies one ladder window.
     ///
     /// # Errors
     ///
     /// Propagates template-classification failures.
     pub fn attack_window(&self, window: &[f64]) -> Result<CoefficientEstimate, AttackError> {
+        self.attack_window_scored(window).0
+    }
+
+    /// [`attack_window`](Self::attack_window) together with the window's
+    /// raw sign fit score, both from one sign-template classification. The
+    /// score is the unnormalized log-likelihood of the best-fitting *sign*
+    /// class — an absolute goodness-of-fit number, in contrast to the
+    /// softmax probabilities, which always sum to one even when every
+    /// template fits terribly. The robust driver screens windows whose
+    /// score falls far below the per-trace population (misaligned, glitched
+    /// or clipped windows score catastrophically against every class at
+    /// once). The score is `None` only when the sign classification fails;
+    /// a failing value-template classification still leaves it.
+    pub(crate) fn attack_window_scored(
+        &self,
+        window: &[f64],
+    ) -> (Result<CoefficientEstimate, AttackError>, Option<f64>) {
         let sign_obs: Vec<f64> = self.sign_pois.iter().map(|&i| window[i]).collect();
-        let sign = self.sign_templates.classify(&sign_obs)?.best_label();
+        let sign_scores = match self.sign_templates.classify(&sign_obs) {
+            Ok(scores) => scores,
+            Err(e) => return (Err(e.into()), None),
+        };
+        let fit = sign_scores
+            .log_likelihoods()
+            .iter()
+            .map(|(_, s)| *s)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let sign = sign_scores.best_label();
+        (self.estimate_given_sign(window, sign), Some(fit))
+    }
+
+    /// The sign-conditional value recovery of one window whose sign is
+    /// decided: positive templates, or the fused negation/store templates.
+    fn estimate_given_sign(
+        &self,
+        window: &[f64],
+        sign: i64,
+    ) -> Result<CoefficientEstimate, AttackError> {
         let (predicted, probabilities) = match sign {
             0 => (0, vec![(0, 1.0)]),
             s if s > 0 => {
@@ -908,8 +924,7 @@ pub fn ladder_window_starts(
     samples: &[f64],
     config: &AttackConfig,
 ) -> Result<Vec<usize>, SegmentError> {
-    let bursts = find_bursts(samples, &config.segment)?;
-    let bursts = reveal_trace::segment::refine_burst_ends(samples, &bursts, &config.segment);
+    let bursts = refined_bursts_into(samples, &config.segment, &mut SegmentScratch::new())?;
     Ok(bursts
         .iter()
         .map(|&(_, end)| end)

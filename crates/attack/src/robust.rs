@@ -31,11 +31,13 @@
 //! `tests/chaos.rs` suite pins exactly that.
 
 use crate::config::AttackConfig;
-use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack};
+use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack, ATTACK_WINDOW_COST};
 use crate::report::{AttackReport, ReportError};
 use reveal_hints::{DbddInstance, HintClass, HintPolicy, HintSummary, LweParameters, Posterior};
-use reveal_trace::sanity::{mad_outlier_flags, median, robust_noise_sigma};
-use reveal_trace::segment::{find_bursts, refine_burst_ends, SegmentConfig, SegmentError};
+use reveal_trace::sanity::{
+    mad_in_place, mad_outlier_flags, median, median_in_place, robust_noise_sigma, MAD_TO_SIGMA,
+};
+use reveal_trace::segment::{refined_bursts_into, SegmentConfig, SegmentError, SegmentScratch};
 
 /// Knobs of the robust driver. Defaults are deliberately conservative: on a
 /// clean capture none of the screens may fire (the zero-fault bit-identity
@@ -104,8 +106,7 @@ pub struct Calibration {
 ///
 /// Propagates segmentation failures.
 pub fn calibrate(samples: &[f64], config: &AttackConfig) -> Result<Calibration, SegmentError> {
-    let bursts = find_bursts(samples, &config.segment)?;
-    let bursts = refine_burst_ends(samples, &bursts, &config.segment);
+    let bursts = refined_bursts_into(samples, &config.segment, &mut SegmentScratch::new())?;
     let levels: Vec<f64> = bursts
         .iter()
         .map(|&(s, e)| median(&samples[s..e.max(s + 1).min(samples.len())]))
@@ -301,7 +302,9 @@ impl RobustAttackResult {
 
 /// A window produced by robust segmentation.
 struct SegmentedWindow {
-    window: Option<Vec<f64>>,
+    /// Where the ladder window starts in the trace (`None` when no full
+    /// window fits after the burst).
+    start: Option<usize>,
     burst: (usize, usize),
     healed: bool,
 }
@@ -399,7 +402,22 @@ impl<'a> RobustAttack<'a> {
         };
         diagnostics.noise_variance_floor = noise_floor;
 
-        let suspicions = self.screen(samples, &segmented)?;
+        // One classification per window, fanned out like the plain
+        // pipeline: the template-rail estimate and the raw sign fit score
+        // the fit screen reads come from the same sign-template pass.
+        let ladder = self.attack.config().ladder_window;
+        let window = |sw: &SegmentedWindow| sw.start.map(|s| &samples[s..s + ladder]);
+        let (estimates, fit_scores): (Vec<Option<CoefficientEstimate>>, Vec<Option<f64>>) =
+            reveal_par::par_map_modeled(&segmented, &ATTACK_WINDOW_COST, ladder as u64, |sw| {
+                window(sw).map_or((None, None), |w| {
+                    let (estimate, fit) = self.attack.attack_window_scored(w);
+                    (estimate.ok(), fit)
+                })
+            })
+            .into_iter()
+            .unzip();
+
+        let suspicions = self.screen(samples, &segmented, &fit_scores);
         diagnostics.suspect_windows = suspicions.iter().filter(|s| s.soft()).count();
 
         // Per-burst rail arbitration arms only on degraded evidence: a
@@ -421,50 +439,39 @@ impl<'a> RobustAttack<'a> {
             || diagnostics.healed_merges + diagnostics.healed_splits > 0
             || diagnostics.missing_windows > 0;
 
-        // Classify windows (deterministically parallel, like the plain
-        // pipeline); armed windows are scored by both rails in the same
-        // fan-out.
-        struct WindowScores {
-            lda: Option<CoefficientEstimate>,
-            learned: Option<CoefficientEstimate>,
-            armed: bool,
-            learned_error: bool,
-        }
-        let scored: Vec<WindowScores> = reveal_par::par_map_index(segmented.len(), |i| {
-            let sw = &segmented[i];
-            let suspicion = &suspicions[i];
-            let lda = match &sw.window {
-                Some(w) => self.attack.attack_window(w).ok(),
-                None => None,
-            };
-            let armed = learned_rail.is_some()
-                && sw.window.is_some()
-                && !suspicion.hard()
-                && (trace_degraded || suspicion.soft());
-            let (learned, learned_error) = match (learned_rail, &sw.window) {
-                (Some(rail), Some(w)) if armed => match rail.attack_window(w) {
-                    Ok(e) => (Some(e), false),
-                    Err(_) => (None, true),
-                },
-                _ => (None, false),
-            };
-            WindowScores {
-                lda,
-                learned,
-                armed,
-                learned_error,
+        // The learned rail scores the armed windows only, in a second
+        // fan-out after the screens decided which windows those are.
+        let mut learned: Vec<Option<CoefficientEstimate>> = vec![None; segmented.len()];
+        if let Some(rail) = learned_rail {
+            let armed: Vec<(usize, &[f64])> = segmented
+                .iter()
+                .zip(&suspicions)
+                .enumerate()
+                .filter(|(_, (_, s))| !s.hard() && (trace_degraded || s.soft()))
+                .filter_map(|(i, (sw, _))| Some((i, window(sw)?)))
+                .collect();
+            diagnostics.rail.armed_windows = armed.len();
+            let scored = reveal_par::par_map_modeled(
+                &armed,
+                &ATTACK_WINDOW_COST,
+                ladder as u64,
+                |&(_, w)| rail.attack_window(w),
+            );
+            for (&(i, _), result) in armed.iter().zip(scored) {
+                match result {
+                    Ok(estimate) => learned[i] = Some(estimate),
+                    Err(_) => diagnostics.rail.learned_errors += 1,
+                }
             }
-        });
+        }
 
         let effective = policy.with_variance_inflation(diagnostics.variance_inflation);
         let mut coefficients = Vec::with_capacity(n);
-        for (scores, suspicion) in scored.into_iter().zip(suspicions) {
-            diagnostics.rail.armed_windows += usize::from(scores.armed);
-            diagnostics.rail.learned_errors += usize::from(scores.learned_error);
-            let learned_scored = scores.learned.is_some();
+        for ((lda, learned), suspicion) in estimates.into_iter().zip(learned).zip(suspicions) {
+            let learned_scored = learned.is_some();
             let coefficient = self.gate(
-                scores.lda,
-                scores.learned,
+                lda,
+                learned,
                 suspicion,
                 &effective,
                 policy,
@@ -494,11 +501,12 @@ impl<'a> RobustAttack<'a> {
     ) -> Result<Vec<SegmentedWindow>, AttackError> {
         let ladder = self.attack.config().ladder_window;
         let schedule = relaxation_schedule(&self.attack.config().segment);
+        let mut scratch = SegmentScratch::new();
         let mut best: Option<(usize, Vec<(usize, usize)>)> = None;
         let mut last_error = None;
         for (rung, cfg) in schedule.iter().enumerate() {
-            let bursts = match find_bursts(samples, cfg) {
-                Ok(b) => refine_burst_ends(samples, &b, cfg),
+            let bursts = match refined_bursts_into(samples, cfg, &mut scratch) {
+                Ok(b) => b,
                 Err(e) => {
                     last_error = Some(e);
                     continue;
@@ -515,7 +523,7 @@ impl<'a> RobustAttack<'a> {
                 return Ok(usable
                     .into_iter()
                     .map(|burst| SegmentedWindow {
-                        window: Some(samples[burst.1..burst.1 + ladder].to_vec()),
+                        start: Some(burst.1),
                         burst,
                         healed: false,
                     })
@@ -597,11 +605,10 @@ impl<'a> RobustAttack<'a> {
         let mut windows: Vec<SegmentedWindow> = healed
             .into_iter()
             .map(|(burst, was_healed)| {
-                let window = (burst.1 + ladder <= samples.len())
-                    .then(|| samples[burst.1..burst.1 + ladder].to_vec());
-                let missing = window.is_none();
+                let start = (burst.1 + ladder <= samples.len()).then_some(burst.1);
+                let missing = start.is_none();
                 SegmentedWindow {
-                    window,
+                    start,
                     burst,
                     healed: was_healed || missing,
                 }
@@ -614,7 +621,7 @@ impl<'a> RobustAttack<'a> {
             let end = samples.len();
             while windows.len() < n {
                 windows.push(SegmentedWindow {
-                    window: None,
+                    start: None,
                     burst: (end, end),
                     healed: true,
                 });
@@ -627,13 +634,16 @@ impl<'a> RobustAttack<'a> {
         Ok(windows)
     }
 
-    /// Stage 2: per-window sanity screens.
+    /// Stage 2: per-window sanity screens. `fit_scores` are the windows'
+    /// raw sign fit scores from the classification pass.
     fn screen(
         &self,
         samples: &[f64],
         segmented: &[SegmentedWindow],
-    ) -> Result<Vec<Suspicion>, AttackError> {
+        fit_scores: &[Option<f64>],
+    ) -> Vec<Suspicion> {
         let cfg = &self.config;
+        let ladder = self.attack.config().ladder_window;
         let mut suspicions: Vec<Suspicion> = segmented
             .iter()
             .map(|sw| Suspicion {
@@ -647,13 +657,21 @@ impl<'a> RobustAttack<'a> {
         let hi = finite.fold(f64::NEG_INFINITY, f64::max);
         let range = (hi - lo).max(1e-12);
 
+        // The glitch, gain and fit screens select in place on this one
+        // buffer, refilled per window and per burst.
+        let mut buf: Vec<f64> = Vec::new();
+
         // Glitch screen: any sample in a window that is a massive robust
         // outlier against the window's own population.
+        let floor = cfg.glitch_floor_fraction * range;
         for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
-            if let Some(w) = &sw.window {
-                let flags = mad_outlier_flags(w, cfg.glitch_z, cfg.glitch_floor_fraction * range);
-                suspicion.glitch = flags.iter().any(|&f| f);
-            }
+            let Some(start) = sw.start else { continue };
+            buf.clear();
+            buf.extend_from_slice(&samples[start..start + ladder]);
+            let (_, mad) = mad_in_place(&mut buf);
+            let scale = (mad * MAD_TO_SIGMA).max(floor);
+            // `buf` now holds each sample's |x − median|.
+            suspicion.glitch = buf.iter().any(|&d| d > cfg.glitch_z * scale);
         }
 
         // Gain screen: the dist burst preceding each window is
@@ -663,10 +681,12 @@ impl<'a> RobustAttack<'a> {
             if reference.abs() > 1e-12 {
                 for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
                     let (s, e) = sw.burst;
-                    if sw.window.is_none() || e <= s || e > samples.len() {
+                    if sw.start.is_none() || e <= s || e > samples.len() {
                         continue;
                     }
-                    let level = median(&samples[s..e]);
+                    buf.clear();
+                    buf.extend_from_slice(&samples[s..e]);
+                    let level = median_in_place(&mut buf);
                     suspicion.gain = (level / reference - 1.0).abs() > cfg.gain_tolerance;
                 }
             }
@@ -689,24 +709,19 @@ impl<'a> RobustAttack<'a> {
         // windows concentrate; a misaligned/clipped window collapses
         // against every class at once, which the softmax hides but the raw
         // score exposes.
-        let scores: Vec<Option<f64>> = reveal_par::par_map(segmented, |sw| {
-            sw.window
-                .as_ref()
-                .and_then(|w| self.attack.sign_fit_score(w).ok())
-        });
-        let present: Vec<f64> = scores.iter().filter_map(|s| *s).collect();
-        if present.len() >= 4 {
-            let med = median(&present);
-            let spread = reveal_trace::sanity::median_abs_deviation(&present)
-                * reveal_trace::sanity::MAD_TO_SIGMA;
+        buf.clear();
+        buf.extend(fit_scores.iter().flatten());
+        if buf.len() >= 4 {
+            let (med, mad) = mad_in_place(&mut buf);
+            let spread = mad * MAD_TO_SIGMA;
             let threshold = med - cfg.score_z * spread.max(1.0);
-            for (score, suspicion) in scores.iter().zip(&mut suspicions) {
+            for (score, suspicion) in fit_scores.iter().zip(&mut suspicions) {
                 if let Some(s) = score {
                     suspicion.poor_fit = *s < threshold;
                 }
             }
         }
-        Ok(suspicions)
+        suspicions
     }
 
     /// Stage 3: the degradation ladder for one coefficient, with per-burst
@@ -960,6 +975,116 @@ mod tests {
     }
 
     #[test]
+    fn fused_segmenter_matches_two_stage_on_every_rung() {
+        // The retry loop segments through the fused four-pass segmenter;
+        // every rung (rungs 2 and 3 change the smoothing width to 24 and 8)
+        // must reproduce the two-stage composition, errors included.
+        let synthetic = |bursts: &[(usize, usize)], len: usize, floor: f64| {
+            let mut t = vec![floor; len];
+            for &(s, e) in bursts {
+                t[s..e].fill(4.0);
+            }
+            t
+        };
+        let mut traces: Vec<Vec<f64>> = (0..6usize)
+            .map(|k| {
+                synthetic(
+                    &[(80 + k, 160 + k), (400, 480), (800, 870)],
+                    1200,
+                    1.0 + k as f64 * 0.01,
+                )
+            })
+            .collect();
+        // Bursts touching both trace ends, a chattering burst, a trace too
+        // short for the diff-domain selection, and the error paths.
+        traces.push(synthetic(&[(0, 90), (500, 580), (1110, 1200)], 1200, 1.0));
+        traces.push(synthetic(&[(100, 140), (150, 200), (400, 460)], 600, 1.0));
+        traces.push(synthetic(&[(30, 80)], 150, 1.0));
+        traces.push(vec![1.0; 500]);
+        traces.push(Vec::new());
+        let mut glitched = synthetic(&[(100, 180)], 400, 1.0);
+        glitched[33] = f64::NAN;
+        traces.push(glitched);
+        // One n = 64 device capture, clean and after the standard chaos
+        // sweep at intensity 0.5.
+        let device =
+            Device::new(64, &[Q], PowerModelConfig::default().with_noise_sigma(0.05)).unwrap();
+        let capture = device
+            .capture_fresh(&mut StdRng::seed_from_u64(64))
+            .unwrap();
+        let samples = &capture.run.capture.samples;
+        let chaotic = reveal_chaos::ChaosPlan::standard_sweep(5, 0.5)
+            .inject(samples, &capture.run.coefficient_windows)
+            .samples;
+        traces.push(samples.clone());
+        traces.push(chaotic);
+
+        let mut scratch = SegmentScratch::new();
+        let schedule = relaxation_schedule(&SegmentConfig::default());
+        for (rung, cfg) in schedule.iter().enumerate() {
+            for (t, samples) in traces.iter().enumerate() {
+                let two_stage = reveal_trace::segment::find_bursts(samples, cfg)
+                    .map(|b| reveal_trace::segment::refine_burst_ends(samples, &b, cfg));
+                assert_eq!(
+                    refined_bursts_into(samples, cfg, &mut scratch),
+                    two_stage,
+                    "rung {rung}, trace {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn glitch_screen_agrees_with_mad_outlier_flags() {
+        // The screen reads each sample's deviation from the buffer its MAD
+        // selection leaves behind; its verdicts must equal the plain MAD
+        // outlier flags, at the default floor and at lower ones that let
+        // it fire.
+        let (device, attack) = trained(16, 0x6117C4);
+        let capture = device
+            .capture_fresh(&mut StdRng::seed_from_u64(12))
+            .unwrap();
+        let plan = reveal_chaos::ChaosPlan {
+            seed: 3,
+            faults: vec![reveal_chaos::Fault::GlitchSpikes {
+                rate: 0.002,
+                magnitude: 1.5,
+            }],
+        };
+        let samples = plan
+            .inject(
+                &capture.run.capture.samples,
+                &capture.run.coefficient_windows,
+            )
+            .samples;
+        let starts = crate::profile::ladder_window_starts(&samples, attack.config()).unwrap();
+        assert_eq!(starts.len(), 16);
+        let ladder = attack.config().ladder_window;
+        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mut fired = 0;
+        for fraction in [0.0, 0.01, 0.1] {
+            let config = RobustConfig {
+                glitch_floor_fraction: fraction,
+                ..RobustConfig::default()
+            };
+            let result = RobustAttack::new(&attack)
+                .with_config(config.clone())
+                .attack_trace(&samples, 16, &HintPolicy::seal_paper())
+                .unwrap();
+            assert_eq!(result.diagnostics.relaxation_rung, 0);
+            for (c, &start) in result.coefficients.iter().zip(&starts) {
+                let window = &samples[start..start + ladder];
+                let expected = mad_outlier_flags(window, config.glitch_z, fraction * (hi - lo))
+                    .contains(&true);
+                assert_eq!(c.suspicion.glitch, expected, "fraction {fraction}");
+                fired += usize::from(expected);
+            }
+        }
+        assert!(fired > 0, "no window exercised the full screen");
+    }
+
+    #[test]
     fn clean_trace_produces_clean_outcome() {
         let (device, attack) = trained(16, 0xA11CE);
         let mut rng = StdRng::seed_from_u64(3);
@@ -993,6 +1118,22 @@ mod tests {
         let flat = vec![1.0; 5000];
         let err = robust.attack_trace(&flat, 16, &HintPolicy::seal_paper());
         assert!(matches!(err, Err(AttackError::Segment(_))));
+        // The noise estimate runs before segmentation rejects a non-finite
+        // trace; it must not panic on the NaNs.
+        let nan: Vec<f64> = (0..5000)
+            .map(|i| {
+                if i % 7 == 3 {
+                    f64::NAN
+                } else {
+                    f64::from(i % 11)
+                }
+            })
+            .collect();
+        let err = robust.attack_trace(&nan, 16, &HintPolicy::seal_paper());
+        assert_eq!(
+            err,
+            Err(AttackError::Segment(SegmentError::NonFiniteSample(3)))
+        );
     }
 
     fn trained_two_rail(n: usize, seed: u64) -> (Device, TrainedAttack) {

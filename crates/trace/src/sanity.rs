@@ -8,8 +8,14 @@
 //! the confidence derating that gates the hint-degradation ladder. MAD is
 //! used instead of mean/σ throughout because a single glitch spike or a
 //! merged burst would drag a moment-based screen past its own outliers.
+//!
+//! Every order statistic is a linear-time selection, not a sort.
+//! [`median_in_place`] and [`mad_in_place`] are the in-place primitives
+//! underneath: a caller screening many windows refills one buffer instead
+//! of allocating per window.
 
 use crate::segment::SegmentError;
+use std::cmp::Ordering;
 
 /// The consistency constant making MAD estimate σ for Gaussian data.
 pub const MAD_TO_SIGMA: f64 = 1.4826;
@@ -31,20 +37,52 @@ pub fn check_finite(samples: &[f64]) -> Result<(), SegmentError> {
     }
 }
 
+/// The order every statistic here selects by: numeric order through
+/// `partial_cmp` (so `-0.0 == 0.0`), with NaN ranked above every number.
+/// On finite inputs this is exactly the order the statistics have always
+/// used; the NaN rank only makes it total, so a non-finite trace (whose
+/// statistics the callers discard) cannot trip the selection's order checks.
+fn numeric_order(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// The median of `buf` by linear-time selection (0.0 for an empty slice),
+/// reordering `buf` in place. Even lengths average the two central order
+/// statistics; the lower one is the largest element of the selection's
+/// left partition.
+pub fn median_in_place(buf: &mut [f64]) -> f64 {
+    if buf.is_empty() {
+        return 0.0;
+    }
+    let mid = buf.len() / 2;
+    let odd = buf.len() % 2 == 1;
+    let (left, upper, _) = buf.select_nth_unstable_by(mid, numeric_order);
+    let upper = *upper;
+    if odd {
+        upper
+    } else {
+        let lower = left.iter().copied().max_by(numeric_order).unwrap_or(upper);
+        0.5 * (lower + upper)
+    }
+}
+
+/// The median and the median absolute deviation of `buf`, by two
+/// selections: select the median, overwrite `buf` with every element's
+/// absolute deviation from it, select again. On return `buf` holds those
+/// deviations in unspecified order. Both are 0.0 for an empty slice.
+pub fn mad_in_place(buf: &mut [f64]) -> (f64, f64) {
+    let med = median_in_place(buf);
+    for x in buf.iter_mut() {
+        *x = (*x - med).abs();
+    }
+    (med, median_in_place(buf))
+}
+
 /// The median of a slice (0.0 for an empty slice). Even lengths average the
 /// two central order statistics.
 pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        0.5 * (sorted[mid - 1] + sorted[mid])
-    }
+    median_in_place(&mut xs.to_vec())
 }
 
 /// The `p`-th percentile (`0.0 ≤ p ≤ 100.0`, clamped; a NaN `p` is treated
@@ -65,43 +103,34 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     } else {
         p.clamp(0.0, 100.0)
     };
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let last = sorted.len() - 1;
-    if last == 0 || p == 0.0 {
-        return sorted[0];
-    }
-    if p == 100.0 {
-        return sorted[last];
-    }
+    let mut buf = xs.to_vec();
+    let last = buf.len() - 1;
+    // p = 0 and p = 100 put the rank exactly on 0 and `last`.
     let rank = (p / 100.0) * last as f64;
-    // p < 100 keeps rank < last, so hi is always in bounds.
     let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+    let w = rank - lo as f64;
+    let (_, lower, right) = buf.select_nth_unstable_by(lo, numeric_order);
+    let lower = *lower;
+    if w == 0.0 {
+        return lower;
     }
+    // A fractional rank sits below `last`, so the next order statistic is
+    // the smallest element of the right partition.
+    let upper = right.iter().copied().min_by(numeric_order).unwrap_or(lower);
+    lower * (1.0 - w) + upper * w
 }
 
 /// The median absolute deviation from the median (0.0 for an empty slice).
 pub fn median_abs_deviation(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let med = median(xs);
-    let deviations: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
-    median(&deviations)
+    mad_in_place(&mut xs.to_vec()).1
 }
 
 /// Flags entries whose robust z-score `|x − median| / (MAD·1.4826)` exceeds
 /// `k`. The MAD is floored at `scale_floor` so an (almost) constant
 /// population does not flag every harmless wiggle.
 pub fn mad_outlier_flags(xs: &[f64], k: f64, scale_floor: f64) -> Vec<bool> {
-    let med = median(xs);
-    let scale = (median_abs_deviation(xs) * MAD_TO_SIGMA).max(scale_floor);
+    let (med, mad) = mad_in_place(&mut xs.to_vec());
+    let scale = (mad * MAD_TO_SIGMA).max(scale_floor);
     xs.iter().map(|x| (x - med).abs() > k * scale).collect()
 }
 
@@ -113,13 +142,165 @@ pub fn robust_noise_sigma(samples: &[f64]) -> f64 {
     if samples.len() < 2 {
         return 0.0;
     }
-    let diffs: Vec<f64> = samples.windows(2).map(|w| w[1] - w[0]).collect();
-    median_abs_deviation(&diffs) * MAD_TO_SIGMA / std::f64::consts::SQRT_2
+    let mut diffs: Vec<f64> = samples.windows(2).map(|w| w[1] - w[0]).collect();
+    mad_in_place(&mut diffs).1 * MAD_TO_SIGMA / std::f64::consts::SQRT_2
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sort-based statistics the selection-based ones replaced, kept as
+    /// the oracle they must match.
+    mod oracle {
+        use super::MAD_TO_SIGMA;
+
+        fn sorted(xs: &[f64]) -> Vec<f64> {
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            sorted
+        }
+
+        pub fn median(xs: &[f64]) -> f64 {
+            if xs.is_empty() {
+                return 0.0;
+            }
+            let sorted = sorted(xs);
+            let mid = sorted.len() / 2;
+            if sorted.len() % 2 == 1 {
+                sorted[mid]
+            } else {
+                0.5 * (sorted[mid - 1] + sorted[mid])
+            }
+        }
+
+        pub fn percentile(xs: &[f64], p: f64) -> f64 {
+            if xs.is_empty() {
+                return 0.0;
+            }
+            let p = if p.is_nan() {
+                50.0
+            } else {
+                p.clamp(0.0, 100.0)
+            };
+            let sorted = sorted(xs);
+            let last = sorted.len() - 1;
+            if last == 0 || p == 0.0 {
+                return sorted[0];
+            }
+            if p == 100.0 {
+                return sorted[last];
+            }
+            let rank = (p / 100.0) * last as f64;
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            if lo == hi {
+                sorted[lo]
+            } else {
+                let w = rank - lo as f64;
+                sorted[lo] * (1.0 - w) + sorted[hi] * w
+            }
+        }
+
+        pub fn median_abs_deviation(xs: &[f64]) -> f64 {
+            if xs.is_empty() {
+                return 0.0;
+            }
+            let med = median(xs);
+            let deviations: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+            median(&deviations)
+        }
+
+        pub fn mad_outlier_flags(xs: &[f64], k: f64, scale_floor: f64) -> Vec<bool> {
+            let med = median(xs);
+            let scale = (median_abs_deviation(xs) * MAD_TO_SIGMA).max(scale_floor);
+            xs.iter().map(|x| (x - med).abs() > k * scale).collect()
+        }
+
+        pub fn robust_noise_sigma(samples: &[f64]) -> f64 {
+            if samples.len() < 2 {
+                return 0.0;
+            }
+            let diffs: Vec<f64> = samples.windows(2).map(|w| w[1] - w[0]).collect();
+            median_abs_deviation(&diffs) * MAD_TO_SIGMA / std::f64::consts::SQRT_2
+        }
+    }
+
+    /// Decodes one drawn code into a finite sample: three codes in four are
+    /// small integers in `-4..=4` (duplicates, plateaus, zeros), the rest
+    /// spread fractions; all times one of `SCALES`, down to the 1e-300 scale
+    /// and through a negative scale that turns zeros into `-0.0`.
+    fn finite_sample(code: u32, scale: f64) -> f64 {
+        let value = if code.is_multiple_of(4) {
+            f64::from(code >> 2) / 1e6 - 500.0
+        } else {
+            f64::from(code % 9) - 4.0
+        };
+        value * scale
+    }
+
+    const SCALES: [f64; 4] = [1.0, 1e-300, 3.5e7, -0.125];
+
+    proptest! {
+        #[test]
+        fn prop_selection_statistics_match_sorted_oracle(
+            codes in proptest::collection::vec(0u32..u32::MAX, 1..301),
+            scale in 0usize..4,
+            p in 0.0f64..100.0,
+            k in 0.5f64..8.0,
+        ) {
+            let xs: Vec<f64> = codes.iter().map(|&c| finite_sample(c, SCALES[scale])).collect();
+            prop_assert_eq!(median(&xs), oracle::median(&xs));
+            prop_assert_eq!(median_abs_deviation(&xs), oracle::median_abs_deviation(&xs));
+            for p in [0.0, p, 50.0, 100.0] {
+                prop_assert_eq!(percentile(&xs, p), oracle::percentile(&xs, p), "p {}", p);
+            }
+            for floor in [0.0, 1e-9] {
+                prop_assert_eq!(
+                    mad_outlier_flags(&xs, k, floor),
+                    oracle::mad_outlier_flags(&xs, k, floor)
+                );
+            }
+            prop_assert_eq!(
+                robust_noise_sigma(&xs).to_bits(),
+                oracle::robust_noise_sigma(&xs).to_bits()
+            );
+            // Odd and even lengths on every draw: drop the first sample.
+            let tail = &xs[1..];
+            prop_assert_eq!(median(tail), oracle::median(tail));
+            prop_assert_eq!(
+                robust_noise_sigma(tail).to_bits(),
+                oracle::robust_noise_sigma(tail).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn in_place_primitives_leave_deviations_behind() {
+        let mut buf = vec![4.0, -1.0, 10.0, 3.0];
+        assert_eq!(median_in_place(&mut buf), 3.5);
+        let mut buf = vec![4.0, -1.0, 10.0, 3.0, 3.0];
+        let (med, mad) = mad_in_place(&mut buf);
+        assert_eq!((med, mad), (3.0, 1.0));
+        buf.sort_by(f64::total_cmp);
+        assert_eq!(buf, vec![0.0, 0.0, 1.0, 4.0, 7.0]);
+        assert_eq!(mad_in_place(&mut []), (0.0, 0.0));
+    }
+
+    #[test]
+    fn statistics_of_non_finite_input_do_not_panic() {
+        // The robust driver estimates the noise before segmentation rejects
+        // a non-finite trace; the estimate is discarded, but must not panic.
+        let mut trace: Vec<f64> = (0..500).map(|i| f64::from(i % 7)).collect();
+        for i in (0..500).step_by(3) {
+            trace[i] = if i % 2 == 0 { f64::NAN } else { f64::INFINITY };
+        }
+        let _ = robust_noise_sigma(&trace);
+        let _ = median(&trace);
+        let _ = percentile(&trace, 30.0);
+        let _ = mad_outlier_flags(&trace, 6.0, 1e-9);
+    }
 
     #[test]
     fn check_finite_catches_degenerate_inputs() {
