@@ -10,8 +10,7 @@ use reveal_rv32::kernel::KernelError;
 use reveal_rv32::BlockCacheStats;
 use reveal_rv32::PowerCapture;
 use reveal_template::{
-    CovarianceMode, LearnedClassifier, LearnedConfig, LearnedError, ScoreTable, TemplateError,
-    TemplateSet,
+    CovarianceMode, LearnedClassifier, LearnedConfig, LearnedError, TemplateError, TemplateSet,
 };
 use reveal_trace::poi::{select_pois, PoiError};
 use reveal_trace::segment::{refined_bursts_into, SegmentError, SegmentScratch};
@@ -94,7 +93,7 @@ pub fn extract_ladder_windows(
 }
 
 /// [`extract_ladder_windows`] with caller-provided segmentation scratch:
-/// burst finding and end refinement run through the fused four-pass
+/// burst finding and end refinement run through the fused three-pass
 /// segmenter ([`refined_bursts_into`]), reusing the scratch's buffers, so a
 /// warm worker segments each capture without large allocations. Identical
 /// windows (this *is* [`extract_ladder_windows`], which passes a cold
@@ -109,7 +108,7 @@ pub fn extract_ladder_windows_into(
     scratch: &mut SegmentScratch,
 ) -> Result<Vec<Vec<f64>>, SegmentError> {
     let bursts = refined_bursts_into(samples, &config.segment, scratch)?;
-    windows_after_bursts(samples, &bursts, config)
+    Ok(ladder_windows(samples, &bursts, config))
 }
 
 /// [`extract_ladder_windows`] through the pre-fast-path segmenters (full
@@ -126,26 +125,37 @@ pub fn extract_ladder_windows_reference(
     let bursts = reveal_trace::segment::find_bursts_reference(samples, &config.segment)?;
     let bursts =
         reveal_trace::segment::refine_burst_ends_reference(samples, &bursts, &config.segment);
-    windows_after_bursts(samples, &bursts, config)
+    Ok(ladder_windows(samples, &bursts, config))
 }
 
-fn windows_after_bursts(
+/// Copies of the ladder windows after `bursts`.
+fn ladder_windows(
     samples: &[f64],
     bursts: &[(usize, usize)],
     config: &AttackConfig,
-) -> Result<Vec<Vec<f64>>, SegmentError> {
+) -> Vec<Vec<f64>> {
     let mut windows = Vec::with_capacity(bursts.len());
-    for &(_, end) in bursts {
-        // Only full windows qualify: the device's epilogue burst (the
-        // encryption work following the sampler) guarantees one for every
-        // real coefficient, while the epilogue burst itself — with nothing
-        // after it — is dropped here.
-        if end + config.ladder_window > samples.len() {
-            continue;
-        }
-        windows.push(samples[end..end + config.ladder_window].to_vec());
-    }
-    Ok(windows)
+    windows.extend(
+        full_window_starts(samples.len(), bursts, config)
+            .map(|start| samples[start..start + config.ladder_window].to_vec()),
+    );
+    windows
+}
+
+/// Where the ladder window after each burst starts, for the bursts whose
+/// full window fits in a trace of `len` samples. Only full windows qualify:
+/// the device's epilogue burst (the encryption work following the sampler)
+/// guarantees one for every real coefficient, while the epilogue burst
+/// itself — with nothing after it — is dropped here.
+fn full_window_starts<'a>(
+    len: usize,
+    bursts: &'a [(usize, usize)],
+    config: &'a AttackConfig,
+) -> impl Iterator<Item = usize> + 'a {
+    bursts
+        .iter()
+        .map(|&(_, end)| end)
+        .filter(move |end| end + config.ladder_window <= len)
 }
 
 /// The trained single-trace attacker: sign templates plus sign-conditional
@@ -176,6 +186,8 @@ pub struct TrainedAttack {
 /// the learned analogue of the template rail's score fusion.
 #[derive(Debug, Clone)]
 pub struct LearnedRail {
+    /// The trained ladder window length; shorter windows are rejected.
+    ladder_window: usize,
     sign_pois: Vec<usize>,
     pos_pois: Vec<usize>,
     /// Negation-region POIs followed by store-region POIs.
@@ -193,14 +205,16 @@ impl LearnedRail {
     ///
     /// # Errors
     ///
-    /// Propagates learned-classifier failures (never panics on finite
-    /// windows of the trained length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is shorter than the trained ladder window (same
-    /// contract as the template rail).
+    /// Fails with [`LearnedError::DimensionMismatch`] when `window` is
+    /// shorter than the trained ladder window; propagates learned-classifier
+    /// failures.
     pub fn attack_window(&self, window: &[f64]) -> Result<CoefficientEstimate, LearnedError> {
+        if window.len() < self.ladder_window {
+            return Err(LearnedError::DimensionMismatch {
+                expected: self.ladder_window,
+                got: window.len(),
+            });
+        }
         let project = |pois: &[usize]| -> Vec<f64> { pois.iter().map(|&i| window[i]).collect() };
         let sign = self.sign.classify(&project(&self.sign_pois))?.best_label();
         let (predicted, probabilities) = match sign {
@@ -701,6 +715,7 @@ impl TrainedAttack {
         let pos = LearnedClassifier::fit(&project(&data.pos_set, &self.pos_pois), &seeded(2))?;
         let neg = LearnedClassifier::fit(&project(&data.neg_set, &neg_pois), &seeded(3))?;
         Ok(LearnedRail {
+            ladder_window: self.config.ladder_window,
             sign_pois: self.sign_pois.clone(),
             pos_pois: self.pos_pois.clone(),
             neg_pois,
@@ -746,21 +761,21 @@ impl TrainedAttack {
     ///
     /// Fails when segmentation or classification fails.
     pub fn attack_trace(&self, samples: &[f64]) -> Result<SingleTraceAttack, AttackError> {
-        let windows = extract_ladder_windows(samples, &self.config)?;
+        let starts = ladder_window_starts(samples, &self.config)?;
+        let ladder = self.config.ladder_window;
         // Each window's classification is independent; fan out across
         // threads and keep trace order. The first failing window (in trace
         // order) determines the error, matching the serial loop. The cost
         // model keeps short traces serial — a single classification is far
         // cheaper than a thread handoff — and sizes claims from measured
-        // per-window cost on longer ones.
-        let coefficients = reveal_par::par_map_modeled(
-            &windows,
-            &ATTACK_WINDOW_COST,
-            windows.first().map_or(1, |w| w.len() as u64),
-            |w| self.attack_window(w),
-        )
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+        // per-window cost on longer ones. Windows are read in place from
+        // the trace, never copied.
+        let coefficients =
+            reveal_par::par_map_modeled(&starts, &ATTACK_WINDOW_COST, ladder as u64, |&start| {
+                self.attack_window(&samples[start..start + ladder])
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(SingleTraceAttack { coefficients })
     }
 
@@ -789,7 +804,9 @@ impl TrainedAttack {
     ///
     /// # Errors
     ///
-    /// Propagates template-classification failures.
+    /// Fails with [`TemplateError::DimensionMismatch`] (as
+    /// [`AttackError::Template`]) when `window` is shorter than the trained
+    /// ladder window; propagates template-classification failures.
     pub fn attack_window(&self, window: &[f64]) -> Result<CoefficientEstimate, AttackError> {
         self.attack_window_scored(window).0
     }
@@ -808,8 +825,18 @@ impl TrainedAttack {
         &self,
         window: &[f64],
     ) -> (Result<CoefficientEstimate, AttackError>, Option<f64>) {
-        let sign_obs: Vec<f64> = self.sign_pois.iter().map(|&i| window[i]).collect();
-        let sign_scores = match self.sign_templates.classify(&sign_obs) {
+        let ladder = self.config.ladder_window;
+        if window.len() < ladder {
+            let short = TemplateError::DimensionMismatch {
+                expected: ladder,
+                got: window.len(),
+            };
+            return (Err(short.into()), None);
+        }
+        let sign_scores = match self
+            .sign_templates
+            .classify_projected(window, &self.sign_pois)
+        {
             Ok(scores) => scores,
             Err(e) => return (Err(e.into()), None),
         };
@@ -832,17 +859,19 @@ impl TrainedAttack {
         let (predicted, probabilities) = match sign {
             0 => (0, vec![(0, 1.0)]),
             s if s > 0 => {
-                let obs: Vec<f64> = self.pos_pois.iter().map(|&i| window[i]).collect();
-                let scores = self.pos_templates.classify(&obs)?;
+                let scores = self
+                    .pos_templates
+                    .classify_projected(window, &self.pos_pois)?;
                 (scores.best_label(), scores.probabilities())
             }
             _ => {
-                let early: Vec<f64> = self.neg_early_pois.iter().map(|&i| window[i]).collect();
-                let late: Vec<f64> = self.neg_late_pois.iter().map(|&i| window[i]).collect();
-                let fused: ScoreTable = self
+                let early = self
                     .neg_early_templates
-                    .classify(&early)?
-                    .fuse(&self.neg_late_templates.classify(&late)?);
+                    .classify_projected(window, &self.neg_early_pois)?;
+                let late = self
+                    .neg_late_templates
+                    .classify_projected(window, &self.neg_late_pois)?;
+                let fused = early.fuse(&late);
                 (fused.best_label(), fused.probabilities())
             }
         };
@@ -925,11 +954,7 @@ pub fn ladder_window_starts(
     config: &AttackConfig,
 ) -> Result<Vec<usize>, SegmentError> {
     let bursts = refined_bursts_into(samples, &config.segment, &mut SegmentScratch::new())?;
-    Ok(bursts
-        .iter()
-        .map(|&(_, end)| end)
-        .filter(|end| end + config.ladder_window <= samples.len())
-        .collect())
+    Ok(full_window_starts(samples.len(), &bursts, config).collect())
 }
 
 /// The PC whose instruction produced `sample`, via the capture's span
@@ -1112,6 +1137,47 @@ mod tests {
             Err(AttackError::WindowCountMismatch { expected: 64, got }) => assert_eq!(got, 2),
             other => panic!("expected mismatch, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn short_window_fails_typed_on_the_template_rail() {
+        let (_, attack, _) = trained(0.1, 20, 7);
+        for len in [0, 40, 95] {
+            assert_eq!(
+                attack.attack_window(&vec![1.0; len]),
+                Err(AttackError::Template(TemplateError::DimensionMismatch {
+                    expected: 96,
+                    got: len
+                }))
+            );
+        }
+        assert!(attack.attack_window(&[1.0; 96]).is_ok());
+    }
+
+    #[test]
+    fn short_window_fails_typed_on_the_learned_rail() {
+        let device =
+            Device::new(16, &[Q], PowerModelConfig::default().with_noise_sigma(0.05)).unwrap();
+        let (attack, err) = TrainedAttack::profile_seeded_two_rail(
+            &device,
+            30,
+            &AttackConfig::default(),
+            0x5407,
+            &LearnedConfig::default(),
+        )
+        .unwrap();
+        assert!(err.is_none(), "learned rail must train: {err:?}");
+        let rail = attack.learned_rail().unwrap();
+        for len in [0, 40, 95] {
+            assert_eq!(
+                rail.attack_window(&vec![1.0; len]),
+                Err(LearnedError::DimensionMismatch {
+                    expected: 96,
+                    got: len
+                })
+            );
+        }
+        assert!(rail.attack_window(&[1.0; 96]).is_ok());
     }
 
     #[test]

@@ -976,7 +976,7 @@ mod tests {
 
     #[test]
     fn fused_segmenter_matches_two_stage_on_every_rung() {
-        // The retry loop segments through the fused four-pass segmenter;
+        // The retry loop segments through the fused three-pass segmenter;
         // every rung (rungs 2 and 3 change the smoothing width to 24 and 8)
         // must reproduce the two-stage composition, errors included.
         let synthetic = |bursts: &[(usize, usize)], len: usize, floor: f64| {

@@ -82,6 +82,11 @@ impl Cholesky {
         self.dim
     }
 
+    /// The row-major lower-triangular factor `L` (upper part zero).
+    pub(crate) fn lower(&self) -> &[f64] {
+        &self.l
+    }
+
     /// `ln(det A) = 2 · Σ ln L_ii`.
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim)

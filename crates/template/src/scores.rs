@@ -1,12 +1,6 @@
 //! Per-class score tables: log-likelihoods, softmax probabilities, fusion.
 
 use reveal_par::simd;
-use std::collections::BTreeMap;
-
-/// Cost model for fusing one pair of score tables (units: labels merged). A
-/// fuse merges two ~30-label score lists — microscopic work, so only very
-/// large batches leave the serial path.
-static FUSE_COST: reveal_par::CostModel = reveal_par::CostModel::new("scores.fuse", 20.0);
 
 /// Log-likelihood scores per candidate label, with softmax probabilities.
 ///
@@ -84,33 +78,24 @@ impl ScoreTable {
     /// candidates, so fusing shrinks the candidate set *and* sharpens the
     /// scores.
     pub fn fuse(&self, other: &ScoreTable) -> ScoreTable {
-        let other_map: BTreeMap<i64, f64> = other.scores.iter().copied().collect();
-        let fused: Vec<(i64, f64)> = self
-            .scores
-            .iter()
-            .filter_map(|(l, s)| other_map.get(l).map(|o| (*l, s + o)))
-            .collect();
+        // Merge-join of the two label-sorted lists. Should `other` repeat a
+        // label, its last entry is the one fused.
+        let mut fused = Vec::with_capacity(self.scores.len().min(other.scores.len()));
+        let mut j = 0;
+        for &(label, score) in &self.scores {
+            while j < other.scores.len() && other.scores[j].0 < label {
+                j += 1;
+            }
+            while j + 1 < other.scores.len() && other.scores[j + 1].0 == label {
+                j += 1;
+            }
+            if let Some(&(l, o)) = other.scores.get(j) {
+                if l == label {
+                    fused.push((label, score + o));
+                }
+            }
+        }
         ScoreTable { scores: fused }
-    }
-
-    /// Fuses corresponding tables of two equal-length batches (the batched
-    /// form of [`ScoreTable::fuse`], parallel over pairs via `reveal-par`) —
-    /// used when an attack scores every window's negation and store regions
-    /// in one sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batches differ in length.
-    pub fn fuse_batch(first: &[ScoreTable], second: &[ScoreTable]) -> Vec<ScoreTable> {
-        assert_eq!(
-            first.len(),
-            second.len(),
-            "fused batches must pair up one-to-one"
-        );
-        let units = first.first().map_or(1, |t| t.len().max(1) as u64);
-        reveal_par::par_map_index_modeled(first.len(), &FUSE_COST, units, |i| {
-            first[i].fuse(&second[i])
-        })
     }
 
     /// Restricts to a subset of labels (e.g. after the sign classifier has
@@ -199,23 +184,58 @@ mod tests {
     }
 
     #[test]
-    fn fuse_batch_matches_pairwise_fusion() {
-        let firsts: Vec<ScoreTable> = (0..20)
-            .map(|i| table(&[(1, -1.0 - i as f64 * 0.1), (2, -2.0), (3, -0.5)]))
-            .collect();
-        let seconds: Vec<ScoreTable> = (0..20)
-            .map(|i| table(&[(1, -0.3), (2, -1.0 + i as f64 * 0.05), (3, -2.0)]))
-            .collect();
-        let serial: Vec<ScoreTable> = firsts
-            .iter()
-            .zip(&seconds)
-            .map(|(a, b)| a.fuse(b))
-            .collect();
-        for threads in [1, 4] {
-            let batch =
-                reveal_par::with_threads(threads, || ScoreTable::fuse_batch(&firsts, &seconds));
-            assert_eq!(batch, serial, "threads {threads}");
+    fn fusion_of_disjoint_labels_is_empty() {
+        let a = table(&[(-3, -1.0), (-1, -2.0), (5, -0.5)]);
+        let b = table(&[(-2, -1.0), (0, -1.0), (4, -3.0), (6, -0.1)]);
+        assert!(a.fuse(&b).is_empty());
+        assert!(b.fuse(&a).is_empty());
+        assert!(a.fuse(&table(&[])).is_empty());
+        assert!(table(&[]).fuse(&a).is_empty());
+    }
+
+    #[test]
+    fn fusion_of_interleaved_labels_matches_lookup_join() {
+        // Partially overlapping, interleaved label sets of different
+        // lengths; the merge-join must equal a lookup join bit for bit,
+        // keeping the left operand's score first in each sum.
+        let a = table(&[
+            (-14, -0.3),
+            (-9, -1.7),
+            (-4, -2.2),
+            (-1, -0.9),
+            (2, -5.5),
+            (7, -0.01),
+        ]);
+        let b = table(&[
+            (-12, -0.4),
+            (-9, -0.6),
+            (-5, -1.1),
+            (-4, -3.3),
+            (2, -0.7),
+            (3, -8.0),
+        ]);
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            let expected: Vec<(i64, f64)> = x
+                .log_likelihoods()
+                .iter()
+                .filter_map(|&(l, s)| {
+                    let o = y.log_likelihoods().iter().find(|(m, _)| *m == l)?.1;
+                    Some((l, s + o))
+                })
+                .collect();
+            let fused = x.fuse(y);
+            assert_eq!(fused.log_likelihoods().len(), 3);
+            for (got, want) in fused.log_likelihoods().iter().zip(&expected) {
+                assert_eq!(got.0, want.0);
+                assert_eq!(got.1.to_bits(), want.1.to_bits());
+            }
         }
+        // A repeated label on the right fuses its last entry.
+        let repeated = table(&[(-9, -1.0), (-9, -2.0), (2, -0.5)]);
+        assert_eq!(
+            a.fuse(&repeated).log_likelihoods(),
+            &[(-9, -1.7 + -2.0), (2, -5.5 + -0.5)]
+        );
     }
 
     #[test]

@@ -9,14 +9,20 @@
 
 use crate::matrix::{regularize, Cholesky, MatrixError};
 use crate::scores::ScoreTable;
+use reveal_par::simd;
 use reveal_trace::stats::Covariance;
 use reveal_trace::TraceSet;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Cost model for classifying one observation (units: `classes · dim²`
-/// multiply-adds across the Mahalanobis solves).
-static CLASSIFY_COST: reveal_par::CostModel = reveal_par::CostModel::new("template.classify", 1.0);
+/// Classes the scoring kernel advances in lockstep. Each class's
+/// Mahalanobis solve is a chain of dependent divides; walking a group's
+/// rows together lets the group's chains overlap in the pipeline.
+const GROUP: usize = 4;
+
+/// Largest template dimension whose kernel work space lives on the stack;
+/// larger templates take one heap buffer per classification.
+const STACK_DIM: usize = 32;
 
 /// Errors from template construction or classification.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,6 +78,7 @@ pub enum CovarianceMode {
 /// One class template: mean vector plus (shared or own) covariance factor.
 #[derive(Debug, Clone)]
 struct ClassTemplate {
+    label: i64,
     mean: Vec<f64>,
     /// Index into the factor table (pooled mode shares index 0).
     factor: usize,
@@ -98,7 +105,8 @@ struct ClassTemplate {
 #[derive(Debug, Clone)]
 pub struct TemplateSet {
     dim: usize,
-    classes: BTreeMap<i64, ClassTemplate>,
+    /// Ascending by label.
+    classes: Vec<ClassTemplate>,
     factors: Vec<(Cholesky, f64)>, // (factor, log_det)
     mode: CovarianceMode,
 }
@@ -132,7 +140,7 @@ impl TemplateSet {
             }
             by_label.entry(*label).or_default().push(v);
         }
-        let mut classes = BTreeMap::new();
+        let mut classes = Vec::with_capacity(by_label.len());
         let mut factors = Vec::new();
         match mode {
             CovarianceMode::Pooled => {
@@ -159,7 +167,11 @@ impl TemplateSet {
                 let log_det = ch.log_determinant();
                 factors.push((ch, log_det));
                 for (label, mean) in means {
-                    classes.insert(label, ClassTemplate { mean, factor: 0 });
+                    classes.push(ClassTemplate {
+                        label,
+                        mean,
+                        factor: 0,
+                    });
                 }
             }
             CovarianceMode::PerClass => {
@@ -179,13 +191,11 @@ impl TemplateSet {
                     regularize(&mut cov, dim, ridge);
                     let ch = Cholesky::new(&cov, dim)?;
                     let log_det = ch.log_determinant();
-                    classes.insert(
+                    classes.push(ClassTemplate {
                         label,
-                        ClassTemplate {
-                            mean: acc.mean().to_vec(),
-                            factor: factors.len(),
-                        },
-                    );
+                        mean: acc.mean().to_vec(),
+                        factor: factors.len(),
+                    });
                     factors.push((ch, log_det));
                 }
             }
@@ -231,12 +241,16 @@ impl TemplateSet {
 
     /// The class labels, ascending.
     pub fn labels(&self) -> Vec<i64> {
-        self.classes.keys().copied().collect()
+        self.classes.iter().map(|c| c.label).collect()
     }
 
     /// The template mean of a class.
     pub fn class_mean(&self, label: i64) -> Option<&[f64]> {
-        self.classes.get(&label).map(|c| c.mean.as_slice())
+        let i = self
+            .classes
+            .binary_search_by_key(&label, |c| c.label)
+            .ok()?;
+        Some(&self.classes[i].mean)
     }
 
     /// Log-likelihood (up to the shared `-d/2 ln 2π` constant) of an
@@ -252,35 +266,99 @@ impl TemplateSet {
                 got: observation.len(),
             });
         }
-        let mut scores = Vec::with_capacity(self.classes.len());
-        for (&label, class) in &self.classes {
-            let (factor, log_det) = &self.factors[class.factor];
-            let d2 = factor.mahalanobis_squared(observation, &class.mean)?;
-            scores.push((label, -0.5 * (d2 + log_det)));
-        }
-        Ok(ScoreTable::from_log_likelihoods(scores))
+        Ok(self.score(|i| observation[i]))
     }
 
-    /// Classifies a batch of observations, parallel over observations via
-    /// `reveal-par`; scores come back in input order, and the first failing
-    /// observation (in input order) determines the error — exactly the
-    /// serial loop's behavior.
+    /// [`classify`](Self::classify) of the projection of `samples` onto
+    /// `pois` — the observation [`fit_trace_set`](Self::fit_trace_set)
+    /// builds from a profiling trace — read in place, without
+    /// materializing it.
     ///
     /// # Errors
     ///
-    /// Fails on dimension mismatch of any observation.
-    pub fn classify_batch<S: AsRef<[f64]> + Sync>(
+    /// Fails with [`TemplateError::DimensionMismatch`] when `pois` does not
+    /// have one index per dimension, or when `samples` is too short for
+    /// the largest index.
+    pub fn classify_projected(
         &self,
-        observations: &[S],
-    ) -> Result<Vec<ScoreTable>, TemplateError> {
-        // One classification is a few Mahalanobis distances (dim² each); the
-        // cost model keeps small batches serial and sizes claims on big ones.
-        let units = (self.classes.len() * self.dim * self.dim).max(1) as u64;
-        reveal_par::par_map_modeled(observations, &CLASSIFY_COST, units, |o| {
-            self.classify(o.as_ref())
-        })
-        .into_iter()
-        .collect()
+        samples: &[f64],
+        pois: &[usize],
+    ) -> Result<ScoreTable, TemplateError> {
+        if pois.len() != self.dim {
+            return Err(TemplateError::DimensionMismatch {
+                expected: self.dim,
+                got: pois.len(),
+            });
+        }
+        if let Some(&max) = pois.iter().max().filter(|&&max| max >= samples.len()) {
+            return Err(TemplateError::DimensionMismatch {
+                expected: max + 1,
+                got: samples.len(),
+            });
+        }
+        Ok(self.score(|i| samples[pois[i]]))
+    }
+
+    /// Scores every class against the observation `x(0..dim)`: the
+    /// log-likelihood `-(d² + ln det Σ) / 2`, with each class's `d²`
+    /// computed in exactly [`Cholesky::mahalanobis_squared`]'s operation
+    /// order — the same difference vector, the same [`simd::dot`] per
+    /// forward row, the same backward loop and divides, the same final
+    /// dot — so every score is bit-identical to the per-class solve. What
+    /// differs is the schedule: [`GROUP`] classes walk their rows
+    /// together, so their divide chains overlap, and the solves run in one
+    /// work space reused across groups (on the stack up to [`STACK_DIM`]
+    /// dimensions).
+    fn score(&self, x: impl Fn(usize) -> f64) -> ScoreTable {
+        let dim = self.dim;
+        let mut stack = [0.0; 2 * GROUP * STACK_DIM];
+        let mut heap = Vec::new();
+        let work = if dim <= STACK_DIM {
+            &mut stack[..2 * GROUP * dim]
+        } else {
+            heap.resize(2 * GROUP * dim, 0.0);
+            heap.as_mut_slice()
+        };
+        let (diffs, solved) = work.split_at_mut(GROUP * dim);
+        let mut scores = Vec::with_capacity(self.classes.len());
+        for group in self.classes.chunks(GROUP) {
+            let factor = |c: usize| &self.factors[group[c].factor];
+            for (c, class) in group.iter().enumerate() {
+                for (i, d) in diffs[c * dim..(c + 1) * dim].iter_mut().enumerate() {
+                    *d = x(i) - class.mean[i];
+                }
+            }
+            // Forward substitution `L·y = diff`, one row of every class at
+            // a time.
+            for i in 0..dim {
+                for c in 0..group.len() {
+                    let l = factor(c).0.lower();
+                    let y = &mut solved[c * dim..(c + 1) * dim];
+                    let sum = diffs[c * dim + i] - simd::dot(&l[i * dim..i * dim + i], &y[..i]);
+                    y[i] = sum / l[i * dim + i];
+                }
+            }
+            // Backward substitution `Lᵀ·x = y` in place: `x[k]` overwrites
+            // `y[k]` once row `k` is solved, and row `i` reads only
+            // `y[i]` and the solved `x[i + 1..]`.
+            for i in (0..dim).rev() {
+                for c in 0..group.len() {
+                    let l = factor(c).0.lower();
+                    let y = &mut solved[c * dim..(c + 1) * dim];
+                    let mut sum = y[i];
+                    for k in i + 1..dim {
+                        sum -= l[k * dim + i] * y[k];
+                    }
+                    y[i] = sum / l[i * dim + i];
+                }
+            }
+            for (c, class) in group.iter().enumerate() {
+                let range = c * dim..(c + 1) * dim;
+                let d2 = simd::dot(&diffs[range.clone()], &solved[range]);
+                scores.push((class.label, -0.5 * (d2 + factor(c).1)));
+            }
+        }
+        ScoreTable::from_log_likelihoods(scores)
     }
 }
 
@@ -405,6 +483,97 @@ mod tests {
         assert_eq!(set.dim(), 2);
         assert_eq!(set.classify(&[3.0, 0.0]).unwrap().best_label(), 1);
         assert_eq!(set.classify(&[0.0, 3.0]).unwrap().best_label(), -1);
+    }
+
+    /// A fitted set of `classes` classes in `dim` dimensions, plus a few
+    /// observations to score (off-center, and one far outlier).
+    fn lockstep_case(
+        dim: usize,
+        classes: usize,
+        mode: CovarianceMode,
+    ) -> (TemplateSet, Vec<Vec<f64>>) {
+        let mut obs = Vec::new();
+        for c in 0..classes {
+            let center: Vec<f64> = (0..dim)
+                .map(|d| c as f64 * 0.7 - (d % 5) as f64 * 0.3)
+                .collect();
+            for v in gaussian_cloud(&center, dim + 3, 0.4, (dim * 31 + c) as u64) {
+                obs.push((c as i64 - 14, v));
+            }
+        }
+        let set = TemplateSet::fit(&obs, mode, 1e-6).unwrap();
+        let probes = vec![
+            obs[0].1.clone(),
+            gaussian_cloud(&vec![0.3; dim], 1, 2.0, dim as u64).remove(0),
+            vec![1e3; dim],
+        ];
+        (set, probes)
+    }
+
+    /// The lockstep kernel against the per-class solve it schedules.
+    fn assert_lockstep_matches_per_class(set: &TemplateSet, probes: &[Vec<f64>]) {
+        for x in probes {
+            let scores = set.classify(x).unwrap();
+            assert_eq!(scores.len(), set.classes.len());
+            for ((label, score), class) in scores.log_likelihoods().iter().zip(&set.classes) {
+                let (factor, log_det) = &set.factors[class.factor];
+                let d2 = factor.mahalanobis_squared(x, &class.mean).unwrap();
+                assert_eq!(*label, class.label);
+                assert_eq!(
+                    score.to_bits(),
+                    (-0.5 * (d2 + log_det)).to_bits(),
+                    "dim {} classes {} mode {:?}",
+                    set.dim,
+                    set.classes.len(),
+                    set.mode
+                );
+            }
+            // Reading the observation through a POI map changes nothing.
+            let pois: Vec<usize> = (0..set.dim).map(|i| 2 * i + 1).collect();
+            let mut window = vec![f64::NAN; 2 * set.dim + 1];
+            for (&p, &v) in pois.iter().zip(x) {
+                window[p] = v;
+            }
+            assert_eq!(set.classify_projected(&window, &pois).unwrap(), scores);
+        }
+    }
+
+    #[test]
+    fn lockstep_scores_match_per_class_mahalanobis_bit_for_bit() {
+        for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
+            // Every dimension up to the stack limit and past it (the heap
+            // work space), 24 being the largest the POI ablation uses, each
+            // with a class count that is not a multiple of the group width
+            // whenever the cycle allows.
+            for dim in (1..=STACK_DIM + 1).chain([40]) {
+                let (set, probes) = lockstep_case(dim, 1 + (dim * 7) % 29, mode);
+                assert_lockstep_matches_per_class(&set, &probes);
+            }
+            // Every class count from one to the paper's 29 labels.
+            for classes in 1..=29 {
+                let (set, probes) = lockstep_case(24, classes, mode);
+                assert_lockstep_matches_per_class(&set, &probes);
+            }
+        }
+    }
+
+    #[test]
+    fn projected_classification_rejects_short_samples() {
+        let set = TemplateSet::fit(&three_class_data(), CovarianceMode::Pooled, 1e-9).unwrap();
+        assert_eq!(
+            set.classify_projected(&[1.0; 4], &[0, 7]),
+            Err(TemplateError::DimensionMismatch {
+                expected: 8,
+                got: 4
+            })
+        );
+        assert_eq!(
+            set.classify_projected(&[1.0; 4], &[0, 1, 2]),
+            Err(TemplateError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            })
+        );
     }
 
     #[test]

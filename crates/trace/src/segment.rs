@@ -67,20 +67,14 @@ impl fmt::Display for SegmentError {
 impl std::error::Error for SegmentError {}
 
 /// Reusable buffers for the segmentation fast path: the prefix-sum vector,
-/// the bucket histogram, and the gather buffers of the order-statistic
-/// selections in [`find_bursts_into`] / [`refine_burst_ends_into`]. One
-/// scratch per worker amortizes ~2.5 MB of per-call allocation across a
-/// whole capture campaign.
+/// the sorted pivot-sample keys, and the four bracket gathers of the
+/// order-statistic selection. One scratch per worker keeps a capture
+/// campaign's segmentation free of large per-call allocations.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentScratch {
     prefix: Vec<f64>,
-    hist: Vec<u32>,
-    hist_raw: Vec<u32>,
-    hist2: Vec<u32>,
-    gather: Vec<f64>,
-    gather2: Vec<f64>,
-    gather3: Vec<f64>,
-    gather4: Vec<f64>,
+    sample: Vec<u64>,
+    inside: [Vec<f64>; 4],
 }
 
 impl SegmentScratch {
@@ -93,8 +87,8 @@ impl SegmentScratch {
 /// Monotone total-order key of an `f64`: `a < b` numerically implies
 /// `key(a) < key(b)` (IEEE-754 sign-magnitude flipped into two's
 /// complement). `-0.0` orders just below `+0.0`; the two are numerically
-/// interchangeable in every downstream use here, so the refinement keeps
-/// the exact order-statistic semantics of the comparison-based selections.
+/// interchangeable in every downstream use here, so the selections keep the
+/// exact order-statistic semantics of the comparison-based references.
 #[inline]
 fn total_order_key(x: f64) -> u64 {
     let bits = x.to_bits();
@@ -105,271 +99,163 @@ fn total_order_key(x: f64) -> u64 {
     }
 }
 
-/// Bucket count per histogram level: 16 bits of the total order key at a
-/// time (level one is sign + exponent + 4 mantissa bits; level two the next
-/// 16 mantissa bits). Each table is 256 KiB of `u32`, held in
-/// [`SegmentScratch`] and re-zeroed per call.
-const NUM_BUCKETS: usize = 1 << 16;
+/// Items in the pivot sample of a selection domain: enough that a sampled
+/// percentile lands within a few dozen sample ranks of the true one, few
+/// enough to sort in tens of microseconds.
+const SAMPLE: usize = 4096;
 
-/// Sub-refinement threshold: a rank-holding bucket larger than this gets a
-/// second-level count over the next 16 key bits before gathering. The
-/// second level costs a full extra pass, while gathering and
-/// partial-sorting an N-element bucket costs only ~N log-ish work on a
-/// fraction of the trace — so it only pays when a single bucket swallows
-/// most of the trace (e.g. near-constant captures), not for the merely
-/// peaked buckets (a third of the trace) that real power traces produce.
-const SUB_CUTOFF: usize = 1 << 17;
+/// Bracket margin in sample ranks, `√SAMPLE`. The sampled rank of the 5th
+/// percentile has a standard deviation of `√(SAMPLE · 0.05 · 0.95) ≈ 14`
+/// ranks, so a bracket misses only on a ~4.6σ deviation.
+const MARGIN: usize = 64;
 
-/// The top 32 bits of the total order key: two histogram levels' worth of
-/// bucket index, lexicographically ordered like the values themselves.
-#[inline]
-fn k32_of(x: f64) -> u32 {
-    (total_order_key(x) >> 32) as u32
+/// The 5th and 95th percentile ranks of `len` items.
+fn percentile_ranks(len: usize) -> (usize, usize) {
+    ((len - 1) * 5 / 100, (len - 1) * 95 / 100)
 }
 
-#[inline]
-fn bucket_of(x: f64) -> usize {
-    (total_order_key(x) >> 48) as usize
+/// Position of pivot sample `i` in a domain of `len` items: a SplitMix64
+/// hash of the index scaled onto `0..len`. Positions depend on nothing but
+/// `(i, len)`, so every selection is reproducible without generator state.
+fn sample_position(i: usize, len: usize) -> usize {
+    let h = reveal_par::derive_seed(0, i as u64);
+    ((u128::from(h) * len as u128) >> 64) as usize
 }
 
-/// One rank-run endpoint resolved to a 32-bit key-prefix bucket.
-#[derive(Clone, Copy, Default)]
-struct Endpoint {
-    rank: usize,
-    b16: usize,
-    before16: usize,
-    count16: usize,
-    /// First and last (inclusive) 32-bit key prefix of the refined bucket.
-    low32: u32,
-    high32: u32,
-    /// Items with a key prefix strictly below `low32`.
-    before32: usize,
-}
-
-/// Cumulative locate of sorted `ranks` (each below the item total) in a
-/// level-one histogram: one sweep resolves every rank to its bucket and the
-/// count strictly below it.
-fn locate_endpoints(hist: &[u32], ranks: &[usize], eps: &mut [Endpoint]) {
-    debug_assert!(ranks.windows(2).all(|w| w[0] <= w[1]));
-    let mut seen = 0usize;
-    let mut e = 0usize;
-    'buckets: for (b, &c) in hist.iter().enumerate() {
-        let next = seen + c as usize;
-        while ranks[e] < next {
-            eps[e] = Endpoint {
-                rank: ranks[e],
-                b16: b,
-                before16: seen,
-                count16: c as usize,
-                ..Endpoint::default()
-            };
-            e += 1;
-            if e == eps.len() {
-                break 'buckets;
-            }
-        }
-        seen = next;
-    }
-    debug_assert_eq!(e, eps.len(), "rank beyond item count");
-}
-
-/// Resolves an endpoint to 32-bit key-prefix granularity: with a
-/// second-level count for its bucket, the exact sub-bucket holding the
-/// rank; without one, the whole level-one bucket.
-fn refine_endpoint(ep: &mut Endpoint, sub: Option<&[u32]>) {
-    let base = (ep.b16 as u32) << 16;
-    match sub {
-        Some(h) => {
-            let mut seen = ep.before16;
-            for (s, &c) in h.iter().enumerate() {
-                let next = seen + c as usize;
-                if ep.rank < next {
-                    ep.low32 = base | s as u32;
-                    ep.high32 = ep.low32;
-                    ep.before32 = seen;
-                    return;
-                }
-                seen = next;
-            }
-            unreachable!("rank beyond sub-bucket counts")
-        }
-        None => {
-            ep.low32 = base;
-            ep.high32 = base | 0xFFFF;
-            ep.before32 = ep.before16;
-        }
-    }
-}
-
-/// Partial-sorts a gathered key range into the sorted values of ranks
-/// `lo_ep.rank ..= hi_ep.rank` (ascending).
-fn extract_run(g: &mut [f64], lo_ep: &Endpoint, hi_ep: &Endpoint) -> Vec<f64> {
-    let lo_idx = lo_ep.rank - lo_ep.before32;
-    let hi_idx = hi_ep.rank - lo_ep.before32;
-    g.select_nth_unstable_by_key(hi_idx, |&d| total_order_key(d));
-    if lo_idx < hi_idx {
-        g[..hi_idx].select_nth_unstable_by_key(lo_idx, |&d| total_order_key(d));
-        g[lo_idx..hi_idx].sort_unstable_by_key(|&d| total_order_key(d));
-    }
-    g[lo_idx..=hi_idx].to_vec()
-}
-
-/// Which endpoint buckets need a second-level count: oversized ones, each
-/// once, as a sentinel-padded array for branch-predictable per-item probes
-/// (the mass of a peaked trace sits *in* these buckets, so the first
-/// comparison usually hits).
-fn oversized_buckets(eps: &[Endpoint]) -> ([usize; 4], usize) {
-    let mut subs = [usize::MAX; 4];
-    let mut len = 0usize;
-    for ep in eps {
-        if ep.count16 > SUB_CUTOFF && !subs[..len].contains(&ep.b16) {
-            subs[len] = ep.b16;
-            len += 1;
-        }
-    }
-    (subs, len)
-}
-
-/// Slot of bucket `b` in a sentinel-padded [`oversized_buckets`] array, or
-/// `usize::MAX` — unrolled so the per-item probe is a couple of predictable
-/// compares instead of a loop.
-#[inline]
-fn slot4(b: usize, subs: &[usize; 4]) -> usize {
-    if b == subs[0] {
-        0
-    } else if b == subs[1] {
-        1
-    } else if b == subs[2] {
-        2
-    } else if b == subs[3] {
-        3
+/// Fills `keys` with the sorted total-order keys of a domain's pivot
+/// sample: every item when the domain has at most [`SAMPLE`] items, else
+/// [`SAMPLE`] items at [`sample_position`]s.
+fn sample_keys(len: usize, item: impl Fn(usize) -> f64, keys: &mut Vec<u64>) {
+    keys.clear();
+    if len <= SAMPLE {
+        keys.extend((0..len).map(|j| total_order_key(item(j))));
     } else {
-        usize::MAX
+        keys.extend((0..SAMPLE).map(|i| total_order_key(item(sample_position(i, len)))));
+    }
+    keys.sort_unstable();
+}
+
+/// An exact rank run `first..=last` (0-based, ascending) of a domain of
+/// `len` items, bracketed by two total-order keys read off the domain's
+/// sorted pivot sample `MARGIN` sample ranks outside the run's estimated
+/// position. A counting pass ([`offer`](Self::offer) per item) counts the
+/// items below the bracket and gathers the ones inside it. When the run
+/// lies inside the bracket ([`hit`](Self::hit)), the run is the gathered
+/// set's ranks `first - below ..= last - below`: exactly the values a full
+/// sort of the domain puts at ranks `first..=last`. Equal keys are equal
+/// bit patterns, so ties cannot change the answer.
+struct RankRun<'a> {
+    first: usize,
+    last: usize,
+    low: u64,
+    high: u64,
+    below: usize,
+    inside: &'a mut Vec<f64>,
+}
+
+impl<'a> RankRun<'a> {
+    fn new(
+        first: usize,
+        last: usize,
+        len: usize,
+        sample: &[u64],
+        inside: &'a mut Vec<f64>,
+    ) -> Self {
+        // Estimated sample rank of domain rank `r` (exact when the sample
+        // is the whole domain).
+        let scaled = |r: usize| (r as u128 * sample.len() as u128 / len as u128) as usize;
+        let low = scaled(first).checked_sub(MARGIN).map_or(0, |i| sample[i]);
+        let high = sample
+            .get(scaled(last) + MARGIN)
+            .copied()
+            .unwrap_or(u64::MAX);
+        inside.clear();
+        Self {
+            first,
+            last,
+            low,
+            high,
+            below: 0,
+            inside,
+        }
+    }
+
+    #[inline]
+    fn offer(&mut self, x: f64) {
+        let k = total_order_key(x);
+        self.below += usize::from(k < self.low);
+        if (self.low..=self.high).contains(&k) {
+            self.inside.push(x);
+        }
+    }
+
+    /// Whether the bracket holds the whole run.
+    fn hit(&self) -> bool {
+        self.below <= self.first && self.below + self.inside.len() > self.last
+    }
+
+    /// The exact fallback for a missed bracket: one more pass over the
+    /// domain with the bracket opened to every key, so the selection below
+    /// runs over all `len` items.
+    fn settle(&mut self, len: usize, item: impl Fn(usize) -> f64) {
+        if self.hit() {
+            return;
+        }
+        self.low = 0;
+        self.high = u64::MAX;
+        self.below = 0;
+        self.inside.clear();
+        for j in 0..len {
+            self.offer(item(j));
+        }
+    }
+
+    /// The run's values in ascending total order (after [`settle`](Self::settle)).
+    fn select(self) -> &'a [f64] {
+        let lo = self.first - self.below;
+        let hi = self.last - self.below;
+        let g = self.inside.as_mut_slice();
+        g.select_nth_unstable_by_key(hi, |&d| total_order_key(d));
+        if lo < hi {
+            g[..hi].select_nth_unstable_by_key(lo, |&d| total_order_key(d));
+            g[lo..hi].sort_unstable_by_key(|&d| total_order_key(d));
+        }
+        &g[lo..=hi]
     }
 }
 
-/// Exact sorted order-statistic *runs* `runs[i].0 ..= runs[i].1` (0-based,
-/// non-decreasing across both runs, all below the item count) of a
-/// re-iterable finite item stream. One shared counting pass (skipped when
-/// the caller pre-filled `hist` with the level-one counts), one optional
-/// second-level counting pass for oversized rank buckets, and one gather
-/// pass for both runs together; only bucket-sized tails are ever
-/// partial-sorted. Values are identical to sorting the whole stream and
-/// slicing — the bucket key is a prefix of the monotone total order key.
-fn select_rank_runs<I: Iterator<Item = f64>>(
-    items: &impl Fn() -> I,
-    runs: [(usize, usize); 2],
-    hist: &mut Vec<u32>,
-    hist2: &mut Vec<u32>,
-    gathers: [&mut Vec<f64>; 2],
-    hist_prefilled: bool,
-) -> [Vec<f64>; 2] {
-    if !hist_prefilled {
-        hist.clear();
-        hist.resize(NUM_BUCKETS, 0);
-        for x in items() {
-            hist[bucket_of(x)] += 1;
-        }
-    }
-    let ranks = [runs[0].0, runs[0].1, runs[1].0, runs[1].1];
-    let mut eps = [Endpoint::default(); 4];
-    locate_endpoints(hist, &ranks, &mut eps);
-    // Second-level counts for endpoints whose bucket is too big to gather.
-    let (subs, n_subs) = oversized_buckets(&eps);
-    if n_subs > 0 {
-        hist2.clear();
-        hist2.resize(n_subs * NUM_BUCKETS, 0);
-        for x in items() {
-            let k = k32_of(x);
-            let slot = slot4((k >> 16) as usize, &subs);
-            if slot != usize::MAX {
-                hist2[slot * NUM_BUCKETS + (k & 0xFFFF) as usize] += 1;
-            }
-        }
-    }
-    for ep in &mut eps {
-        let sub = subs[..n_subs]
-            .iter()
-            .position(|&sb| sb == ep.b16)
-            .map(|slot| &hist2[slot * NUM_BUCKETS..(slot + 1) * NUM_BUCKETS]);
-        refine_endpoint(ep, sub);
-    }
-    // Gather both runs' refined key ranges in one pass.
-    let [g0, g1] = gathers;
-    g0.clear();
-    g1.clear();
-    let range0 = (eps[0].low32, eps[1].high32);
-    let range1 = (eps[2].low32, eps[3].high32);
-    for x in items() {
-        let k = k32_of(x);
-        if k >= range0.0 && k <= range0.1 {
-            g0.push(x);
-        }
-        if k >= range1.0 && k <= range1.1 {
-            g1.push(x);
-        }
-    }
-    [
-        extract_run(g0, &eps[0], &eps[1]),
-        extract_run(g1, &eps[2], &eps[3]),
-    ]
-}
-
-/// Exact `k`-th order statistics (for `lo_rank <= hi_rank < samples.len()`)
-/// of a finite slice — [`select_rank_runs`] over two width-one runs.
-/// Returns values identical to sorting and indexing.
-fn raw_percentiles(
-    samples: &[f64],
-    lo_rank: usize,
-    hi_rank: usize,
-    scratch: &mut SegmentScratch,
-) -> (f64, f64) {
+/// The exact order statistics at `ranks` (each below `values.len()`) of a
+/// non-empty slice: one shared sample, one counting pass for both brackets.
+fn order_statistics(values: &[f64], ranks: [usize; 2], scratch: &mut SegmentScratch) -> [f64; 2] {
+    let len = values.len();
+    let item = |j: usize| values[j];
     let SegmentScratch {
-        hist,
-        hist2,
-        gather,
-        gather2,
+        sample,
+        inside: [g0, g1, ..],
         ..
     } = scratch;
-    let items = || samples.iter().copied();
-    let [lo_run, hi_run] = select_rank_runs(
-        &items,
-        [(lo_rank, lo_rank), (hi_rank, hi_rank)],
-        hist,
-        hist2,
-        [gather, gather2],
-        false,
-    );
-    (lo_run[0], hi_run[0])
+    sample_keys(len, item, sample);
+    let mut a = RankRun::new(ranks[0], ranks[0], len, sample, g0);
+    let mut b = RankRun::new(ranks[1], ranks[1], len, sample, g1);
+    for &v in values {
+        a.offer(v);
+        b.offer(v);
+    }
+    a.settle(len, item);
+    b.settle(len, item);
+    [a.select()[0], b.select()[0]]
 }
 
-/// The 5th and 95th percentile values of a non-empty finite slice, via two
-/// linear-time selections instead of a full sort. A selection yields exactly
-/// the k-th order statistic, so the returned *values* match the previous
-/// sort-based implementation bit for bit — a full sort per trace was the
-/// single largest cost of segmenting long captures. The hot path has since
-/// moved on to the read-only histogram selection; this stays as the middle
-/// rung the equivalence tests pin both ends against.
-#[cfg_attr(not(test), allow(dead_code))]
-fn percentiles_5_95(scratch: &mut [f64]) -> (f64, f64) {
-    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal);
-    let lo_index = (scratch.len() - 1) * 5 / 100;
-    let hi_index = (scratch.len() - 1) * 95 / 100;
-    let (left, &mut hi, _) = scratch.select_nth_unstable_by(hi_index, cmp);
-    // `lo_index < hi_index` whenever the indices differ, so the 5th
-    // percentile lives in the left partition; when they coincide the two
-    // order statistics are the same element.
-    let lo = if lo_index == hi_index {
-        hi
-    } else {
-        *left.select_nth_unstable_by(lo_index, cmp).1
-    };
+/// The 5th and 95th percentile values of a non-empty slice.
+fn percentiles(values: &[f64], scratch: &mut SegmentScratch) -> (f64, f64) {
+    let (lo_rank, hi_rank) = percentile_ranks(values.len());
+    let [lo, hi] = order_statistics(values, [lo_rank, hi_rank], scratch);
     (lo, hi)
 }
 
 /// The pre-fast-path percentile computation — a full sort per trace — kept
-/// verbatim so the benchmark baseline measures what segmentation used to
-/// cost. Returns the same values as [`percentiles_5_95`].
+/// verbatim as the oracle of the equivalence tests and the benchmark
+/// baseline.
 fn percentiles_5_95_sorted(scratch: &mut [f64]) -> (f64, f64) {
     scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     (
@@ -495,14 +381,8 @@ pub fn find_bursts(
     find_bursts_into(samples, config, &mut SegmentScratch::new())
 }
 
-/// [`find_bursts`] with caller-provided scratch buffers, running entirely in
-/// the diff domain: one prefix-sum pass (with the finiteness check fused
-/// in), a histogram count over windowed sums, a gather for the two
-/// percentile ranks, and a division-free threshold scan against an
-/// ulp-exact boundary ([`diff_boundary`]). The smoothed trace is never
-/// materialized and no per-element division happens, yet every burst index
-/// is identical to [`find_bursts`]'s reference computation — the diff-to-
-/// value map is monotone and the boundary is exact.
+/// [`find_bursts`] with caller-provided scratch buffers: the selection and
+/// scans of [`refined_bursts_into`], without the end refinement.
 ///
 /// # Errors
 ///
@@ -512,62 +392,89 @@ pub fn find_bursts_into(
     config: &SegmentConfig,
     scratch: &mut SegmentScratch,
 ) -> Result<Vec<(usize, usize)>, SegmentError> {
+    bursts_and_raw_levels(samples, config, scratch).map(|(bursts, _)| bursts)
+}
+
+/// [`find_bursts`] followed by [`refine_burst_ends`], with every full-trace
+/// pass shared between the two stages. Returns exactly what the two-stage
+/// composition returns.
+///
+/// # Errors
+///
+/// Same as [`find_bursts`].
+pub fn refined_bursts_into(
+    samples: &[f64],
+    config: &SegmentConfig,
+    scratch: &mut SegmentScratch,
+) -> Result<Vec<(usize, usize)>, SegmentError> {
+    let (bursts, (lo, hi)) = bursts_and_raw_levels(samples, config, scratch)?;
+    Ok(refine_with_levels(samples, &bursts, config, lo, hi))
+}
+
+/// Bursts plus the raw-trace `(5th, 95th)` percentile levels.
+type BurstsAndLevels = (Vec<(usize, usize)>, (f64, f64));
+
+/// The bursts of [`find_bursts`] together with the raw-trace 5th/95th
+/// percentiles [`refine_burst_ends`] thresholds at, in three passes over
+/// the trace, all in the diff domain (the smoothed trace is never
+/// materialized and no per-element division happens):
+///
+/// 1. prefix sums, with the finiteness check fused in;
+/// 2. after sorting one pivot sample per domain (windowed sums and raw
+///    samples), one counting pass over both domains brackets the two
+///    percentile candidate runs of the windowed sums and the two raw
+///    percentile ranks ([`RankRun`]);
+/// 3. after selecting inside the small brackets, the threshold scan against
+///    an ulp-exact boundary ([`diff_boundary`]).
+///
+/// The diff-to-value map is monotone and the boundary is exact, so every
+/// burst index is identical to [`find_bursts_reference`]'s.
+fn bursts_and_raw_levels(
+    samples: &[f64],
+    config: &SegmentConfig,
+    scratch: &mut SegmentScratch,
+) -> Result<BurstsAndLevels, SegmentError> {
     let n = samples.len();
     if n == 0 {
         return Err(SegmentError::EmptyTrace);
     }
-    let lo_rank = (n - 1) * 5 / 100;
-    let hi_rank = (n - 1) * 95 / 100;
-    if config.smooth_window <= 1 {
-        // No smoothing: percentiles and scan run on the raw trace directly
-        // (the reference path copies it; the values are the same).
-        if let Some(i) = samples.iter().position(|s| !s.is_finite()) {
-            return Err(SegmentError::NonFiniteSample(i));
-        }
-        let (lo, hi) = raw_percentiles(samples, lo_rank, hi_rank, scratch);
-        return threshold_bursts(samples, lo, hi, config);
-    }
+    let (lo_rank, hi_rank) = percentile_ranks(n);
     let half = config.smooth_window / 2;
     let edges = 2 * half;
-    if n <= edges || lo_rank < edges || hi_rank + edges >= n || hi_rank < lo_rank + edges {
-        // Trace too short for the diff-domain rank argument (both
-        // percentile ranks must sit `edges` deep inside the interior run,
-        // and their candidate runs must not straddle each other).
-        // Such traces are cheap to smooth outright; results are identical.
+    if config.smooth_window <= 1
+        || n <= edges
+        || lo_rank < edges
+        || hi_rank + edges >= n
+        || hi_rank < lo_rank + edges
+    {
+        // No smoothing, or a trace too short for the diff-domain rank
+        // argument (both percentile ranks must sit `edges` deep inside the
+        // interior run, and their candidate runs must not straddle each
+        // other): such traces are cheap to smooth outright.
         let smoothed = smooth(samples, config.smooth_window)?;
-        let (lo, hi) = raw_percentiles(&smoothed, lo_rank, hi_rank, scratch);
-        return threshold_bursts(&smoothed, lo, hi, config);
+        let (lo, hi) = percentiles(&smoothed, scratch);
+        let bursts = threshold_bursts(&smoothed, lo, hi, config)?;
+        return Ok((bursts, percentiles(samples, scratch)));
     }
     let interior = n - edges;
     let denom = (edges + 1) as f64;
 
     let SegmentScratch {
         prefix,
-        hist,
-        hist2,
-        gather,
-        gather2,
-        ..
+        sample,
+        inside: [g0, g1, g2, g3],
     } = scratch;
-    // One pass builds the prefix sums (finiteness check fused in) *and*
-    // counts the windowed sums into the level-one histogram: once the
-    // running sum reaches index i >= edges, the diff at interior index
-    // i - edges is `acc - prefix[i - edges]`.
-    prefix.clear();
-    prefix.reserve(n + 1);
-    prefix.push(0.0);
-    hist.clear();
-    hist.resize(NUM_BUCKETS, 0);
+    // Pass 1: prefix sums, finiteness check fused in (indexed writes into
+    // the resized buffer keep the running sum the only loop-carried chain).
+    prefix.resize(n + 1, 0.0);
+    prefix[0] = 0.0;
     let mut acc = 0.0;
-    for (i, &s) in samples.iter().enumerate() {
+    for (i, (&s, p)) in samples.iter().zip(&mut prefix[1..]).enumerate() {
         if !s.is_finite() {
             return Err(SegmentError::NonFiniteSample(i));
         }
         acc += s;
-        prefix.push(acc);
-        if i >= edges {
-            hist[bucket_of(acc - prefix[i - edges])] += 1;
-        }
+        *p = acc;
     }
     let prefix: &[f64] = prefix;
     // Clamped-window head/tail smoothed values — identical expressions to
@@ -583,210 +490,49 @@ pub fn find_bursts_into(
         .collect();
     let mut edge_vals: Vec<f64> = head.iter().chain(&tail).copied().collect();
     edge_vals.sort_unstable_by_key(|&v| total_order_key(v));
-    // Both percentile candidate runs out of the diff domain in one shared
-    // selection (the guard above keeps the runs disjoint and in-bounds).
-    let diffs = || (0..interior).map(|j| prefix[j + edges + 1] - prefix[j]);
-    let [lo_cands, hi_cands] = select_rank_runs(
-        &diffs,
-        [(lo_rank - edges, lo_rank), (hi_rank - edges, hi_rank)],
-        hist,
-        hist2,
-        [gather, gather2],
-        true,
-    );
-    let lo = combined_statistic(&lo_cands, denom, &edge_vals, edges);
-    let hi = combined_statistic(&hi_cands, denom, &edge_vals, edges);
-    if hi - lo < 1e-12 {
-        return Err(SegmentError::NoPeaksFound);
-    }
-    let threshold = lo + config.threshold_fraction * (hi - lo);
-    let boundary = diff_boundary(threshold, denom);
-    let flags = head
-        .iter()
-        .map(|&v| v > threshold)
-        .chain(diffs().map(|d| d > boundary))
-        .chain(tail.iter().map(|&v| v > threshold));
-    bursts_from_flags(flags, config)
-}
 
-/// [`find_bursts_into`] followed by [`refine_burst_ends_into`] with every
-/// full-trace pass shared between the two stages: the prefix-sum pass also
-/// counts both the diff-domain and raw level-one histograms, and the
-/// second-level counting and gather passes serve all six rank endpoints
-/// (two percentile candidate runs for the burst threshold, two single
-/// ranks for the refinement levels) in single sweeps. Four passes over the
-/// trace in total, against nine when the two stages run separately.
-/// Returns exactly what the two-stage composition returns.
-///
-/// # Errors
-///
-/// Same as [`find_bursts`].
-pub fn refined_bursts_into(
-    samples: &[f64],
-    config: &SegmentConfig,
-    scratch: &mut SegmentScratch,
-) -> Result<Vec<(usize, usize)>, SegmentError> {
-    let n = samples.len();
-    if n == 0 {
-        return Err(SegmentError::EmptyTrace);
-    }
-    let lo_rank = (n - 1) * 5 / 100;
-    let hi_rank = (n - 1) * 95 / 100;
-    let half = config.smooth_window / 2;
-    let edges = 2 * half;
-    if config.smooth_window <= 1
-        || n <= edges
-        || lo_rank < edges
-        || hi_rank + edges >= n
-        || hi_rank < lo_rank + edges
-    {
-        // Degenerate geometry: compose the standalone stages (cheap here).
-        let bursts = find_bursts_into(samples, config, scratch)?;
-        return Ok(refine_burst_ends_into(samples, &bursts, config, scratch));
-    }
-    let interior = n - edges;
-    let denom = (edges + 1) as f64;
-
-    let SegmentScratch {
-        prefix,
-        hist,
-        hist_raw,
-        hist2,
-        gather,
-        gather2,
-        gather3,
-        gather4,
-    } = scratch;
-    // Pass 1: prefix sums (finiteness check fused) + both level-one counts.
-    prefix.clear();
-    prefix.reserve(n + 1);
-    prefix.push(0.0);
-    hist.clear();
-    hist.resize(NUM_BUCKETS, 0);
-    hist_raw.clear();
-    hist_raw.resize(NUM_BUCKETS, 0);
-    let mut acc = 0.0;
+    // The interior smoothed value at `j + half` is `diff(j) / denom`.
+    let diff = |j: usize| prefix[j + edges + 1] - prefix[j];
+    let raw = |i: usize| samples[i];
+    sample_keys(interior, diff, sample);
+    let mut lo_cands = RankRun::new(lo_rank - edges, lo_rank, interior, sample, g0);
+    let mut hi_cands = RankRun::new(hi_rank - edges, hi_rank, interior, sample, g1);
+    sample_keys(n, raw, sample);
+    let mut raw_lo = RankRun::new(lo_rank, lo_rank, n, sample, g2);
+    let mut raw_hi = RankRun::new(hi_rank, hi_rank, n, sample, g3);
+    // Pass 2: count and gather all four brackets.
     for (i, &s) in samples.iter().enumerate() {
-        if !s.is_finite() {
-            return Err(SegmentError::NonFiniteSample(i));
-        }
-        acc += s;
-        prefix.push(acc);
-        hist_raw[bucket_of(s)] += 1;
-        if i >= edges {
-            hist[bucket_of(acc - prefix[i - edges])] += 1;
-        }
-    }
-    let prefix: &[f64] = prefix;
-    let head: Vec<f64> = (0..half)
-        .map(|i| (prefix[i + half + 1] - prefix[0]) / (i + half + 1) as f64)
-        .collect();
-    let tail: Vec<f64> = (n - half..n)
-        .map(|i| {
-            let lo = i - half;
-            (prefix[n] - prefix[lo]) / (n - lo) as f64
-        })
-        .collect();
-    let mut edge_vals: Vec<f64> = head.iter().chain(&tail).copied().collect();
-    edge_vals.sort_unstable_by_key(|&v| total_order_key(v));
-
-    let diff_ranks = [lo_rank - edges, lo_rank, hi_rank - edges, hi_rank];
-    let mut diff_eps = [Endpoint::default(); 4];
-    locate_endpoints(hist, &diff_ranks, &mut diff_eps);
-    let raw_ranks = [lo_rank, hi_rank];
-    let mut raw_eps = [Endpoint::default(); 2];
-    locate_endpoints(hist_raw, &raw_ranks, &mut raw_eps);
-
-    // Pass 2 (only when some rank bucket is oversized): second-level counts
-    // for both domains in one scan. `hist2` is segmented, diff slots first.
-    let (diff_subs, n_diff) = oversized_buckets(&diff_eps);
-    let (raw_subs, n_raw) = oversized_buckets(&raw_eps);
-    let raw_base = n_diff * NUM_BUCKETS;
-    if n_diff + n_raw > 0 {
-        hist2.clear();
-        hist2.resize((n_diff + n_raw) * NUM_BUCKETS, 0);
-        for (i, &s) in samples.iter().enumerate() {
-            let k = k32_of(s);
-            let slot = slot4((k >> 16) as usize, &raw_subs);
-            if slot != usize::MAX {
-                hist2[raw_base + slot * NUM_BUCKETS + (k & 0xFFFF) as usize] += 1;
-            }
-            if i < interior {
-                let k = k32_of(prefix[i + edges + 1] - prefix[i]);
-                let slot = slot4((k >> 16) as usize, &diff_subs);
-                if slot != usize::MAX {
-                    hist2[slot * NUM_BUCKETS + (k & 0xFFFF) as usize] += 1;
-                }
-            }
-        }
-    }
-    for ep in &mut diff_eps {
-        let sub = diff_subs[..n_diff]
-            .iter()
-            .position(|&sb| sb == ep.b16)
-            .map(|slot| &hist2[slot * NUM_BUCKETS..(slot + 1) * NUM_BUCKETS]);
-        refine_endpoint(ep, sub);
-    }
-    for ep in &mut raw_eps {
-        let sub = raw_subs[..n_raw]
-            .iter()
-            .position(|&sb| sb == ep.b16)
-            .map(|slot| &hist2[raw_base + slot * NUM_BUCKETS..raw_base + (slot + 1) * NUM_BUCKETS]);
-        refine_endpoint(ep, sub);
-    }
-
-    // Pass 3: gather all four refined key ranges in one scan.
-    gather.clear();
-    gather2.clear();
-    gather3.clear();
-    gather4.clear();
-    let dr0 = (diff_eps[0].low32, diff_eps[1].high32);
-    let dr1 = (diff_eps[2].low32, diff_eps[3].high32);
-    let rr0 = (raw_eps[0].low32, raw_eps[0].high32);
-    let rr1 = (raw_eps[1].low32, raw_eps[1].high32);
-    for (i, &s) in samples.iter().enumerate() {
-        let k = k32_of(s);
-        if k >= rr0.0 && k <= rr0.1 {
-            gather3.push(s);
-        }
-        if k >= rr1.0 && k <= rr1.1 {
-            gather4.push(s);
-        }
+        raw_lo.offer(s);
+        raw_hi.offer(s);
         if i < interior {
-            let d = prefix[i + edges + 1] - prefix[i];
-            let k = k32_of(d);
-            if k >= dr0.0 && k <= dr0.1 {
-                gather.push(d);
-            }
-            if k >= dr1.0 && k <= dr1.1 {
-                gather2.push(d);
-            }
+            let d = diff(i);
+            lo_cands.offer(d);
+            hi_cands.offer(d);
         }
     }
-    let lo_cands = extract_run(gather, &diff_eps[0], &diff_eps[1]);
-    let hi_cands = extract_run(gather2, &diff_eps[2], &diff_eps[3]);
-    let raw_lo = extract_run(gather3, &raw_eps[0], &raw_eps[0])[0];
-    let raw_hi = extract_run(gather4, &raw_eps[1], &raw_eps[1])[0];
-
-    let lo = combined_statistic(&lo_cands, denom, &edge_vals, edges);
-    let hi = combined_statistic(&hi_cands, denom, &edge_vals, edges);
+    lo_cands.settle(interior, diff);
+    hi_cands.settle(interior, diff);
+    raw_lo.settle(n, raw);
+    raw_hi.settle(n, raw);
+    let raw_levels = (raw_lo.select()[0], raw_hi.select()[0]);
+    let lo = combined_statistic(lo_cands.select(), denom, &edge_vals, edges);
+    let hi = combined_statistic(hi_cands.select(), denom, &edge_vals, edges);
     if hi - lo < 1e-12 {
         return Err(SegmentError::NoPeaksFound);
     }
     let threshold = lo + config.threshold_fraction * (hi - lo);
     let boundary = diff_boundary(threshold, denom);
-    // Pass 4: the division-free threshold scan.
+    // Pass 3: the division-free threshold scan.
     let flags = head
         .iter()
         .map(|&v| v > threshold)
-        .chain((0..interior).map(|j| prefix[j + edges + 1] - prefix[j] > boundary))
+        .chain((0..interior).map(|j| diff(j) > boundary))
         .chain(tail.iter().map(|&v| v > threshold));
-    let bursts = bursts_from_flags(flags, config)?;
-    Ok(refine_with_levels(samples, &bursts, config, raw_lo, raw_hi))
+    Ok((bursts_from_flags(flags, config)?, raw_levels))
 }
 
 /// [`find_bursts`] with the pre-fast-path sort-based percentile pass, kept
-/// as the benchmark baseline. Identical results.
+/// as the test oracle and benchmark baseline. Identical results.
 ///
 /// # Errors
 ///
@@ -795,23 +541,15 @@ pub fn find_bursts_reference(
     samples: &[f64],
     config: &SegmentConfig,
 ) -> Result<Vec<(usize, usize)>, SegmentError> {
-    find_bursts_impl(samples, config, percentiles_5_95_sorted)
-}
-
-fn find_bursts_impl(
-    samples: &[f64],
-    config: &SegmentConfig,
-    percentiles: fn(&mut [f64]) -> (f64, f64),
-) -> Result<Vec<(usize, usize)>, SegmentError> {
     let smoothed = smooth(samples, config.smooth_window)?;
     // Robust low/high levels: 5th and 95th percentiles of the smoothed trace.
-    let (lo, hi) = percentiles(&mut smoothed.clone());
+    let (lo, hi) = percentiles_5_95_sorted(&mut smoothed.clone());
     threshold_bursts(&smoothed, lo, hi, config)
 }
 
-/// The threshold / merge / minimum-length back half shared by every
-/// burst-finding front end (scratch-based, allocating, and reference — the
-/// levels `lo`/`hi` are what differ between them, never this scan).
+/// The threshold / merge / minimum-length back half shared by the
+/// materialized-trace front ends (the levels `lo`/`hi` are what differ
+/// between them, never this scan).
 fn threshold_bursts(
     smoothed: &[f64],
     lo: f64,
@@ -883,8 +621,8 @@ pub fn refine_burst_ends(
 }
 
 /// [`refine_burst_ends`] with caller-provided scratch: the raw-trace
-/// percentile pass is a read-only histogram selection instead of a
-/// full-trace copy plus comparison selection. Identical results.
+/// percentiles come from a read-only bracket selection instead of a
+/// full-trace copy and sort. Identical results.
 pub fn refine_burst_ends_into(
     samples: &[f64],
     bursts: &[(usize, usize)],
@@ -894,32 +632,21 @@ pub fn refine_burst_ends_into(
     if samples.is_empty() {
         return bursts.to_vec();
     }
-    let lo_rank = (samples.len() - 1) * 5 / 100;
-    let hi_rank = (samples.len() - 1) * 95 / 100;
-    let (lo, hi) = raw_percentiles(samples, lo_rank, hi_rank, scratch);
+    let (lo, hi) = percentiles(samples, scratch);
     refine_with_levels(samples, bursts, config, lo, hi)
 }
 
 /// [`refine_burst_ends`] with the pre-fast-path sort-based percentile pass,
-/// kept as the benchmark baseline. Identical results.
+/// kept as the test oracle and benchmark baseline. Identical results.
 pub fn refine_burst_ends_reference(
     samples: &[f64],
     bursts: &[(usize, usize)],
     config: &SegmentConfig,
 ) -> Vec<(usize, usize)> {
-    refine_burst_ends_impl(samples, bursts, config, percentiles_5_95_sorted)
-}
-
-fn refine_burst_ends_impl(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &SegmentConfig,
-    percentiles: fn(&mut [f64]) -> (f64, f64),
-) -> Vec<(usize, usize)> {
     if samples.is_empty() {
         return bursts.to_vec();
     }
-    let (lo, hi) = percentiles(&mut samples.to_vec());
+    let (lo, hi) = percentiles_5_95_sorted(&mut samples.to_vec());
     refine_with_levels(samples, bursts, config, lo, hi)
 }
 
@@ -996,31 +723,6 @@ pub fn segment_windows(
         windows.push((s, end));
     }
     Ok(windows)
-}
-
-/// Segments many traces at once, one [`segment_windows`] call per trace,
-/// parallelized over traces with `reveal-par`. Results come back in input
-/// order and are bit-identical to the serial loop for any thread count.
-pub fn segment_windows_batch<S: AsRef<[f64]> + Sync>(
-    traces: &[S],
-    config: &SegmentConfig,
-) -> Vec<Result<Vec<(usize, usize)>, SegmentError>> {
-    reveal_par::par_map(traces, |t| segment_windows(t.as_ref(), config))
-}
-
-/// Burst detection over many traces ([`find_bursts`] + [`refine_burst_ends`]
-/// per trace), parallelized over traces with `reveal-par`. This is the
-/// per-trace front half of the attack pipeline; batching it lets a capture
-/// campaign segment as fast as the hardware allows.
-pub fn refined_bursts_batch<S: AsRef<[f64]> + Sync>(
-    traces: &[S],
-    config: &SegmentConfig,
-) -> Vec<Result<Vec<(usize, usize)>, SegmentError>> {
-    reveal_par::par_map(traces, |t| {
-        let samples = t.as_ref();
-        let bursts = find_bursts(samples, config)?;
-        Ok(refine_burst_ends(samples, &bursts, config))
-    })
 }
 
 /// Compares detected windows with ground truth: the fraction of true windows
@@ -1152,30 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_segmentation_matches_serial_for_any_thread_count() {
-        let traces: Vec<Vec<f64>> = (0..12)
-            .map(|k| {
-                synthetic_trace(
-                    &[(50 + k, 120 + k), (300, 370), (600, 660)],
-                    900,
-                    1.0,
-                    4.0 + k as f64 * 0.1,
-                )
-            })
-            .collect();
-        let config = SegmentConfig::default();
-        let serial: Vec<_> = traces.iter().map(|t| segment_windows(t, &config)).collect();
-        for threads in [1, 4] {
-            let batch =
-                reveal_par::with_threads(threads, || segment_windows_batch(&traces, &config));
-            assert_eq!(batch, serial, "threads {threads}");
-        }
-        let refined = reveal_par::with_threads(4, || refined_bursts_batch(&traces, &config));
-        assert_eq!(refined.len(), traces.len());
-        assert!(refined.iter().all(|r| r.as_ref().unwrap().len() == 3));
-    }
-
-    #[test]
     fn selection_percentiles_match_sorted_reference() {
         // Noisy trace with duplicates and plateaus: the linear-time selection
         // must reproduce the sort-based order statistics exactly.
@@ -1190,9 +868,10 @@ mod tests {
             })
             .collect();
         let config = SegmentConfig::default();
+        let mut scratch = SegmentScratch::new();
         for t in &traces {
             assert_eq!(
-                percentiles_5_95(&mut t.clone()),
+                percentiles(t, &mut scratch),
                 percentiles_5_95_sorted(&mut t.clone())
             );
             let fast = find_bursts(t, &config).unwrap();
@@ -1207,39 +886,92 @@ mod tests {
         for len in 1..6 {
             let v: Vec<f64> = (0..len).map(|i| (i * 37 % 5) as f64).collect();
             assert_eq!(
-                percentiles_5_95(&mut v.clone()),
+                percentiles(&v, &mut scratch),
                 percentiles_5_95_sorted(&mut v.clone())
             );
         }
     }
 
-    #[test]
-    fn histogram_order_statistics_match_sorted_reference() {
-        // Plateaus (one histogram bucket holding most of the trace),
-        // negatives, subnormal-scale values, duplicates, and tiny lengths.
-        let cases: Vec<Vec<f64>> = vec![
-            vec![1.0; 500],
-            (0..5000)
-                .map(|i| if (i / 100) % 2 == 0 { -2.5 } else { 7.25 })
-                .collect(),
-            (0..3001)
-                .map(|i| ((i * 37 % 113) as f64 - 56.0) * 1e-300)
-                .collect(),
-            (0..997).map(|i| (i % 13) as f64 * -0.125).collect(),
-            vec![0.0, -0.0, 1.0, -1.0, 0.5],
-            vec![42.0],
-            vec![-1.0, 1.0],
-        ];
-        let mut scratch = SegmentScratch::new();
-        for samples in &cases {
-            let lo_rank = (samples.len() - 1) * 5 / 100;
-            let hi_rank = (samples.len() - 1) * 95 / 100;
-            let (lo, hi) = raw_percentiles(samples, lo_rank, hi_rank, &mut scratch);
-            let mut sorted = samples.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            assert_eq!(lo, sorted[lo_rank], "lo of {samples:?}");
-            assert_eq!(hi, sorted[hi_rank], "hi of {samples:?}");
+    /// The sorted oracle of the bracket selection: values at `ranks` after a
+    /// full sort in IEEE total order (the order the selection's keys encode,
+    /// `-0.0` below `+0.0`), compared by bit pattern.
+    fn assert_matches_sorted_oracle(values: &[f64], ranks: [usize; 2]) {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let got = order_statistics(values, ranks, &mut SegmentScratch::new());
+        for (g, &r) in got.iter().zip(&ranks) {
+            assert_eq!(
+                g.to_bits(),
+                sorted[r].to_bits(),
+                "rank {r} of {} items",
+                values.len()
+            );
         }
+    }
+
+    /// Ties, both zeros, subnormals and extremes: the values a heavy-tie
+    /// case draws from.
+    const PALETTE: [f64; 10] = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 2.5, 1e300, -1e300,
+    ];
+
+    #[test]
+    fn bracket_order_statistics_match_sorted_oracle_on_shaped_inputs() {
+        // Below, just above and well above the pivot-sample size, plus one
+        // paper-scale trace (n = 1024 captures run ~243k samples).
+        for len in [300usize, SAMPLE + 1, 3 * SAMPLE + 7, 243_000] {
+            let noise = |i: usize| (reveal_par::derive_seed(7, i as u64) % 10_000) as f64 * 1e-3;
+            let (lo_rank, hi_rank) = percentile_ranks(len);
+            let cases: Vec<Vec<f64>> = vec![
+                vec![1.5; len],
+                (0..len)
+                    .map(|i| if i % 3 == 0 { 4.0 } else { 1.0 })
+                    .collect(),
+                (0..len).map(|i| i as f64).collect(),
+                (0..len).rev().map(|i| i as f64 * -0.25).collect(),
+                // 40% of the items tie at the value straddling the 5th
+                // percentile rank; the rest are distinct around it.
+                (0..len)
+                    .map(|i| if i % 5 < 2 { 2.0 } else { noise(i) * 4.0 - 1.0 })
+                    .collect(),
+                (0..len).map(|i| PALETTE[i % PALETTE.len()]).collect(),
+                (0..len).map(|i| noise(i) * 1e-310).collect(),
+            ];
+            for values in &cases {
+                assert_matches_sorted_oracle(values, [lo_rank, hi_rank]);
+                assert_matches_sorted_oracle(values, [0, len - 1]);
+                assert_matches_sorted_oracle(values, [len / 2, len / 2]);
+            }
+        }
+    }
+
+    #[test]
+    fn missed_bracket_falls_back_to_exact_selection() {
+        // Every pivot-sample position holds a value above the rest of the
+        // trace, so the sampled 5th percentile lies far above the true one
+        // and the bracket cannot hold the rank.
+        let len = 3 * SAMPLE;
+        let mut values: Vec<f64> = (0..len).map(|i| (i % 97) as f64).collect();
+        for i in 0..SAMPLE {
+            values[sample_position(i, len)] = 1e6 + i as f64;
+        }
+        let (lo_rank, hi_rank) = percentile_ranks(len);
+        let item = |j: usize| values[j];
+        let mut sample = Vec::new();
+        let mut inside = Vec::new();
+        sample_keys(len, item, &mut sample);
+        let mut run = RankRun::new(lo_rank, lo_rank, len, &sample, &mut inside);
+        for &v in &values {
+            run.offer(v);
+        }
+        assert!(!run.hit(), "the planted sample must make the bracket miss");
+        run.settle(len, item);
+        assert!(run.hit());
+        assert_eq!(run.inside.len(), len, "the fallback gathers every item");
+        let mut sorted = values.clone();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(run.select()[0].to_bits(), sorted[lo_rank].to_bits());
+        assert_matches_sorted_oracle(&values, [lo_rank, hi_rank]);
     }
 
     #[test]
@@ -1269,6 +1001,25 @@ mod tests {
                 "fused trace {k}"
             );
         }
+        // A noisy trace several pivot samples long: both domains select
+        // through hashed sample positions.
+        let mut long = synthetic_trace(
+            &(0..40)
+                .map(|b| (300 + 500 * b, 380 + 500 * b))
+                .collect::<Vec<_>>(),
+            20_000,
+            1.0,
+            4.0,
+        );
+        for (i, v) in long.iter_mut().enumerate() {
+            *v += (reveal_par::derive_seed(3, i as u64) % 1000) as f64 * 2e-4;
+        }
+        let reference = find_bursts_reference(&long, &config).unwrap();
+        assert_eq!(reference.len(), 40);
+        assert_eq!(
+            refined_bursts_into(&long, &config, &mut scratch).unwrap(),
+            refine_burst_ends_reference(&long, &reference, &config)
+        );
         // Bursts touching the trace boundaries put extreme values into the
         // clamped-window head/tail, exercising the edge-merge of the
         // diff-domain percentile selection.
@@ -1326,6 +1077,23 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_bracket_order_statistics_match_sorted_oracle(
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 1..300),
+            continuous in proptest::collection::vec(-1e3f64..1e3, 1..300),
+            r0 in 0usize..300,
+            r1 in 0usize..300,
+        ) {
+            // Heavy ties drawn from the palette, and distinct values.
+            let tied: Vec<f64> = picks.iter().map(|&k| PALETTE[k]).collect();
+            for values in [&tied, &continuous] {
+                let len = values.len();
+                let (lo_rank, hi_rank) = percentile_ranks(len);
+                assert_matches_sorted_oracle(values, [lo_rank, hi_rank]);
+                assert_matches_sorted_oracle(values, [r0 % len, r1 % len]);
+            }
+        }
+
         #[test]
         fn prop_segmentation_recovers_planted_bursts(
             gaps in proptest::collection::vec(120usize..400, 2..8),
