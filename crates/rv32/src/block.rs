@@ -37,17 +37,16 @@
 //! ## Bit-identity
 //!
 //! Block execution reproduces `step()`'s architectural semantics operation
-//! for operation, and emits power through the same
+//! for operation, and emits noiseless power through the same
 //! `PowerRenderer::emit_record` primitive `render_record` uses, in the same
-//! order, drawing noise variates from the same RNG stream. The verbatim
-//! `run_reference`/`render_power_reference` pair remains the oracle;
-//! `tests/fast_path_equivalence.rs` pins block-path-vs-reference
+//! order; noise is added over the finished capture by the caller. The
+//! verbatim `run_reference`/`render_power_reference` pair remains the
+//! oracle; `tests/fast_path_equivalence.rs` pins block-path-vs-reference
 //! bit-identity over all five sampler variants.
 
 use crate::cpu::{cycle_cost, Cpu, Halt, Mmio};
 use crate::isa::{AluOp, BranchCond, Instruction, MemWidth, MulOp, Reg};
 use crate::power::{base_level, PowerRenderer, PowerSink};
-use rand::Rng;
 
 /// One pre-resolved operation of a compiled block: everything `step()`
 /// would re-derive per execution (PC-relative targets, link values, cycle
@@ -489,22 +488,21 @@ impl BlockCache {
     }
 }
 
-/// Executes `block` on `cpu`, rendering each op's power through
+/// Executes `block` on `cpu`, rendering each op's noiseless power through
 /// `renderer` into `sink` as it retires (record indices start at
 /// `record_index`; at most `fuel - record_index` ops retire). `image` is
 /// the code image's byte range: a store landing inside it retires fully
 /// and then aborts the block with [`BlockExit::SelfModified`].
 ///
-/// Architectural semantics, sample values, and RNG draw order are
-/// bit-identical to stepping the same instructions through [`Cpu::step`]
-/// and rendering each [`ExecRecord`](crate::cpu::ExecRecord) with
+/// Architectural semantics and sample values are bit-identical to stepping
+/// the same instructions through [`Cpu::step`] and rendering each
+/// [`ExecRecord`](crate::cpu::ExecRecord) with
 /// `PowerRenderer::render_record`.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub fn run_block<M: Mmio, R: Rng + ?Sized, S: PowerSink>(
+#[allow(clippy::too_many_lines)]
+pub fn run_block<M: Mmio, S: PowerSink>(
     cpu: &mut Cpu<M>,
     block: &CompiledBlock,
     renderer: &PowerRenderer,
-    rng: &mut R,
     sink: &mut S,
     record_index: usize,
     fuel: usize,
@@ -686,7 +684,6 @@ pub fn run_block<M: Mmio, R: Rng + ?Sized, S: PowerSink>(
             op.base,
             cycles,
             data_term,
-            rng,
             sink,
         );
         executed += 1;

@@ -23,7 +23,7 @@ use crate::block::{self, BlockCache, BlockCacheStats, BlockExit};
 use crate::cpu::{Bus, Cpu, ExecRecord, Halt, QueueMmio};
 use crate::isa::{Instruction, Reg};
 use crate::power::{
-    render_power, render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer,
+    render_power, render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer, PowerSink,
     TraceBuffer,
 };
 use rand::Rng;
@@ -671,11 +671,13 @@ impl SamplerKernel {
         })
     }
 
-    /// Executes the kernel through the streaming fast path: power samples
-    /// stream into `scratch`'s reusable [`TraceBuffer`] as each instruction
-    /// retires (no `Vec<ExecRecord>` is materialized), and distribution
-    /// bursts replay from `scratch`'s noiseless sub-trace memo with a fresh
-    /// per-run noise overlay.
+    /// Executes the kernel through the streaming fast path: noiseless power
+    /// samples stream into `scratch`'s reusable [`TraceBuffer`] as each
+    /// instruction retires (no `Vec<ExecRecord>` is materialized), and
+    /// distribution bursts replay from `scratch`'s noiseless sub-trace memo.
+    /// After a normal halt, one
+    /// [`NoiseSampler::add_noise`](crate::power::NoiseSampler::add_noise)
+    /// pass adds the measurement noise over the finished capture.
     ///
     /// Bit-identical to [`SamplerKernel::run`] for the same inputs and RNG
     /// seed: same capture (samples and spans), outputs, windows, and
@@ -736,7 +738,7 @@ impl SamplerKernel {
                     Err(halt) => break halt,
                 };
                 let m = record.reg_write.map(|(_, _, new)| new).unwrap_or(0);
-                renderer.render_record(record_index, &record, rng, &mut scratch.buffer);
+                renderer.render_record(record_index, &record, &mut scratch.buffer);
                 record_index += 1;
                 let key = (m, cpu.reg(T1));
                 if let Some(template) = scratch.memo.get(&key) {
@@ -745,13 +747,11 @@ impl SamplerKernel {
                     for (i, (&pc, &count)) in template.pcs.iter().zip(&template.counts).enumerate()
                     {
                         let count = count as usize;
-                        renderer.replay_noiseless(
-                            record_index + i,
-                            pc,
-                            &template.samples[offset..offset + count],
-                            rng,
-                            &mut scratch.buffer,
-                        );
+                        scratch.buffer.begin_record(record_index + i, pc);
+                        scratch
+                            .buffer
+                            .push_samples(&template.samples[offset..offset + count]);
+                        scratch.buffer.end_record();
                         offset += count;
                     }
                     record_index += template.pcs.len();
@@ -763,6 +763,7 @@ impl SamplerKernel {
                     scratch.memo_misses += 1;
                     let mut template = BurstTemplate::default();
                     let cycles_before = cpu.cycle();
+                    let burst_start = scratch.buffer.len();
                     let mut aborted = None;
                     while cpu.pc() != self.dist_done_pc {
                         if record_index >= fuel {
@@ -776,24 +777,16 @@ impl SamplerKernel {
                                 break;
                             }
                         };
-                        let start = template.samples.len();
-                        renderer.render_record_noiseless(&record, &mut template.samples);
-                        renderer.replay_noiseless(
-                            record_index,
-                            record.pc,
-                            &template.samples[start..],
-                            rng,
-                            &mut scratch.buffer,
-                        );
+                        let start = scratch.buffer.len();
+                        renderer.render_record(record_index, &record, &mut scratch.buffer);
                         template.pcs.push(record.pc);
-                        template
-                            .counts
-                            .push((template.samples.len() - start) as u32);
+                        template.counts.push((scratch.buffer.len() - start) as u32);
                         record_index += 1;
                     }
                     if let Some(halt) = aborted {
                         break halt;
                     }
+                    template.samples = scratch.buffer.samples()[burst_start..].to_vec();
                     template.cycles = cpu.cycle() - cycles_before;
                     template.t1_exit = cpu.reg(T1);
                     scratch.memo.insert(key, template);
@@ -819,7 +812,6 @@ impl SamplerKernel {
                     &mut cpu,
                     compiled,
                     &renderer,
-                    rng,
                     &mut scratch.buffer,
                     record_index,
                     fuel,
@@ -831,7 +823,7 @@ impl SamplerKernel {
                     // faults exactly as the pre-block path did.
                     match cpu.step() {
                         Ok(record) => {
-                            renderer.render_record(record_index, &record, rng, &mut scratch.buffer);
+                            renderer.render_record(record_index, &record, &mut scratch.buffer);
                             record_index += 1;
                         }
                         Err(halt) => break halt,
@@ -849,6 +841,11 @@ impl SamplerKernel {
         };
         if halt != Halt::Ebreak {
             return Err(KernelError::BadHalt(halt));
+        }
+        if config.noise_sigma > 0.0 {
+            config
+                .noise_sampler
+                .add_noise(config.noise_sigma, rng, scratch.buffer.samples_mut());
         }
 
         let capture = scratch.buffer.to_capture();
@@ -1103,8 +1100,8 @@ struct BurstTemplate {
 /// Intended to live for a batch of runs (e.g. one profiling chunk). The memo
 /// only ever changes *speed*, never values: entries store noiseless sample
 /// templates keyed on the burst inputs plus a fingerprint of the kernel and
-/// power configuration, and the per-run noise overlay is drawn from the
-/// caller's RNG in the exact order the direct path would draw it.
+/// power configuration, and noise is only added once the whole noiseless
+/// capture is rendered.
 #[derive(Debug, Clone)]
 pub struct SamplerScratch {
     buffer: TraceBuffer,
@@ -1196,7 +1193,7 @@ impl SamplerScratch {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     const Q: u64 = 132120577;
 
@@ -1594,6 +1591,28 @@ mod tests {
                 got: 4
             })
         ));
+    }
+
+    #[test]
+    fn failed_run_into_draws_no_more_noise_than_run() {
+        // Bursts far longer than the fuel budget: both paths halt out of
+        // fuel, and neither may have drawn noise for the abandoned capture.
+        let kernel = SamplerKernel::new(8, &[Q]).unwrap();
+        let config = PowerModelConfig::default();
+        let mut rng = StdRng::seed_from_u64(5);
+        let direct = kernel.run(&[0; 8], &[5000; 8], &config, &mut rng);
+        let mut fast_rng = StdRng::seed_from_u64(5);
+        let fast = kernel.run_into(
+            &[0; 8],
+            &[5000; 8],
+            &config,
+            &mut fast_rng,
+            &mut SamplerScratch::new(),
+        );
+        for result in [&direct, &fast] {
+            assert!(matches!(result, Err(KernelError::BadHalt(Halt::OutOfFuel))));
+        }
+        assert_eq!(fast_rng.next_u64(), rng.next_u64());
     }
 
     #[test]

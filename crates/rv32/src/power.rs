@@ -18,7 +18,7 @@
 use crate::cpu::ExecRecord;
 use crate::isa::Instruction;
 use rand::Rng;
-use rand_distr_normal::{sample_standard_normal, sample_ziggurat};
+use rand_distr_normal::{add_polar_noise, sample_standard_normal, sample_ziggurat};
 
 /// Which exact standard-normal sampler draws the additive noise.
 ///
@@ -28,11 +28,11 @@ use rand_distr_normal::{sample_standard_normal, sample_ziggurat};
 /// default stays [`NoiseSampler::MarsagliaPolar`] because every pinned
 /// artifact in the tree (recovered coefficients, the 386.06/242.02 bikz
 /// pair in `BENCH_pipeline.json`, the `par_determinism` end-to-end pin)
-/// depends bit-for-bit on the historical noise-draw sequence.
-/// [`NoiseSampler::Ziggurat`] is roughly 6× cheaper per variate — noise is
-/// about half of profiling cost, one variate per power sample — and is the
-/// right choice for large generated corpora (serve load tests, scenario
-/// sweeps) where statistical equivalence suffices.
+/// depends bit-for-bit on the historical noise-draw sequence. Captures draw
+/// one variate per power sample, in one [`NoiseSampler::add_noise`] pass
+/// over the finished noiseless trace. [`NoiseSampler::Ziggurat`] accepts
+/// ~98.8% of draws on one `u64` without `ln`/`sqrt`, and suits large
+/// generated corpora where statistical equivalence suffices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NoiseSampler {
     /// Marsaglia polar: the historical stream every pinned output assumes.
@@ -44,12 +44,29 @@ pub enum NoiseSampler {
 }
 
 impl NoiseSampler {
-    /// Draws one standard normal variate.
+    /// Draws one standard normal variate: the per-sample reference for
+    /// [`NoiseSampler::add_noise`].
     #[inline]
     pub fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> f64 {
         match self {
             Self::MarsagliaPolar => sample_standard_normal(rng),
             Self::Ziggurat => sample_ziggurat(rng),
+        }
+    }
+
+    /// Adds `sigma · z` to every sample, in order, with each `z` drawn from
+    /// `rng`: bit-identical samples and final RNG state to
+    /// `for p in samples { *p += sigma * self.sample(rng) }`. The polar
+    /// method draws a stack block of accepted pairs before transforming
+    /// them, so no rejection branch sits between its `ln`/`sqrt` calls.
+    pub fn add_noise<R: Rng + ?Sized>(self, sigma: f64, rng: &mut R, samples: &mut [f64]) {
+        match self {
+            Self::MarsagliaPolar => add_polar_noise(sigma, rng, samples),
+            Self::Ziggurat => {
+                for p in samples {
+                    *p += sigma * sample_ziggurat(rng);
+                }
+            }
         }
     }
 }
@@ -209,31 +226,21 @@ impl PowerCapture {
 
 /// Receives power samples as they are produced, one record at a time.
 ///
-/// A sink sees the exact sample stream that [`render_power`] would produce:
-/// `begin_record` / `end_record` bracket the samples of one executed
-/// instruction, in execution order. Implementations that do not need span
-/// bookkeeping can ignore the bracketing calls.
+/// A sink sees the noiseless sample stream that [`render_power`] adds its
+/// noise to: `begin_record` / `end_record` bracket the samples of one
+/// executed instruction, in execution order. Implementations that do not
+/// need span bookkeeping can ignore the bracketing calls.
 pub trait PowerSink {
     /// Called before the samples of one record are pushed.
     fn begin_record(&mut self, record_index: usize, pc: u32);
     /// One power sample.
     fn push_sample(&mut self, sample: f64);
-    /// A block of consecutive samples. Equivalent to pushing each sample in
-    /// order; buffer-backed sinks override this with a bulk copy so the
-    /// noiseless replay path is a `memcpy` instead of a per-sample loop.
-    fn push_samples(&mut self, samples: &[f64]) {
-        for &s in samples {
-            self.push_sample(s);
-        }
-    }
-    /// `count` copies of `value`. Equivalent to pushing `value` repeatedly;
-    /// buffer-backed sinks override this with a vectorizable fill, which is
-    /// the shape of every noiseless record body (constant base level).
-    fn push_fill(&mut self, value: f64, count: usize) {
-        for _ in 0..count {
-            self.push_sample(value);
-        }
-    }
+    /// A block of consecutive samples, equivalent to pushing each in order:
+    /// the shape of a memoized burst replay.
+    fn push_samples(&mut self, samples: &[f64]);
+    /// `count` copies of `value`, equivalent to pushing `value` repeatedly:
+    /// the shape of every record body (constant base level).
+    fn push_fill(&mut self, value: f64, count: usize);
     /// Called after the samples of the current record are pushed.
     fn end_record(&mut self);
 }
@@ -275,6 +282,11 @@ impl TraceBuffer {
     /// The samples accumulated so far.
     pub fn samples(&self) -> &[f64] {
         &self.samples
+    }
+
+    /// The samples accumulated so far, for the in-place noise pass.
+    pub fn samples_mut(&mut self) -> &mut [f64] {
+        &mut self.samples
     }
 
     /// The spans accumulated so far (empty for [`Self::samples_only`]).
@@ -413,16 +425,16 @@ impl PowerRenderer {
         data_term
     }
 
-    /// Renders one record into `sink`, drawing noise from `rng`.
+    /// Renders the noiseless samples of one record into `sink`.
     ///
     /// Feeding records of a run in execution order with consecutive
-    /// `record_index` values reproduces [`render_power`] exactly, including
-    /// the order in which noise variates are drawn.
-    pub fn render_record<R: Rng + ?Sized, S: PowerSink>(
+    /// `record_index` values, then adding noise over the finished samples
+    /// with [`NoiseSampler::add_noise`], reproduces [`render_power`]
+    /// exactly.
+    pub fn render_record<S: PowerSink>(
         &self,
         record_index: usize,
         record: &ExecRecord,
-        rng: &mut R,
         sink: &mut S,
     ) {
         let base = base_level(&record.instruction);
@@ -433,94 +445,39 @@ impl PowerRenderer {
             base,
             record.cycles,
             data_term,
-            rng,
             sink,
         );
     }
 
-    /// Emits the samples of one retired instruction from its already-derived
-    /// power inputs, returning the sample count.
+    /// Emits the noiseless samples of one retired instruction from its
+    /// already-derived power inputs, returning the sample count.
     ///
     /// This is the single emission primitive: [`PowerRenderer::render_record`]
     /// feeds it from an [`ExecRecord`], and the basic-block superinstruction
     /// path (`block::run_block`) feeds it straight from block execution
     /// without materializing a record — both therefore produce the exact same
-    /// sample stream and noise-draw order by construction.
+    /// sample stream by construction.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn emit_record<R: Rng + ?Sized, S: PowerSink>(
+    pub(crate) fn emit_record<S: PowerSink>(
         &self,
         record_index: usize,
         pc: u32,
         base: f64,
         cycles: u32,
         data_term: f64,
-        rng: &mut R,
         sink: &mut S,
     ) -> usize {
-        let config = &self.config;
-        let total = cycles as usize * config.samples_per_cycle;
-        // The per-sample branch `k + samples_per_cycle >= total` splits the
-        // record into a constant body (`base`) and a final-cycle tail
-        // (`base + data_term`); emitting the two blocks directly is
-        // bit-identical and — noiselessly — a pure fill.
-        let body = total.saturating_sub(config.samples_per_cycle);
-        let tail_level = base + data_term;
+        let samples_per_cycle = self.config.samples_per_cycle;
+        let total = cycles as usize * samples_per_cycle;
+        // The reference's per-sample branch `k + samples_per_cycle >= total`
+        // splits the record into a constant body (`base`) and a final-cycle
+        // tail (`base + data_term`); two fills are bit-identical.
+        let body = total.saturating_sub(samples_per_cycle);
         sink.begin_record(record_index, pc);
-        if config.noise_sigma > 0.0 {
-            let draw = config.noise_sampler;
-            for _ in 0..body {
-                sink.push_sample(base + config.noise_sigma * draw.sample(rng));
-            }
-            for _ in body..total {
-                sink.push_sample(tail_level + config.noise_sigma * draw.sample(rng));
-            }
-        } else {
-            sink.push_fill(base, body);
-            sink.push_fill(tail_level, total - body);
-        }
+        sink.push_fill(base, body);
+        sink.push_fill(base + data_term, total - body);
         sink.end_record();
         total
-    }
-
-    /// Renders the noiseless samples of one record into `out`.
-    ///
-    /// Used to build memoized sub-trace templates: the full sample is
-    /// `noiseless + noise_sigma * z`, which associates identically to the
-    /// `(base + data_term) + noise_sigma * z` of the direct path.
-    pub fn render_record_noiseless(&self, record: &ExecRecord, out: &mut Vec<f64>) {
-        let config = &self.config;
-        let base = base_level(&record.instruction);
-        let total = record.cycles as usize * config.samples_per_cycle;
-        let data_term = self.data_term(record);
-        // Two fills, not a per-sample loop: the body is constant `base`, the
-        // final cycle is constant `base + data_term` (see `render_record`).
-        let body = total.saturating_sub(config.samples_per_cycle);
-        out.reserve(total);
-        out.resize(out.len() + body, base);
-        out.resize(out.len() + (total - body), base + data_term);
-    }
-
-    /// Overlays fresh noise on precomputed noiseless samples of one record.
-    pub fn replay_noiseless<R: Rng + ?Sized, S: PowerSink>(
-        &self,
-        record_index: usize,
-        pc: u32,
-        noiseless: &[f64],
-        rng: &mut R,
-        sink: &mut S,
-    ) {
-        let sigma = self.config.noise_sigma;
-        let draw = self.config.noise_sampler;
-        sink.begin_record(record_index, pc);
-        if sigma > 0.0 {
-            for &p in noiseless {
-                sink.push_sample(p + sigma * draw.sample(rng));
-            }
-        } else {
-            sink.push_samples(noiseless);
-        }
-        sink.end_record();
     }
 }
 
@@ -552,7 +509,12 @@ pub fn render_power<R: Rng + ?Sized>(
     let renderer = PowerRenderer::new(config);
     let mut buffer = TraceBuffer::new();
     for (record_index, record) in records.iter().enumerate() {
-        renderer.render_record(record_index, record, rng, &mut buffer);
+        renderer.render_record(record_index, record, &mut buffer);
+    }
+    if config.noise_sigma > 0.0 {
+        config
+            .noise_sampler
+            .add_noise(config.noise_sigma, rng, buffer.samples_mut());
     }
     buffer.into_capture()
 }
@@ -601,7 +563,7 @@ pub fn render_power_reference<R: Rng + ?Sized>(
 
 /// Minimal standard-normal sampling, local so the crate needs no extra
 /// dependency: the Marsaglia polar method (the default, historical stream)
-/// and a 256-layer Marsaglia–Tsang ziggurat (~6× faster, different stream).
+/// and a 256-layer Marsaglia–Tsang ziggurat (different stream).
 /// [`NoiseSampler`] selects between them per configuration.
 mod rand_distr_normal {
     use rand::Rng;
@@ -614,6 +576,39 @@ mod rand_distr_normal {
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
                 return u * (-2.0 * s.ln() / s).sqrt();
+            }
+        }
+    }
+
+    /// Samples per block of [`add_polar_noise`].
+    const POLAR_BLOCK: usize = 64;
+
+    /// Adds `sigma ·` [`sample_standard_normal`] to each sample, one block
+    /// at a time.
+    ///
+    /// A block first keeps its accepted `(u, s)` pairs: each pair is stored
+    /// at the next free slot, which only advances when `0 < s < 1`, so a
+    /// rejected pair is overwritten without a branch. Each round draws only
+    /// as many pairs as the block still lacks, so no pair is drawn past the
+    /// block's last accepted one and the stream matches the per-sample
+    /// rejection loop. The transform is that loop's exact expression.
+    pub fn add_polar_noise<R: Rng + ?Sized>(sigma: f64, rng: &mut R, samples: &mut [f64]) {
+        let mut us = [0.0f64; POLAR_BLOCK];
+        let mut ss = [0.0f64; POLAR_BLOCK];
+        for block in samples.chunks_mut(POLAR_BLOCK) {
+            let mut accepted = 0;
+            while accepted < block.len() {
+                for _ in 0..block.len() - accepted {
+                    let u: f64 = rng.gen_range(-1.0..1.0);
+                    let v: f64 = rng.gen_range(-1.0..1.0);
+                    let s = u * u + v * v;
+                    us[accepted] = u;
+                    ss[accepted] = s;
+                    accepted += usize::from(s > 0.0 && s < 1.0);
+                }
+            }
+            for ((p, &u), &s) in block.iter_mut().zip(&us).zip(&ss) {
+                *p += sigma * (u * (-2.0 * s.ln() / s).sqrt());
             }
         }
     }
@@ -823,6 +818,7 @@ mod rand_distr_normal {
 
     #[cfg(test)]
     pub(super) mod test_support {
+        pub(crate) const POLAR_BLOCK: usize = super::POLAR_BLOCK;
         pub(crate) const R: f64 = super::ZIG_R;
         pub(crate) const V: f64 = super::ZIG_V;
         pub(crate) static X: &[f64; 257] = &super::ZIG_X;
@@ -839,7 +835,7 @@ mod tests {
     use crate::asm::assemble;
     use crate::cpu::{Bus, Cpu, QueueMmio};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn capture(source: &str, config: &PowerModelConfig, seed: u64) -> PowerCapture {
         let program = assemble(source, 0).unwrap();
@@ -998,18 +994,12 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(42);
             let mut buffer = TraceBuffer::new();
             for (i, record) in records.iter().enumerate() {
-                renderer.render_record(i, record, &mut rng, &mut buffer);
+                renderer.render_record(i, record, &mut buffer);
             }
-            assert_eq!(buffer.to_capture(), direct);
-
-            // Noiseless template + noise overlay is also bit-identical.
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut buffer = TraceBuffer::new();
-            let mut noiseless = Vec::new();
-            for (i, record) in records.iter().enumerate() {
-                noiseless.clear();
-                renderer.render_record_noiseless(record, &mut noiseless);
-                renderer.replay_noiseless(i, record.pc, &noiseless, &mut rng, &mut buffer);
+            if sigma > 0.0 {
+                config
+                    .noise_sampler
+                    .add_noise(sigma, &mut rng, buffer.samples_mut());
             }
             assert_eq!(buffer.into_capture(), direct);
         }
@@ -1139,7 +1129,45 @@ mod tests {
         assert!(c.span_of_pc_range(100, 200).is_none());
     }
 
+    /// Noiseless levels the noise pass must add to bit for bit: signed
+    /// zeros, subnormals and magnitudes where `σ·z` vanishes.
+    const PALETTE: [f64; 10] = [
+        -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 2.5, 1e300, -1e300,
+    ];
+
     proptest::proptest! {
+        // The block pass must leave every sample and the RNG exactly where
+        // the per-sample reference loop does, at every length — including
+        // both sides of each block edge — for both samplers.
+        #[test]
+        fn prop_add_noise_matches_per_sample_loop(
+            len in 0usize..=1_100,
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 1..40),
+            sigma_pick in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use super::rand_distr_normal::test_support::POLAR_BLOCK;
+            let sigma = [0.05, 0.3, 1e-300, 2.0][sigma_pick];
+            for len in [len, POLAR_BLOCK - 1, POLAR_BLOCK, POLAR_BLOCK + 1, 2 * POLAR_BLOCK] {
+                let noiseless: Vec<f64> =
+                    (0..len).map(|i| PALETTE[picks[i % picks.len()]]).collect();
+                for sampler in [NoiseSampler::MarsagliaPolar, NoiseSampler::Ziggurat] {
+                    let mut blocked = noiseless.clone();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    sampler.add_noise(sigma, &mut rng, &mut blocked);
+                    let mut reference = noiseless.clone();
+                    let mut reference_rng = StdRng::seed_from_u64(seed);
+                    for p in &mut reference {
+                        *p += sigma * sampler.sample(&mut reference_rng);
+                    }
+                    for (a, b) in blocked.iter().zip(&reference) {
+                        proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+                    }
+                    proptest::prop_assert_eq!(rng.next_u64(), reference_rng.next_u64());
+                }
+            }
+        }
+
         // The blocked fill/copy emission of `render_record` must reproduce
         // the per-sample reference loop bit for bit at every noise level,
         // sample rate, and seed — including both the constant body and the

@@ -120,6 +120,16 @@ proptest! {
     }
 }
 
+/// Adds `config`'s noise over a finished noiseless capture, as the kernel
+/// does after a normal halt, so the block-vs-step comparisons still cover
+/// the noise stream.
+fn add_noise(config: &PowerModelConfig, seed: u64, sink: &mut TraceBuffer) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    config
+        .noise_sampler
+        .add_noise(config.noise_sigma, &mut rng, sink.samples_mut());
+}
+
 /// Drives `program` to halt through the block-dispatch loop (compile at
 /// first execution, superinstruction execution with fused power emission,
 /// store-overlap invalidation), mirroring the kernel's dispatch.
@@ -130,7 +140,6 @@ fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>,
     cpu.predecode(0, program.words.len());
     let config = PowerModelConfig::default();
     let renderer = PowerRenderer::new(&config);
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut sink = TraceBuffer::new();
     let instrs: Vec<Option<Instruction>> = program
         .words
@@ -162,7 +171,6 @@ fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>,
                     &mut cpu,
                     block,
                     &renderer,
-                    &mut rng,
                     &mut sink,
                     record_index,
                     fuel,
@@ -178,7 +186,7 @@ fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>,
             }
             None => match cpu.step() {
                 Ok(record) => {
-                    renderer.render_record(record_index, &record, &mut rng, &mut sink);
+                    renderer.render_record(record_index, &record, &mut sink);
                     record_index += 1;
                 }
                 Err(halt) => break halt,
@@ -186,6 +194,7 @@ fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>,
         }
     };
     assert_eq!(halt, Halt::Ebreak);
+    add_noise(&config, seed, &mut sink);
     (sink, cpu, cache.stats)
 }
 
@@ -198,19 +207,19 @@ fn run_via_steps(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>) 
     cpu.predecode(0, program.words.len());
     let config = PowerModelConfig::default();
     let renderer = PowerRenderer::new(&config);
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut sink = TraceBuffer::new();
     let mut record_index = 0usize;
     let halt = loop {
         match cpu.step() {
             Ok(record) => {
-                renderer.render_record(record_index, &record, &mut rng, &mut sink);
+                renderer.render_record(record_index, &record, &mut sink);
                 record_index += 1;
             }
             Err(halt) => break halt,
         }
     };
     assert_eq!(halt, Halt::Ebreak);
+    add_noise(&config, seed, &mut sink);
     (sink, cpu)
 }
 
