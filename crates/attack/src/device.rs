@@ -92,34 +92,40 @@ impl Device {
         self.kernel.degree()
     }
 
-    /// Captures one execution with *fresh* noise sampled exactly as SEAL's
-    /// encryptor would (attack mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel failures.
-    pub fn capture_fresh<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Capture, KernelError> {
-        let n = self.degree();
+    /// One `ClippedNormalDistribution` call per coefficient, lazily: each
+    /// call's sampled value and the burst length its timing gives the
+    /// kernel's `dist_loop`.
+    fn distribution_calls<'r, R: Rng + ?Sized>(
+        &self,
+        rng: &'r mut R,
+    ) -> impl Iterator<Item = (i64, u32)> + 'r {
         let mut dist = ClippedNormalDistribution::new(
             0.0,
             self.noise_standard_deviation,
             self.noise_max_deviation,
         );
-        let mut values = Vec::with_capacity(n);
-        let mut iterations = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (v, stats) = dist.sample_i64(rng);
-            values.push(v);
-            iterations.push(burst_iterations(&stats));
-        }
-        let run = self.kernel.run(&values, &iterations, &self.power, rng)?;
-        Ok(Capture { values, run })
+        std::iter::repeat_with(move || {
+            let (value, stats) = dist.sample_i64(rng);
+            (value, burst_iterations(&stats))
+        })
+    }
+
+    /// Captures one execution with *fresh* noise sampled exactly as SEAL's
+    /// encryptor would (attack mode): [`Device::capture_fresh_into`] on a
+    /// fresh scratch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates kernel failures.
+    pub fn capture_fresh<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Capture, KernelError> {
+        self.capture_fresh_into(rng, &mut SamplerScratch::new())
     }
 
     /// Captures one execution with *chosen* coefficient values (profiling
     /// mode — "the adversary can profile the target device", §II-B). The
     /// distribution-call timing is still drawn randomly so the profiling
-    /// traces carry realistic time variance.
+    /// traces carry realistic time variance. [`Device::capture_chosen_into`]
+    /// on a fresh scratch.
     ///
     /// # Errors
     ///
@@ -129,29 +135,13 @@ impl Device {
         values: &[i64],
         rng: &mut R,
     ) -> Result<Capture, KernelError> {
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let iterations: Vec<u32> = values
-            .iter()
-            .map(|_| {
-                let (_, stats) = dist.sample_i64(rng);
-                burst_iterations(&stats)
-            })
-            .collect();
-        let run = self.kernel.run(values, &iterations, &self.power, rng)?;
-        Ok(Capture {
-            values: values.to_vec(),
-            run,
-        })
+        self.capture_chosen_into(values, rng, &mut SamplerScratch::new())
     }
 
-    /// [`Device::capture_fresh`] through the streaming fast path: the trace
+    /// [`Device::capture_fresh`] with a caller-owned scratch: the trace
     /// renders into `scratch`'s reusable buffer and distribution bursts
-    /// replay from its sub-trace memo. Bit-identical output for the same RNG
-    /// seed.
+    /// replay from its sub-trace memo. Bit-identical output for the same
+    /// RNG seed, whatever the scratch held before.
     ///
     /// # Errors
     ///
@@ -161,26 +151,15 @@ impl Device {
         rng: &mut R,
         scratch: &mut SamplerScratch,
     ) -> Result<Capture, KernelError> {
-        let n = self.degree();
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let mut values = Vec::with_capacity(n);
-        let mut iterations = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (v, stats) = dist.sample_i64(rng);
-            values.push(v);
-            iterations.push(burst_iterations(&stats));
-        }
+        let (values, iterations): (Vec<i64>, Vec<u32>) =
+            self.distribution_calls(rng).take(self.degree()).unzip();
         let run = self
             .kernel
             .run_into(&values, &iterations, &self.power, rng, scratch)?;
         Ok(Capture { values, run })
     }
 
-    /// [`Device::capture_chosen`] through the streaming fast path (see
+    /// [`Device::capture_chosen`] with a caller-owned scratch (see
     /// [`Device::capture_fresh_into`]). This is what the profiling stage
     /// uses: back-to-back chosen-value captures on one device hit the memo
     /// constantly, since burst lengths concentrate on a few even values.
@@ -194,17 +173,10 @@ impl Device {
         rng: &mut R,
         scratch: &mut SamplerScratch,
     ) -> Result<Capture, KernelError> {
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let iterations: Vec<u32> = values
-            .iter()
-            .map(|_| {
-                let (_, stats) = dist.sample_i64(rng);
-                burst_iterations(&stats)
-            })
+        let iterations: Vec<u32> = self
+            .distribution_calls(rng)
+            .take(values.len())
+            .map(|(_, iterations)| iterations)
             .collect();
         let run = self
             .kernel
@@ -215,11 +187,11 @@ impl Device {
         })
     }
 
-    /// [`Device::capture_chosen`] through the pre-fast-path reference
-    /// execution ([`SamplerKernel::run_reference`]): per-step decoding, a
+    /// [`Device::capture_chosen`] through the reference oracle
+    /// ([`SamplerKernel::run_reference`]): per-step decoding, a
     /// materialized record list, and `sin`-per-bit rendering. Bit-identical
     /// output; exists so the equivalence tests and `bench_pipeline` can
-    /// compare the fast path against the implementation it replaced.
+    /// compare the fast path against it.
     ///
     /// # Errors
     ///
@@ -229,17 +201,10 @@ impl Device {
         values: &[i64],
         rng: &mut R,
     ) -> Result<Capture, KernelError> {
-        let mut dist = ClippedNormalDistribution::new(
-            0.0,
-            self.noise_standard_deviation,
-            self.noise_max_deviation,
-        );
-        let iterations: Vec<u32> = values
-            .iter()
-            .map(|_| {
-                let (_, stats) = dist.sample_i64(rng);
-                burst_iterations(&stats)
-            })
+        let iterations: Vec<u32> = self
+            .distribution_calls(rng)
+            .take(values.len())
+            .map(|(_, iterations)| iterations)
             .collect();
         let run = self
             .kernel

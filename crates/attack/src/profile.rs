@@ -492,11 +492,11 @@ pub fn collect_profiling(
     Ok(data)
 }
 
-/// The pre-fast-path reference implementation of [`collect_profiling`]: one
-/// task per run, materializing captures through
-/// [`Device::capture_chosen_reference`] (per-step decoding, `sin`-per-bit
-/// rendering). Kept for the equivalence tests and the `bench_pipeline`
-/// fast-path vs baseline comparison.
+/// The oracle for [`collect_profiling`]: a plain serial loop over the runs,
+/// materializing captures through [`Device::capture_chosen_reference`]
+/// (per-step decoding, `sin`-per-bit rendering, per-sample noise). Kept for
+/// the equivalence tests and the single-threaded `bench_pipeline` fast-path
+/// vs baseline comparison.
 ///
 /// # Errors
 ///
@@ -508,10 +508,9 @@ pub fn collect_profiling_baseline(
     master_seed: u64,
 ) -> Result<ProfilingData, AttackError> {
     let labels = config.value_labels();
-    let collected: Vec<RunYield> = reveal_par::par_map_index(runs, |run| {
-        profiling_run(device, config, &labels, master_seed, run, None)
-    });
-    accumulate_runs(collected)
+    accumulate_runs(
+        (0..runs).map(|run| profiling_run(device, config, &labels, master_seed, run, None)),
+    )
 }
 
 impl TrainedAttack {
@@ -770,12 +769,14 @@ impl TrainedAttack {
         // cheaper than a thread handoff — and sizes claims from measured
         // per-window cost on longer ones. Windows are read in place from
         // the trace, never copied.
-        let coefficients =
-            reveal_par::par_map_modeled(&starts, &ATTACK_WINDOW_COST, ladder as u64, |&start| {
-                self.attack_window(&samples[start..start + ladder])
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let coefficients = reveal_par::par_map_index_modeled(
+            starts.len(),
+            &ATTACK_WINDOW_COST,
+            ladder as u64,
+            |w| self.attack_window(&samples[starts[w]..starts[w] + ladder]),
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         Ok(SingleTraceAttack { coefficients })
     }
 

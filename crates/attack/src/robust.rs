@@ -408,12 +408,17 @@ impl<'a> RobustAttack<'a> {
         let ladder = self.attack.config().ladder_window;
         let window = |sw: &SegmentedWindow| sw.start.map(|s| &samples[s..s + ladder]);
         let (estimates, fit_scores): (Vec<Option<CoefficientEstimate>>, Vec<Option<f64>>) =
-            reveal_par::par_map_modeled(&segmented, &ATTACK_WINDOW_COST, ladder as u64, |sw| {
-                window(sw).map_or((None, None), |w| {
-                    let (estimate, fit) = self.attack.attack_window_scored(w);
-                    (estimate.ok(), fit)
-                })
-            })
+            reveal_par::par_map_index_modeled(
+                segmented.len(),
+                &ATTACK_WINDOW_COST,
+                ladder as u64,
+                |i| {
+                    window(&segmented[i]).map_or((None, None), |w| {
+                        let (estimate, fit) = self.attack.attack_window_scored(w);
+                        (estimate.ok(), fit)
+                    })
+                },
+            )
             .into_iter()
             .unzip();
 
@@ -451,11 +456,11 @@ impl<'a> RobustAttack<'a> {
                 .filter_map(|(i, (sw, _))| Some((i, window(sw)?)))
                 .collect();
             diagnostics.rail.armed_windows = armed.len();
-            let scored = reveal_par::par_map_modeled(
-                &armed,
+            let scored = reveal_par::par_map_index_modeled(
+                armed.len(),
                 &ATTACK_WINDOW_COST,
                 ladder as u64,
-                |&(_, w)| rail.attack_window(w),
+                |a| rail.attack_window(armed[a].1),
             );
             for (&(i, _), result) in armed.iter().zip(scored) {
                 match result {

@@ -199,9 +199,9 @@ fn main() {
     });
 
     // Fast path vs the materializing reference collector, both single-threaded
-    // so the comparison isolates predecode + streaming + memoization from any
-    // thread-count effect. The reference must also reproduce the fast path's
-    // profiling sets bit for bit.
+    // so the comparison isolates block dispatch + streaming + memoization from
+    // any thread-count effect. The reference must also reproduce the fast
+    // path's profiling sets bit for bit.
     let (baseline_profiling, profile_baseline_ms) = reveal_par::with_threads(1, || {
         time_ms(|| {
             collect_profiling_baseline(&device, profile_runs, &config, MASTER_SEED)

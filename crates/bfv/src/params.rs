@@ -194,10 +194,11 @@ impl EncryptionParameters {
             remaining -= take;
         }
         // Merge a trailing sliver into its neighbour to keep primes >= 20 bits.
-        if sizes.len() >= 2 && *sizes.last().unwrap() < 20 {
-            let last = sizes.pop().unwrap();
-            *sizes.last_mut().unwrap() -= 20 - last;
-            sizes.push(20);
+        if let [.., previous, last] = sizes.as_mut_slice() {
+            if *last < 20 {
+                *previous -= 20 - *last;
+                *last = 20;
+            }
         }
         let mut coeff_modulus = Vec::new();
         let mut used: Vec<u64> = Vec::new();

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 // Indexed loops are the clearest notation for the dense numeric kernels
 // in this workspace (convolutions, scatter matrices, lattice bases).
 #![allow(clippy::needless_range_loop)]

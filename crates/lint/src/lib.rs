@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::pedantic)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 // A value-set analysis is one big structural case split: the match arms on
 // (lattice element × lattice element) are clearer spelled out than folded,
 // and scores/masks convert between integer widths deliberately.

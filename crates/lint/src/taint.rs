@@ -224,7 +224,7 @@ impl State {
                     .iter()
                     .find(|(&(rlo, rhi), _)| rlo <= hi && lo <= rhi)
                     .map(|(&k, _)| k)
-                    .unwrap();
+                    .expect("exactly one region overlaps the load");
                 if !(only.0 <= lo && hi <= only.1) {
                     val = None;
                 }

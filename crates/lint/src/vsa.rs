@@ -381,8 +381,9 @@ pub fn eval_binop(op: reveal_rv32::AluOp, a: &Value, b: &Value) -> Value {
             if out.len() <= MAX_SET {
                 return Value::Set(out);
             }
-            let lo = out.iter().map(|&v| signed(v)).min().unwrap();
-            let hi = out.iter().map(|&v| signed(v)).max().unwrap();
+            let non_empty = "a set wider than MAX_SET is non-empty";
+            let lo = out.iter().map(|&v| signed(v)).min().expect(non_empty);
+            let hi = out.iter().map(|&v| signed(v)).max().expect(non_empty);
             let stride = stride_of(&Value::Set(out));
             return Value::interval(lo, hi, stride.max(1));
         }

@@ -1,8 +1,8 @@
 //! Measured cost model for sizing parallel work.
 //!
-//! The static minimum-work heuristics this replaces (`par_map_min`'s magic
-//! numbers: "64k multiply-adds per worker") encoded a guess about how many
-//! nanoseconds one work unit costs. A guess cannot distinguish a laptop from
+//! A static minimum-work heuristic (a magic number such as "64k
+//! multiply-adds per worker") encodes a guess about how many nanoseconds one
+//! work unit costs. A guess cannot distinguish a laptop from
 //! a CI container, and it cannot see that a warm cache made the work 3×
 //! cheaper than last time. A [`CostModel`] instead *observes*: every modeled
 //! parallel call is timed, the per-unit cost feeds an exponential moving
@@ -25,8 +25,8 @@
 //!   hammered once per microsecond of work), expensive items one at a time
 //!   (so stragglers balance).
 //!
-//! Both knobs change *scheduling only*. Every modeled primitive places
-//! results by index, so the output is bit-identical whatever the
+//! Both knobs change *scheduling only*. Both map primitives place results
+//! by index, so the output is bit-identical whatever the
 //! measurements say — a noisy timer can cost speed, never correctness.
 //!
 //! ## Observability
@@ -122,9 +122,8 @@ pub struct Plan {
 /// A per-call-site cost model: an EWMA of observed nanoseconds per work
 /// unit, plus the prior used until the first measurement lands.
 ///
-/// Declare one `static` per call site and pass it to the modeled primitives
-/// ([`par_map_modeled`](crate::par_map_modeled),
-/// [`par_map_index_modeled`](crate::par_map_index_modeled),
+/// Declare one `static` per call site and pass it to one of the two map
+/// primitives ([`par_map_index_modeled`](crate::par_map_index_modeled),
 /// [`par_map_index_with_scratch`](crate::par_map_index_with_scratch)); the
 /// `'static` lifetime is what lets the model register itself for
 /// [`snapshots`].

@@ -1,5 +1,6 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::pedantic)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 // The runtime is all index arithmetic over f64 payloads: precision-lossy
 // casts between counts and cost estimates are deliberate, and the scalar
 // SIMD references are *defined* as indexed loops.
@@ -24,35 +25,26 @@
 //!
 //! ## Determinism contract
 //!
-//! Every primitive returns results **in input order**, and every reduction
-//! combines partial results in a **fixed order** that depends only on the
-//! input length and the caller-chosen chunk size — never on the thread count
-//! or on scheduling. Consequently the output of any `reveal-par` call is
-//! bit-for-bit identical whether it runs on 1 thread or 64:
+//! Both map primitives evaluate a pure function of each index in
+//! `0..count` and return the results **in index order**, so the output of
+//! any `reveal-par` call is bit-for-bit identical whether it runs on 1
+//! thread or 64:
 //!
-//! - [`par_map`] / [`par_map_index`]: each element is a pure function of its
-//!   index; results are written back by index.
-//! - [`par_map_min`] / [`par_map_index_min`]: identical output, but a
-//!   minimum-work-per-worker heuristic drops tiny batches to the calling
-//!   thread (no spawn) — the worker count depends only on the batch size and
-//!   the configured thread count, so determinism is preserved.
-//! - [`par_map_modeled`] / [`par_map_index_modeled`] /
-//!   [`par_map_index_with_scratch`]: identical output, but the worker count
-//!   and the claim granularity come from a measured [`cost::CostModel`]
-//!   instead of a hard-coded minimum. The plan varies with the machine and
-//!   with past observations — scheduling only; results are still placed by
-//!   index.
+//! - [`par_map_index_modeled`]: the worker count and the claim granularity
+//!   come from a measured [`cost::CostModel`], capped by [`max_threads`] and
+//!   the hardware. The plan varies with the machine and with past
+//!   observations — scheduling only; results are still placed by index.
 //! - [`par_map_index_with_scratch`] additionally gives each worker one
 //!   long-lived scratch value for its entire share of the work (a warm
 //!   memo cache, a reusable buffer). The caller promises the scratch is
 //!   **value-transparent** — it may change how fast a task runs, never what
 //!   the task returns — which keeps the output independent of how indices
 //!   happen to be partitioned across workers.
-//! - [`par_map_chunks`]: chunk boundaries are `chunk_size`-aligned and
-//!   independent of the thread count.
-//! - [`par_reduce`]: each chunk is folded left-to-right and chunk results are
-//!   combined left-to-right, so even non-associative floating-point
-//!   reductions are reproducible across thread counts.
+//!
+//! A reduction maps *chunk* indices whose boundaries depend only on the
+//! input length and a caller-chosen chunk size, then folds the partial
+//! results in chunk order, so even floating-point sums are reproducible
+//! across thread counts.
 //!
 //! ## Thread-count resolution
 //!
@@ -63,14 +55,17 @@
 //! ## Example
 //!
 //! ```
-//! let squares = reveal_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! use reveal_par::{par_map_index_modeled, CostModel};
+//!
+//! static SQUARE: CostModel = CostModel::new("doc.square", 1.0);
+//! let items = [1u64, 2, 3, 4];
+//! let squares = par_map_index_modeled(items.len(), &SQUARE, 1, |i| items[i] * items[i]);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! let sum = reveal_par::par_reduce(&squares, 2, 0u64, |a, &x| a + x, |a, b| a + b);
-//! assert_eq!(sum, 30);
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 pub mod channel;
@@ -89,6 +84,12 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Serializes [`with_threads`] callers so concurrent tests cannot observe
 /// each other's override.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+thread_local! {
+    /// Whether this thread is inside a [`with_threads`] body, and so
+    /// already holds [`OVERRIDE_LOCK`]: a nested call must not lock again.
+    static HOLDS_OVERRIDE: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The number of worker threads a parallel call will use: the
 /// [`with_threads`] override if active, else `REVEAL_THREADS`, else
@@ -109,19 +110,40 @@ pub fn max_threads() -> usize {
 }
 
 /// Runs `body` with the thread count pinned to `threads`, restoring the
-/// previous setting afterwards. Callers are serialized process-wide, so two
-/// concurrent `with_threads` blocks (e.g. parallel tests) cannot leak their
-/// setting into each other. Results are unchanged by construction — this
-/// only controls how much hardware the work is spread over.
+/// previous setting afterwards — also when `body` panics. Callers on
+/// different threads are serialized process-wide, so two concurrent
+/// `with_threads` blocks (e.g. parallel tests) cannot leak their setting
+/// into each other; a nested call on the same thread pins its own count for
+/// its body, then hands the outer one back. Results are unchanged by
+/// construction — this only controls how much hardware the work is spread
+/// over.
 pub fn with_threads<R>(threads: usize, body: impl FnOnce() -> R) -> R {
-    let guard = OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let previous = THREAD_OVERRIDE.swap(threads.max(1), Ordering::Relaxed);
-    let result = body();
-    THREAD_OVERRIDE.store(previous, Ordering::Relaxed);
-    drop(guard);
-    result
+    /// Puts the previous override back when dropped; the outermost call
+    /// also releases the lock, after the restore.
+    struct Restore {
+        previous: usize,
+        lock: Option<MutexGuard<'static, ()>>,
+    }
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_OVERRIDE.store(self.previous, Ordering::Relaxed);
+            if self.lock.is_some() {
+                HOLDS_OVERRIDE.set(false);
+            }
+        }
+    }
+    let lock = if HOLDS_OVERRIDE.get() {
+        None
+    } else {
+        let guard = OVERRIDE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        HOLDS_OVERRIDE.set(true);
+        Some(guard)
+    };
+    let _restore = Restore {
+        previous: THREAD_OVERRIDE.swap(threads.max(1), Ordering::Relaxed),
+        lock,
+    };
+    body()
 }
 
 /// Derives an independent 64-bit seed from a master seed and a task index
@@ -209,104 +231,20 @@ fn run_indexed_stateful<St: Send, R: Send>(
     (results, scratches)
 }
 
-/// Stateless single-claim executor (the pre-cost-model shape), kept as the
-/// engine behind the plain and `_min` primitives.
-fn run_indexed_capped<R: Send>(
-    count: usize,
-    threads: usize,
-    task: &(impl Fn(usize) -> R + Sync),
-) -> Vec<R> {
-    run_indexed_stateful(count, threads, 1, &|| (), &|(): &mut (), i| task(i)).0
-}
-
-fn run_indexed<R: Send>(count: usize, task: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
-    run_indexed_capped(count, max_threads().min(count), task)
-}
-
-/// The worker count the minimum-work heuristic allows for `count` items when
-/// each worker should receive at least `min_items_per_worker` of them: small
-/// batches degenerate to one worker (pure serial, no threads spawned at
-/// all), large batches still fan out to [`max_threads`]. The result depends
-/// only on `(count, min_items_per_worker)` and the configured thread count —
-/// never on scheduling — so the determinism contract is unaffected (results
-/// are placed by index regardless of the worker count).
-fn capped_workers(count: usize, min_items_per_worker: usize) -> usize {
-    max_threads()
-        .min(count / min_items_per_worker.max(1))
-        .max(1)
-}
-
-/// Maps `f` over `items` in parallel, returning results in input order.
-///
-/// Intended for coarse tasks (a device capture, a trace segmentation, a
-/// candidate's full correlation sweep); for element counts in the millions
-/// prefer [`par_map_chunks`] to amortize the per-task claim, and for cheap
-/// per-item work prefer [`par_map_min`] so tiny batches skip the thread
-/// spawn entirely.
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    run_indexed(items.len(), &|i| f(&items[i]))
-}
-
-/// Maps `f` over `0..count` in parallel, returning results in index order.
-pub fn par_map_index<R: Send>(count: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    run_indexed(count, &f)
-}
-
-/// [`par_map`] with a minimum-work-per-worker heuristic: workers are capped
-/// so each receives at least `min_items_per_worker` items, and batches
-/// smaller than `2 × min_items_per_worker` run serially on the calling
-/// thread — spawning threads for a handful of microseconds of work costs
-/// more than it saves (the `cpa_rank` regression of `BENCH_pipeline.json`).
-/// Output is bit-identical to [`par_map`] for any thread count.
-pub fn par_map_min<T: Sync, R: Send>(
-    items: &[T],
-    min_items_per_worker: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let workers = capped_workers(items.len(), min_items_per_worker);
-    run_indexed_capped(items.len(), workers, &|i| f(&items[i]))
-}
-
-/// [`par_map_index`] with the minimum-work-per-worker heuristic of
-/// [`par_map_min`].
-pub fn par_map_index_min<R: Send>(
-    count: usize,
-    min_items_per_worker: usize,
-    f: impl Fn(usize) -> R + Sync,
-) -> Vec<R> {
-    let workers = capped_workers(count, min_items_per_worker);
-    run_indexed_capped(count, workers, &f)
-}
-
-/// [`par_map_index`] scheduled by a measured [`CostModel`]: the model sizes
-/// the worker count and the claim chunk from `count`, `units_per_item`
-/// (the caller's relative work estimate per item — e.g. `dim²` for a matrix
-/// row) and its observed nanoseconds-per-unit; the call's own wall time is
-/// fed back afterwards. Output is bit-identical to [`par_map_index`] for any
-/// thread count, plan, or timing noise.
+/// Maps `f` over `0..count` in parallel, returning results in index order,
+/// scheduled by a measured [`CostModel`]: the model sizes the worker count
+/// and the claim chunk from `count`, `units_per_item` (the caller's relative
+/// work estimate per item — e.g. `dim²` for a matrix row) and its observed
+/// nanoseconds-per-unit; the call's own wall time is fed back afterwards.
+/// Output is bit-identical to the serial loop for any thread count, plan,
+/// or timing noise.
 pub fn par_map_index_modeled<R: Send>(
     count: usize,
     model: &'static CostModel,
     units_per_item: u64,
     f: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    let plan = model.plan(count, units_per_item);
-    let start = Instant::now();
-    let results =
-        run_indexed_stateful(count, plan.workers, plan.claim_chunk, &|| (), &|(), i| f(i)).0;
-    model.record(count, units_per_item, start.elapsed());
-    results
-}
-
-/// [`par_map`] scheduled by a measured [`CostModel`] (see
-/// [`par_map_index_modeled`]).
-pub fn par_map_modeled<T: Sync, R: Send>(
-    items: &[T],
-    model: &'static CostModel,
-    units_per_item: u64,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    par_map_index_modeled(items.len(), model, units_per_item, |i| f(&items[i]))
+    par_map_index_with_scratch(count, model, units_per_item, || (), |(), i| f(i)).0
 }
 
 /// [`par_map_index_modeled`] where every worker owns one long-lived scratch
@@ -338,144 +276,101 @@ pub fn par_map_index_with_scratch<St: Send, R: Send>(
     out
 }
 
-/// Splits `items` into `chunk_size`-aligned chunks (the last may be short),
-/// maps `f(chunk_index, chunk)` over them in parallel, and returns one result
-/// per chunk in chunk order. Chunk boundaries depend only on `items.len()`
-/// and `chunk_size`, never on the thread count.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_map_chunks<T: Sync, R: Send>(
-    items: &[T],
-    chunk_size: usize,
-    f: impl Fn(usize, &[T]) -> R + Sync,
-) -> Vec<R> {
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let chunk_count = items.len().div_ceil(chunk_size);
-    run_indexed(chunk_count, &|c| {
-        let lo = c * chunk_size;
-        let hi = (lo + chunk_size).min(items.len());
-        f(c, &items[lo..hi])
-    })
-}
-
-/// Deterministic parallel reduction: folds each `chunk_size`-aligned chunk
-/// left-to-right from a fresh `identity`, then combines the chunk results
-/// left-to-right (again from `identity`). The combining order is fixed by
-/// the chunking alone, so floating-point reductions are bit-identical across
-/// thread counts. For associative-exact operations (integer sums, set
-/// unions) the result equals the plain serial fold.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn par_reduce<T: Sync, A: Send + Sync + Clone>(
-    items: &[T],
-    chunk_size: usize,
-    identity: A,
-    fold: impl Fn(A, &T) -> A + Sync,
-    combine: impl Fn(A, A) -> A,
-) -> A {
-    let partials = par_map_chunks(items, chunk_size, |_, chunk| {
-        chunk.iter().fold(identity.clone(), &fold)
-    });
-    partials.into_iter().fold(identity, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    static MAP_MODEL: CostModel = CostModel::new("par.test.map", 50.0);
+
+    /// Claim granularities the executor tests run under: one index per
+    /// claim, and a chunk that does not divide the test sizes.
+    const CLAIM_CHUNKS: [usize; 2] = [1, 7];
+
+    /// Runs the executor on exactly `workers` workers — whatever the planner
+    /// or the host would pick — so the scoped-worker branch is exercised.
+    fn map_on<R: Send>(
+        count: usize,
+        workers: usize,
+        claim_chunk: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        run_indexed_stateful(count, workers, claim_chunk, &|| (), &|(), i| f(i)).0
+    }
+
+    /// A fixed-chunk reduction: per-chunk folds mapped by chunk index,
+    /// merged in chunk order on the calling thread.
+    fn chunked_sum<T: Copy + Send + Sync>(
+        items: &[T],
+        chunk: usize,
+        workers: usize,
+        claim_chunk: usize,
+        zero: T,
+        add: impl Fn(T, T) -> T + Sync,
+    ) -> T {
+        map_on(items.len().div_ceil(chunk), workers, claim_chunk, |c| {
+            items[c * chunk..((c + 1) * chunk).min(items.len())]
+                .iter()
+                .fold(zero, |a, &x| add(a, x))
+        })
+        .into_iter()
+        .fold(zero, &add)
+    }
+
     #[test]
     fn map_preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        for threads in [1, 2, 3, 8] {
-            let out = with_threads(threads, || par_map(&items, |&x| x * 3 + 1));
-            assert_eq!(out, items.iter().map(|&x| x * 3 + 1).collect::<Vec<_>>());
+        for workers in [1, 2, 3, 8] {
+            for claim_chunk in CLAIM_CHUNKS {
+                let out = map_on(items.len(), workers, claim_chunk, |i| items[i] * 3 + 1);
+                assert_eq!(out, items.iter().map(|&x| x * 3 + 1).collect::<Vec<_>>());
+            }
         }
     }
 
     #[test]
     fn map_index_matches_serial() {
-        for threads in [1, 4] {
-            let out = with_threads(threads, || par_map_index(257, |i| i * i));
-            assert_eq!(out, (0..257).map(|i| i * i).collect::<Vec<_>>());
+        for workers in [1, 4] {
+            for claim_chunk in CLAIM_CHUNKS {
+                let (out, scratches) = run_indexed_stateful(
+                    257,
+                    workers,
+                    claim_chunk,
+                    &|| 0usize, // per-worker counter: how many tasks it ran
+                    &|seen, i| {
+                        *seen += 1;
+                        i * i
+                    },
+                );
+                assert_eq!(out, (0..257).map(|i| i * i).collect::<Vec<_>>());
+                // One scratch per worker that ran: the parallel branch for
+                // `workers > 1`, every index claimed exactly once.
+                assert_eq!(scratches.len(), workers);
+                assert_eq!(scratches.iter().sum::<usize>(), 257);
+            }
         }
     }
 
     #[test]
     fn chunk_boundaries_are_thread_independent() {
         let items: Vec<f64> = (0..10_000).map(|i| f64::from(i).sin()).collect();
-        let reference = with_threads(1, || {
-            par_reduce(&items, 512, 0.0f64, |a, &x| a + x, |a, b| a + b)
-        });
-        for threads in [2, 3, 5, 8] {
-            let sum = with_threads(threads, || {
-                par_reduce(&items, 512, 0.0f64, |a, &x| a + x, |a, b| a + b)
-            });
-            // Bit-for-bit, not approximately: the combining order is fixed.
-            assert_eq!(sum.to_bits(), reference.to_bits(), "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn map_chunks_covers_everything_once() {
-        let items: Vec<usize> = (0..103).collect();
-        let chunks = with_threads(4, || {
-            par_map_chunks(&items, 10, |c, chunk| (c, chunk.to_vec()))
-        });
-        assert_eq!(chunks.len(), 11);
-        let mut rebuilt = Vec::new();
-        for (i, (c, chunk)) in chunks.into_iter().enumerate() {
-            assert_eq!(c, i);
-            rebuilt.extend(chunk);
-        }
-        assert_eq!(rebuilt, items);
-    }
-
-    #[test]
-    fn min_work_variants_match_plain_maps() {
-        let items: Vec<u64> = (0..500).collect();
-        for threads in [1, 2, 4, 8] {
-            for min in [1, 16, 250, 1000] {
-                let a = with_threads(threads, || par_map_min(&items, min, |&x| x * 7 + 1));
-                assert_eq!(a, items.iter().map(|&x| x * 7 + 1).collect::<Vec<_>>());
-                let b = with_threads(threads, || par_map_index_min(257, min, |i| i * i));
-                assert_eq!(b, (0..257).map(|i| i * i).collect::<Vec<_>>());
+        let reference = chunked_sum(&items, 512, 1, 1, 0.0f64, |a, x| a + x);
+        for workers in [2, 3, 5, 8] {
+            for claim_chunk in CLAIM_CHUNKS {
+                let sum = chunked_sum(&items, 512, workers, claim_chunk, 0.0f64, |a, x| a + x);
+                // Bit-for-bit, not approximately: the combining order is fixed.
+                assert_eq!(sum.to_bits(), reference.to_bits(), "workers {workers}");
             }
         }
     }
 
     #[test]
-    fn min_work_heuristic_caps_workers() {
-        // count / min < 2 ⇒ one worker (serial); larger batches fan out but
-        // never give a worker less than `min` items.
-        assert_eq!(with_threads(8, || capped_workers(29, 32)), 1);
-        assert_eq!(with_threads(8, || capped_workers(63, 32)), 1);
-        assert_eq!(with_threads(8, || capped_workers(64, 32)), 2);
-        assert_eq!(with_threads(8, || capped_workers(1024, 32)), 8);
-        assert_eq!(with_threads(2, || capped_workers(1024, 32)), 2);
-        // min = 0 behaves like min = 1.
-        assert_eq!(with_threads(4, || capped_workers(8, 0)), 4);
-        // Empty batches stay serial.
-        assert_eq!(with_threads(8, || capped_workers(0, 16)), 1);
-    }
-
-    #[test]
     fn modeled_maps_match_serial() {
         static MODEL: CostModel = CostModel::new("par.test.modeled", 50.0);
-        let items: Vec<u64> = (0..777).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * 13 + 5).collect();
         for threads in [1, 2, 4, 8] {
             // Repeat so the EWMA warms up and plans change between calls —
             // the output must not.
             for _ in 0..3 {
-                let out = with_threads(threads, || {
-                    par_map_modeled(&items, &MODEL, 1, |&x| x * 13 + 5)
-                });
-                assert_eq!(out, expected, "threads {threads}");
                 let idx =
                     with_threads(threads, || par_map_index_modeled(258, &MODEL, 1, |i| i * i));
                 assert_eq!(idx, (0..258).map(|i| i * i).collect::<Vec<_>>());
@@ -537,12 +432,14 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert_eq!(par_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
-        assert_eq!(par_map_index(0, |i| i), Vec::<usize>::new());
         assert_eq!(
-            par_reduce(&[] as &[i64], 8, 7i64, |a, &x| a + x, |a, b| a + b),
-            7
+            par_map_index_modeled(0, &MAP_MODEL, 1, |i| i),
+            Vec::<usize>::new()
         );
+        let (results, scratches) = par_map_index_with_scratch(0, &MAP_MODEL, 1, || 7u8, |_, i| i);
+        assert!(results.is_empty());
+        assert_eq!(scratches, vec![7]);
+        assert_eq!(chunked_sum(&[] as &[i64], 8, 4, 1, 7i64, |a, x| a + x), 7);
     }
 
     #[test]
@@ -556,43 +453,54 @@ mod tests {
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
     }
 
+    // Each `with_threads` test reads the override only inside an outer
+    // `with_threads`, so it holds the lock and never races another test.
+
     #[test]
     fn with_threads_restores_previous_setting() {
-        let outer = max_threads();
-        with_threads(3, || {
-            assert_eq!(max_threads(), 3);
-            // Nesting is allowed; the inner value wins, then unwinds.
+        with_threads(2, || {
+            let outer = max_threads();
+            with_threads(3, || assert_eq!(max_threads(), 3));
+            assert_eq!(max_threads(), outer);
         });
-        assert_eq!(max_threads(), outer);
+    }
+
+    #[test]
+    fn nested_with_threads_returns_inner_then_outer_count() {
+        let seen = with_threads(2, || (with_threads(3, max_threads), max_threads()));
+        assert_eq!(seen, (3, 2));
+    }
+
+    #[test]
+    fn panicking_body_restores_the_override() {
+        with_threads(2, || {
+            let result = std::panic::catch_unwind(|| with_threads(3, || panic!("body panics")));
+            assert!(result.is_err());
+            assert_eq!(max_threads(), 2);
+        });
     }
 
     proptest! {
         #[test]
         fn prop_par_map_equals_serial(
             items in proptest::collection::vec(-1_000_000i64..1_000_000, 0..300),
-            threads in 1usize..9,
+            workers in 1usize..9,
+            claim_chunk in 1usize..8,
         ) {
             let serial: Vec<i64> = items.iter().map(|&x| x.wrapping_mul(31) ^ 7).collect();
-            let parallel = with_threads(threads, || par_map(&items, |&x| x.wrapping_mul(31) ^ 7));
+            let parallel = map_on(items.len(), workers, claim_chunk, |i| items[i].wrapping_mul(31) ^ 7);
             prop_assert_eq!(parallel, serial);
         }
 
         #[test]
-        fn prop_par_reduce_equals_serial_fold(
+        fn prop_chunked_fold_equals_serial_fold(
             items in proptest::collection::vec(-1_000_000i64..1_000_000, 0..300),
-            threads in 1usize..9,
+            workers in 1usize..9,
+            claim_chunk in 1usize..8,
             chunk in 1usize..64,
         ) {
             let serial = items.iter().fold(0i64, |a, &x| a.wrapping_add(x));
-            let parallel = with_threads(threads, || {
-                par_reduce(
-                    &items,
-                    chunk,
-                    0i64,
-                    |a, &x| a.wrapping_add(x),
-                    i64::wrapping_add,
-                )
-            });
+            let parallel = chunked_sum(&items, chunk, workers, claim_chunk, 0i64, i64::wrapping_add);
             prop_assert_eq!(parallel, serial);
         }
     }

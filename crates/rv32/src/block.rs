@@ -1,15 +1,14 @@
 //! Basic-block superinstruction compilation with fused power emission.
 //!
-//! The predecode cache (PR 4) removed instruction-word *parsing* from the
-//! hot loop, but every retired instruction still paid the full interpreter
-//! round trip: a decode-cache probe, the `step()` match, an [`ExecRecord`]
+//! Stepping pays the full interpreter round trip for every retired
+//! instruction: a fetch and decode, the `step()` match, an [`ExecRecord`]
 //! materialization, and a second dispatch inside the power renderer. This
 //! module goes one level up: straight-line runs of instructions are
 //! discovered at first execution, compiled once into a flat array of
 //! [`MicroOp`]s with pre-resolved register indices, immediates, and
 //! pre-computed PC-relative values, and then executed by a single tight
 //! loop that *also* renders each op's power contribution directly into the
-//! caller's [`PowerSink`] — decode once per block, dispatch once per block,
+//! caller's [`TraceBuffer`] — decode once per block, dispatch once per block,
 //! no record materialization, no second pass.
 //!
 //! ## Block discovery
@@ -27,12 +26,12 @@
 //! ## Invalidation
 //!
 //! Stores are the only way the image changes. [`run_block`] applies every
-//! store through the same bus write + predecode invalidation as
-//! [`Cpu::step`]; when a store lands inside the code image it additionally
-//! aborts the block *after* that store retires (architectural state and
-//! emitted samples are exactly those of the per-step path) and reports the
-//! address so [`BlockCache::invalidate`] can drop every compiled block
-//! overlapping it — mirroring the predecode cache's slot invalidation.
+//! store through the same checked bus write as [`Cpu::step`]; when a store
+//! lands inside the code image it additionally aborts the block *after*
+//! that store retires (architectural state and emitted samples are exactly
+//! those of the per-step path) and reports the address so
+//! [`BlockCache::invalidate`] can drop every compiled block overlapping it.
+//! `step()` needs no such bookkeeping: it decodes every word it fetches.
 //!
 //! ## Bit-identity
 //!
@@ -46,7 +45,7 @@
 
 use crate::cpu::{cycle_cost, Cpu, Halt, Mmio};
 use crate::isa::{AluOp, BranchCond, Instruction, MemWidth, MulOp, Reg};
-use crate::power::{base_level, PowerRenderer, PowerSink};
+use crate::power::{base_level, PowerRenderer, TraceBuffer};
 
 /// One pre-resolved operation of a compiled block: everything `step()`
 /// would re-derive per execution (PC-relative targets, link values, cycle
@@ -162,15 +161,15 @@ impl CompiledBlock {
 pub enum BlockExit {
     /// All ops retired; `cpu.pc()` points at the successor.
     Completed,
-    /// An `ecall`/`ebreak` retired (no samples emitted for it, matching
-    /// `step()`), or — never for compiled ops — a decode fault.
+    /// An `ecall`/`ebreak` retired, or a load or store faulted with
+    /// [`Halt::BusFault`]; either way no samples are emitted for it and no
+    /// state changes, matching `step()`.
     Halted(Halt),
     /// The record budget ran out mid-block.
     OutOfFuel,
     /// A store landed inside the code image: the store itself fully
-    /// retired (bus write, predecode invalidation, samples), then the
-    /// block aborted. The caller must invalidate overlapping compiled
-    /// blocks before dispatching again.
+    /// retired (bus write, samples), then the block aborted. The caller
+    /// must invalidate overlapping compiled blocks before dispatching again.
     SelfModified {
         /// Byte address the store wrote.
         addr: u32,
@@ -471,8 +470,7 @@ impl BlockCache {
     }
 
     /// Drops every compiled block whose `[start, end)` range overlaps the
-    /// words a store to `addr` may have written — the block-level mirror of
-    /// the predecode cache's slot invalidation.
+    /// words a store to `addr` may have written.
     pub fn invalidate(&mut self, addr: u32) {
         for word_addr in [addr & !3, addr.wrapping_add(3) & !3] {
             for slot in 0..self.index.len() {
@@ -499,11 +497,11 @@ impl BlockCache {
 /// [`ExecRecord`](crate::cpu::ExecRecord) with
 /// `PowerRenderer::render_record`.
 #[allow(clippy::too_many_lines)]
-pub fn run_block<M: Mmio, S: PowerSink>(
+pub fn run_block<M: Mmio>(
     cpu: &mut Cpu<M>,
     block: &CompiledBlock,
     renderer: &PowerRenderer,
-    sink: &mut S,
+    sink: &mut TraceBuffer,
     record_index: usize,
     fuel: usize,
     image: &std::ops::Range<u32>,
@@ -595,7 +593,13 @@ pub fn run_block<M: Mmio, S: PowerSink>(
                 signed,
             } => {
                 let addr = cpu.reg(rs1).wrapping_add(offset as u32);
-                let value = cpu.bus.read_width(addr, width, signed);
+                let Some(value) = cpu.bus.read_width(addr, width, signed) else {
+                    return BlockRun {
+                        executed,
+                        samples,
+                        exit: BlockExit::Halted(Halt::BusFault { pc: op.pc, addr }),
+                    };
+                };
                 if rd != Reg::ZERO {
                     let old = cpu.reg(rd);
                     cpu.set_reg(rd, value);
@@ -613,8 +617,13 @@ pub fn run_block<M: Mmio, S: PowerSink>(
             } => {
                 let addr = cpu.reg(rs1).wrapping_add(offset as u32);
                 let value = cpu.reg(rs2);
-                cpu.bus.write_width(addr, value, width);
-                cpu.invalidate_predecoded(addr);
+                if cpu.bus.write_width(addr, value, width).is_none() {
+                    return BlockRun {
+                        executed,
+                        samples,
+                        exit: BlockExit::Halted(Halt::BusFault { pc: op.pc, addr }),
+                    };
+                }
                 store_addr = Some(addr);
                 data_term += gamma_mem * renderer.leakage(value);
                 data_term += delta_addr * f64::from(addr.count_ones());

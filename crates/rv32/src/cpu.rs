@@ -94,39 +94,50 @@ impl<M: Mmio> Bus<M> {
         }
     }
 
-    /// Reads a 32-bit little-endian word.
+    /// Reads a 32-bit little-endian word. Host side: panics past the end of
+    /// RAM, where guest accesses halt with [`Halt::BusFault`] instead.
     pub fn read_u32(&mut self, addr: u32) -> u32 {
-        if addr >= Self::MMIO_BASE {
-            return self.mmio.read(addr);
-        }
-        let a = addr as usize;
-        assert!(a + 4 <= self.ram.len(), "read past RAM at {addr:#x}");
-        u32::from_le_bytes([
-            self.ram[a],
-            self.ram[a + 1],
-            self.ram[a + 2],
-            self.ram[a + 3],
-        ])
+        self.load_u32(addr)
+            .unwrap_or_else(|| panic!("read past RAM at {addr:#x}"))
     }
 
-    /// Writes a 32-bit little-endian word.
+    /// Writes a 32-bit little-endian word; panics like [`Bus::read_u32`].
     pub fn write_u32(&mut self, addr: u32, value: u32) {
+        self.store_u32(addr, value)
+            .unwrap_or_else(|| panic!("write past RAM at {addr:#x}"));
+    }
+
+    /// Checked word read (guest loads and fetches): `None` past RAM.
+    pub(crate) fn load_u32(&mut self, addr: u32) -> Option<u32> {
+        if addr >= Self::MMIO_BASE {
+            return Some(self.mmio.read(addr));
+        }
+        let a = addr as usize;
+        let b = self.ram.get(a..a + 4)?;
+        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    /// Checked word write: `None` (and no write) past the end of RAM.
+    fn store_u32(&mut self, addr: u32, value: u32) -> Option<()> {
         if addr >= Self::MMIO_BASE {
             self.mmio.write(addr, value);
-            return;
+            return Some(());
         }
         let a = addr as usize;
-        assert!(a + 4 <= self.ram.len(), "write past RAM at {addr:#x}");
-        self.ram[a..a + 4].copy_from_slice(&value.to_le_bytes());
+        self.ram
+            .get_mut(a..a + 4)?
+            .copy_from_slice(&value.to_le_bytes());
+        Some(())
     }
 
-    pub(crate) fn read_width(&mut self, addr: u32, width: MemWidth, signed: bool) -> u32 {
-        match width {
-            MemWidth::Word => self.read_u32(addr),
+    /// Guest load: `None` when any word it touches lies past RAM.
+    pub(crate) fn read_width(&mut self, addr: u32, width: MemWidth, signed: bool) -> Option<u32> {
+        Some(match width {
+            MemWidth::Word => self.load_u32(addr)?,
             MemWidth::Half => {
-                let aligned = self.read_u32(addr & !1);
+                let aligned = self.load_u32(addr & !1)?;
                 let half = if addr & 2 != 0 {
-                    (self.read_u32(addr & !3) >> 16) as u16
+                    (self.load_u32(addr & !3)? >> 16) as u16
                 } else {
                     aligned as u16
                 };
@@ -137,7 +148,7 @@ impl<M: Mmio> Bus<M> {
                 }
             }
             MemWidth::Byte => {
-                let word = self.read_u32(addr & !3);
+                let word = self.load_u32(addr & !3)?;
                 let byte = (word >> (8 * (addr & 3))) as u8;
                 if signed {
                     byte as i8 as i32 as u32
@@ -145,25 +156,26 @@ impl<M: Mmio> Bus<M> {
                     byte as u32
                 }
             }
-        }
+        })
     }
 
-    pub(crate) fn write_width(&mut self, addr: u32, value: u32, width: MemWidth) {
+    /// Guest store: `None` (and no write) when the word lies past RAM.
+    pub(crate) fn write_width(&mut self, addr: u32, value: u32, width: MemWidth) -> Option<()> {
         match width {
-            MemWidth::Word => self.write_u32(addr, value),
+            MemWidth::Word => self.store_u32(addr, value),
             MemWidth::Half => {
                 let base = addr & !3;
-                let word = self.read_u32(base);
+                let word = self.load_u32(base)?;
                 let shift = 8 * (addr & 3);
                 let mask = 0xFFFFu32 << shift;
-                self.write_u32(base, (word & !mask) | ((value & 0xFFFF) << shift));
+                self.store_u32(base, (word & !mask) | ((value & 0xFFFF) << shift))
             }
             MemWidth::Byte => {
                 let base = addr & !3;
-                let word = self.read_u32(base);
+                let word = self.load_u32(base)?;
                 let shift = 8 * (addr & 3);
                 let mask = 0xFFu32 << shift;
-                self.write_u32(base, (word & !mask) | ((value & 0xFF) << shift));
+                self.store_u32(base, (word & !mask) | ((value & 0xFF) << shift))
             }
         }
     }
@@ -197,6 +209,9 @@ pub enum Halt {
     OutOfFuel,
     /// The PC left the loaded image or decoding failed.
     DecodeFault { pc: u32, word: u32 },
+    /// An instruction fetch, load or store touched memory past the end of
+    /// RAM below the MMIO window.
+    BusFault { pc: u32, addr: u32 },
 }
 
 impl fmt::Display for Halt {
@@ -207,6 +222,9 @@ impl fmt::Display for Halt {
             Halt::OutOfFuel => write!(f, "step budget exhausted"),
             Halt::DecodeFault { pc, word } => {
                 write!(f, "decode fault at {pc:#x} (word {word:#010x})")
+            }
+            Halt::BusFault { pc, addr } => {
+                write!(f, "bus fault at {pc:#x} (address {addr:#x})")
             }
         }
     }
@@ -239,37 +257,15 @@ pub fn cycle_cost(instr: &Instruction, branch_taken: bool) -> u32 {
     }
 }
 
-/// A densely predecoded instruction window: one slot per word in
-/// `[base, base + 4·len)`. `None` marks words that do not decode — they take
-/// the live path at execution time and fault exactly as before.
-struct DecodeCache {
-    base: u32,
-    slots: Vec<Option<Instruction>>,
-}
-
-impl DecodeCache {
-    /// The slot index covering `pc`, if the cache covers it.
-    #[inline]
-    fn slot_of(&self, pc: u32) -> Option<usize> {
-        let offset = pc.wrapping_sub(self.base);
-        if offset.is_multiple_of(4) {
-            let index = (offset / 4) as usize;
-            if index < self.slots.len() {
-                return Some(index);
-            }
-        }
-        None
-    }
-}
-
-/// The RV32IM core.
+/// The RV32IM core. Every step fetches and decodes the word at the PC, so
+/// stores into the code image take effect on the next fetch; the
+/// superinstruction fast path lives in [`crate::block`].
 pub struct Cpu<M: Mmio> {
     regs: [u32; 32],
     pc: u32,
     /// The memory bus.
     pub bus: Bus<M>,
     cycle: u64,
-    decode_cache: Option<DecodeCache>,
 }
 
 impl<M: Mmio> Cpu<M> {
@@ -280,43 +276,6 @@ impl<M: Mmio> Cpu<M> {
             pc: 0,
             bus,
             cycle: 0,
-            decode_cache: None,
-        }
-    }
-
-    /// Decodes the `word_count` words at `base` once into a dense cache
-    /// indexed by pc, so [`Cpu::step`] skips instruction-word parsing for
-    /// every pc inside the window. Execution semantics are unchanged: stores
-    /// into the window invalidate the touched slots (self-modifying code
-    /// falls back to live decoding), and undecodable words still fault at
-    /// execution time with the same [`Halt::DecodeFault`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window reaches into the MMIO region (predecoding must
-    /// not consume MMIO read queues) or past the end of RAM.
-    pub fn predecode(&mut self, base: u32, word_count: usize) {
-        let end = base as u64 + 4 * word_count as u64;
-        assert!(
-            end <= Bus::<M>::MMIO_BASE as u64,
-            "predecode window may not touch MMIO"
-        );
-        let slots = (0..word_count)
-            .map(|i| Instruction::decode(self.bus.read_u32(base + 4 * i as u32)).ok())
-            .collect();
-        self.decode_cache = Some(DecodeCache { base, slots });
-    }
-
-    /// Drops any slot of the predecode cache that a store to `addr` may have
-    /// overwritten (at most two word-aligned slots for unaligned accesses).
-    #[inline]
-    pub(crate) fn invalidate_predecoded(&mut self, addr: u32) {
-        if let Some(cache) = &mut self.decode_cache {
-            for word_addr in [addr & !3, addr.wrapping_add(3) & !3] {
-                if let Some(index) = cache.slot_of(word_addr) {
-                    cache.slots[index] = None;
-                }
-            }
         }
     }
 
@@ -354,19 +313,14 @@ impl<M: Mmio> Cpu<M> {
     }
 
     /// Executes one instruction, returning its record, or the halt reason.
+    /// A faulting instruction changes no architectural state.
     pub fn step(&mut self) -> Result<ExecRecord, Halt> {
-        let predecoded = match &self.decode_cache {
-            Some(cache) => cache.slot_of(self.pc).and_then(|index| cache.slots[index]),
-            None => None,
-        };
-        let instruction = match predecoded {
-            Some(instruction) => instruction,
-            None => {
-                let word = self.bus.read_u32(self.pc);
-                Instruction::decode(word).map_err(|_| Halt::DecodeFault { pc: self.pc, word })?
-            }
-        };
         let pc = self.pc;
+        let word = self
+            .bus
+            .load_u32(pc)
+            .ok_or(Halt::BusFault { pc, addr: pc })?;
+        let instruction = Instruction::decode(word).map_err(|_| Halt::DecodeFault { pc, word })?;
         let mut next_pc = pc.wrapping_add(4);
         let mut reg_write = None;
         let mut mem_access = None;
@@ -425,7 +379,10 @@ impl<M: Mmio> Cpu<M> {
                 signed,
             } => {
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u32);
-                let value = self.bus.read_width(addr, width, signed);
+                let value = self
+                    .bus
+                    .read_width(addr, width, signed)
+                    .ok_or(Halt::BusFault { pc, addr })?;
                 mem_access = Some((addr, value, false));
                 write_rd(&mut self.regs, rd, value);
             }
@@ -437,8 +394,9 @@ impl<M: Mmio> Cpu<M> {
             } => {
                 let addr = self.regs[rs1.index()].wrapping_add(offset as u32);
                 let value = self.regs[rs2.index()];
-                self.bus.write_width(addr, value, width);
-                self.invalidate_predecoded(addr);
+                self.bus
+                    .write_width(addr, value, width)
+                    .ok_or(Halt::BusFault { pc, addr })?;
                 mem_access = Some((addr, value, true));
             }
             Instruction::AluImm { op, rd, rs1, imm } => {
@@ -474,25 +432,18 @@ impl<M: Mmio> Cpu<M> {
         })
     }
 
-    /// Runs until halt or `max_steps`, feeding every record to `on_record`
-    /// as it retires — the zero-materialization path: no `Vec<ExecRecord>`
-    /// is ever built, so a power model can consume the stream directly.
-    pub fn run_with(&mut self, max_steps: usize, mut on_record: impl FnMut(&ExecRecord)) -> Halt {
-        for _ in 0..max_steps {
-            match self.step() {
-                Ok(r) => on_record(&r),
-                Err(halt) => return halt,
-            }
-        }
-        Halt::OutOfFuel
-    }
-
-    /// Runs until halt or `max_steps`, collecting every record (the
-    /// materializing API, kept for tests and the disassembly tooling).
+    /// Runs until halt or `max_steps`, collecting every record: the
+    /// materializing oracle behind `SamplerKernel::run_reference` and the
+    /// tests.
     pub fn run(&mut self, max_steps: usize) -> (Vec<ExecRecord>, Halt) {
         let mut records = Vec::new();
-        let halt = self.run_with(max_steps, |r| records.push(r.clone()));
-        (records, halt)
+        for _ in 0..max_steps {
+            match self.step() {
+                Ok(record) => records.push(record),
+                Err(halt) => return (records, halt),
+            }
+        }
+        (records, Halt::OutOfFuel)
     }
 }
 
@@ -773,34 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_execution_is_bit_identical() {
-        let source = "
-            li t0, 10
-            li t1, 0
-        loop:
-            add t1, t1, t0
-            mul t2, t1, t0
-            addi t0, t0, -1
-            bnez t0, loop
-            ebreak
-        ";
-        let program = assemble(source, 0).unwrap();
-        let run = |predecode: bool| {
-            let mut bus = Bus::new(64 * 1024, QueueMmio::new());
-            bus.load_words(0, &program.words);
-            let mut cpu = Cpu::new(bus);
-            if predecode {
-                cpu.predecode(0, program.words.len());
-            }
-            let (records, halt) = cpu.run(1_000_000);
-            let regs: Vec<u32> = (0..32).map(|i| cpu.reg(Reg(i))).collect();
-            (records, halt, regs, cpu.cycle())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn store_into_code_invalidates_predecode_cache() {
+    fn store_into_code_executes_the_patched_instruction() {
         // Self-modifying program: overwrite the `nop` at `target` with
         // `addi t2, zero, 42` (0x02A00393) before reaching it.
         let build = |addr: u32| {
@@ -808,49 +732,40 @@ mod tests {
         };
         let probe = assemble(&build(0), 0).unwrap();
         let target = probe.symbol("target").unwrap();
-        let program = assemble(&build(target), 0).unwrap();
-        let run = |predecode: bool| {
-            let mut bus = Bus::new(64 * 1024, QueueMmio::new());
+        let (cpu, _, halt) = run_program(&build(target));
+        assert_eq!(halt, Halt::Ebreak);
+        assert_eq!(
+            cpu.reg(Reg::parse("t2").unwrap()),
+            42,
+            "the patched instruction must execute"
+        );
+    }
+
+    #[test]
+    fn accesses_past_ram_halt_with_a_bus_fault() {
+        // 4 KiB of RAM: a load, a store and a jump to 0x100000 must halt the
+        // guest, not panic the host, and leave the faulting pc in the halt.
+        for (source, pc) in [
+            // `li` of a 32-bit constant assembles to `lui` + `addi`.
+            ("li t1, 0x100000\nlw t0, 0(t1)\nebreak", 8),
+            ("li t1, 0x100000\nsw t0, 0(t1)\nebreak", 8),
+            ("li t0, 0x100000\njr t0\nebreak", 0x10_0000),
+        ] {
+            let program = assemble(source, 0).unwrap();
+            let mut bus = Bus::new(4096, QueueMmio::new());
             bus.load_words(0, &program.words);
             let mut cpu = Cpu::new(bus);
-            if predecode {
-                cpu.predecode(0, program.words.len());
-            }
-            let (records, halt) = cpu.run(1000);
-            (records, halt, cpu.reg(Reg::parse("t2").unwrap()))
-        };
-        let (records, halt, t2) = run(true);
-        assert_eq!(halt, Halt::Ebreak);
-        assert_eq!(t2, 42, "the patched instruction must execute");
-        assert_eq!(run(false), (records, halt, t2));
-    }
-
-    #[test]
-    fn predecode_keeps_decode_faults() {
-        let mut bus = Bus::new(1024, QueueMmio::new());
-        bus.load_words(0, &[0x0000_0013, 0xFFFF_FFFF]);
-        let mut cpu = Cpu::new(bus);
-        cpu.predecode(0, 2);
-        let (records, halt) = cpu.run(10);
-        assert_eq!(records.len(), 1);
-        assert!(matches!(halt, Halt::DecodeFault { pc: 4, .. }));
-    }
-
-    #[test]
-    fn run_with_streams_the_same_records() {
-        let program = assemble("li t0, 3\nmul t1, t0, t0\nebreak", 0).unwrap();
-        let mut bus = Bus::new(4096, QueueMmio::new());
-        bus.load_words(0, &program.words);
-        let mut cpu = Cpu::new(bus);
-        let (collected, halt) = cpu.run(100);
-
-        let mut bus = Bus::new(4096, QueueMmio::new());
-        bus.load_words(0, &program.words);
-        let mut cpu = Cpu::new(bus);
-        let mut streamed = Vec::new();
-        let halt2 = cpu.run_with(100, |r| streamed.push(r.clone()));
-        assert_eq!(streamed, collected);
-        assert_eq!(halt2, halt);
+            let (_, halt) = cpu.run(100);
+            assert_eq!(
+                halt,
+                Halt::BusFault {
+                    pc,
+                    addr: 0x10_0000
+                },
+                "{source}"
+            );
+            assert_eq!(cpu.pc(), pc, "{source}: the faulting pc is not retired");
+        }
     }
 
     #[test]

@@ -23,8 +23,7 @@ use crate::block::{self, BlockCache, BlockCacheStats, BlockExit};
 use crate::cpu::{Bus, Cpu, ExecRecord, Halt, QueueMmio};
 use crate::isa::{Instruction, Reg};
 use crate::power::{
-    render_power, render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer, PowerSink,
-    TraceBuffer,
+    render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer, TraceBuffer,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -604,7 +603,8 @@ impl SamplerKernel {
 
     /// Executes the kernel over `noise_values`, with `dist_iterations[i]`
     /// burst iterations before coefficient `i`, rendering power with
-    /// `config`.
+    /// `config`: [`SamplerKernel::run_into`] on a fresh [`SamplerScratch`]
+    /// (the capture carries per-instruction spans).
     ///
     /// # Errors
     ///
@@ -616,31 +616,20 @@ impl SamplerKernel {
         config: &PowerModelConfig,
         rng: &mut R,
     ) -> Result<KernelRun, KernelError> {
-        let mut cpu = self.prepare_cpu(noise_values, dist_iterations, rng)?;
-        let (records, halt) = cpu.run(self.fuel());
-        if halt != Halt::Ebreak {
-            return Err(KernelError::BadHalt(halt));
-        }
-
-        let capture = render_power(&records, config, rng);
-        let windows = self.ground_truth_windows(&records, &capture);
-        let (poly, shares, permutation) = self.read_outputs(&mut cpu);
-        Ok(KernelRun {
-            capture,
-            poly,
-            shares,
-            permutation,
-            coefficient_windows: windows,
-            instruction_count: records.len(),
-        })
+        self.run_into(
+            noise_values,
+            dist_iterations,
+            config,
+            rng,
+            &mut SamplerScratch::new(),
+        )
     }
 
-    /// The pre-fast-path execution path, kept verbatim as the benchmark
-    /// reference: per-step instruction decoding (no predecode cache), a
-    /// materialized `Vec<ExecRecord>`, and `sin`-per-bit power rendering via
-    /// [`render_power_reference`]. Bit-identical to [`SamplerKernel::run`]
-    /// and [`SamplerKernel::run_into`]; exists so `bench_pipeline` can
-    /// measure the fast path against the implementation it replaced.
+    /// The test and benchmark oracle: per-step instruction decoding, a
+    /// materialized `Vec<ExecRecord>`, and `sin`-per-bit power rendering
+    /// with per-sample noise via [`render_power_reference`]. Shares no
+    /// emission code with [`SamplerKernel::run_into`] and is bit-identical
+    /// to it; `bench_pipeline` measures the fast path against it.
     ///
     /// # Errors
     ///
@@ -652,7 +641,7 @@ impl SamplerKernel {
         config: &PowerModelConfig,
         rng: &mut R,
     ) -> Result<KernelRun, KernelError> {
-        let mut cpu = self.prepare_cpu_undecoded(noise_values, dist_iterations, rng)?;
+        let mut cpu = self.prepare_cpu(noise_values, dist_iterations, rng)?;
         let (records, halt) = cpu.run(self.fuel());
         if halt != Halt::Ebreak {
             return Err(KernelError::BadHalt(halt));
@@ -671,18 +660,19 @@ impl SamplerKernel {
         })
     }
 
-    /// Executes the kernel through the streaming fast path: noiseless power
-    /// samples stream into `scratch`'s reusable [`TraceBuffer`] as each
-    /// instruction retires (no `Vec<ExecRecord>` is materialized), and
-    /// distribution bursts replay from `scratch`'s noiseless sub-trace memo.
-    /// After a normal halt, one
+    /// Executes the kernel through the streaming fast path, the one
+    /// production capture path: compiled basic blocks emit noiseless power
+    /// samples into `scratch`'s reusable [`TraceBuffer`] as they retire (no
+    /// `Vec<ExecRecord>` is materialized), and distribution bursts replay
+    /// from `scratch`'s noiseless sub-trace memo. After a normal halt, one
     /// [`NoiseSampler::add_noise`](crate::power::NoiseSampler::add_noise)
     /// pass adds the measurement noise over the finished capture.
     ///
-    /// Bit-identical to [`SamplerKernel::run`] for the same inputs and RNG
-    /// seed: same capture (samples and spans), outputs, windows, and
-    /// instruction count. The memo is validated against a fingerprint of the
-    /// kernel program, moduli, and power configuration, and cleared on
+    /// Bit-identical to [`SamplerKernel::run_reference`] for the same inputs
+    /// and RNG seed: same capture (samples and spans), outputs, windows, and
+    /// instruction count. The memo and the compiled blocks are validated
+    /// against a fingerprint of the kernel program, moduli, and the
+    /// power-model weights (not the noise settings), and cleared on
     /// mismatch, so one scratch can serve many kernels.
     ///
     /// # Errors
@@ -861,23 +851,9 @@ impl SamplerKernel {
         })
     }
 
-    /// Validates inputs and builds a CPU with queued MMIO, loaded program
-    /// (predecoded), and initialized q-table.
+    /// Validates inputs and builds a CPU with queued MMIO, loaded program,
+    /// and initialized q-table.
     fn prepare_cpu<R: Rng + ?Sized>(
-        &self,
-        noise_values: &[i64],
-        dist_iterations: &[u32],
-        rng: &mut R,
-    ) -> Result<Cpu<QueueMmio>, KernelError> {
-        let mut cpu = self.prepare_cpu_undecoded(noise_values, dist_iterations, rng)?;
-        cpu.predecode(0, self.program.words.len());
-        Ok(cpu)
-    }
-
-    /// [`Self::prepare_cpu`] without the predecode pass — the reference
-    /// path decodes each instruction as it executes, like the original
-    /// interpreter did.
-    fn prepare_cpu_undecoded<R: Rng + ?Sized>(
         &self,
         noise_values: &[i64],
         dist_iterations: &[u32],
@@ -1006,7 +982,8 @@ impl SamplerKernel {
     }
 
     /// Fingerprint keying the sub-trace memo: kernel program, geometry, and
-    /// every power-model knob that shapes the noiseless samples.
+    /// every power-model knob that shapes the noiseless samples. Noise σ and
+    /// the sampler are left out: they only feed the final noise pass.
     fn memo_fingerprint(&self, config: &PowerModelConfig) -> u64 {
         // FNV-1a, word-at-a-time.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -1028,9 +1005,7 @@ impl SamplerKernel {
         mix(config.delta_addr.to_bits());
         mix(config.epsilon_flush.to_bits());
         mix(config.bit_weight_variation.to_bits());
-        mix(config.noise_sigma.to_bits());
         mix(config.samples_per_cycle as u64);
-        mix(config.noise_sampler as u64);
         hash
     }
 
@@ -1100,8 +1075,8 @@ struct BurstTemplate {
 /// Intended to live for a batch of runs (e.g. one profiling chunk). The memo
 /// only ever changes *speed*, never values: entries store noiseless sample
 /// templates keyed on the burst inputs plus a fingerprint of the kernel and
-/// power configuration, and noise is only added once the whole noiseless
-/// capture is rendered.
+/// of the power-model weights, and noise is only added once the whole
+/// noiseless capture is rendered.
 #[derive(Debug, Clone)]
 pub struct SamplerScratch {
     buffer: TraceBuffer,
@@ -1527,7 +1502,7 @@ mod tests {
         let values = [3i64, -2, 0, 1, -1, 41, -41, 14];
         let iters = [4u32, 6, 4, 8, 4, 6, 4, 10];
         // One shared scratch across every (variant, sigma) combination: the
-        // fingerprint check must invalidate the memo at each switch.
+        // fingerprint check must invalidate the memo at each variant switch.
         let mut scratch = SamplerScratch::new();
         for variant in [
             KernelVariant::Vulnerable,
@@ -1539,7 +1514,9 @@ mod tests {
                 let config = PowerModelConfig::default().with_noise_sigma(sigma);
                 let context = format!("{variant:?} sigma={sigma}");
                 let mut rng = StdRng::seed_from_u64(21);
-                let baseline = kernel.run(&values, &iters, &config, &mut rng).unwrap();
+                let baseline = kernel
+                    .run_reference(&values, &iters, &config, &mut rng)
+                    .unwrap();
                 let mut rng = StdRng::seed_from_u64(21);
                 let fast = kernel
                     .run_into(&values, &iters, &config, &mut rng, &mut scratch)
@@ -1564,7 +1541,9 @@ mod tests {
         let iters = [4u32, 9, 5, 4];
         let config = PowerModelConfig::default();
         let mut rng = StdRng::seed_from_u64(31);
-        let baseline = kernel.run(&values, &iters, &config, &mut rng).unwrap();
+        let baseline = kernel
+            .run_reference(&values, &iters, &config, &mut rng)
+            .unwrap();
         let mut scratch = SamplerScratch::new();
         let mut rng = StdRng::seed_from_u64(31);
         let fast = kernel
@@ -1600,7 +1579,7 @@ mod tests {
         let kernel = SamplerKernel::new(8, &[Q]).unwrap();
         let config = PowerModelConfig::default();
         let mut rng = StdRng::seed_from_u64(5);
-        let direct = kernel.run(&[0; 8], &[5000; 8], &config, &mut rng);
+        let reference = kernel.run_reference(&[0; 8], &[5000; 8], &config, &mut rng);
         let mut fast_rng = StdRng::seed_from_u64(5);
         let fast = kernel.run_into(
             &[0; 8],
@@ -1609,10 +1588,39 @@ mod tests {
             &mut fast_rng,
             &mut SamplerScratch::new(),
         );
-        for result in [&direct, &fast] {
+        for result in [&reference, &fast] {
             assert!(matches!(result, Err(KernelError::BadHalt(Halt::OutOfFuel))));
         }
         assert_eq!(fast_rng.next_u64(), rng.next_u64());
+    }
+
+    #[test]
+    fn noise_settings_keep_the_memo_warm() {
+        // The memo holds noiseless templates, so switching σ or the sampler
+        // on one scratch must neither clear it nor change any output.
+        use crate::power::NoiseSampler;
+        let kernel = SamplerKernel::new(8, &[Q]).unwrap();
+        let values = [3i64, -2, 0, 1, -1, 41, -41, 14];
+        let iters = [4u32, 6, 4, 8, 4, 6, 4, 10];
+        let mut scratch = SamplerScratch::new();
+        let mut misses_after_first = None;
+        for config in [
+            PowerModelConfig::default().with_noise_sigma(0.05),
+            PowerModelConfig::noiseless(),
+            PowerModelConfig::default().with_noise_sampler(NoiseSampler::Ziggurat),
+        ] {
+            let mut rng = StdRng::seed_from_u64(41);
+            let reference = kernel
+                .run_reference(&values, &iters, &config, &mut rng)
+                .unwrap();
+            let mut rng = StdRng::seed_from_u64(41);
+            let fast = kernel
+                .run_into(&values, &iters, &config, &mut rng, &mut scratch)
+                .unwrap();
+            assert_runs_equal(&fast, &reference, &format!("{config:?}"));
+            let misses = *misses_after_first.get_or_insert(scratch.memo_misses());
+            assert_eq!(scratch.memo_misses(), misses, "{config:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 // Indexed loops are the clearest notation for the dense numeric kernels
 // in this workspace (convolutions, scatter matrices, lattice bases).
 #![allow(clippy::needless_range_loop)]
@@ -60,6 +61,4 @@ pub use cpu::{Bus, Cpu, ExecRecord, Halt, Mmio, QueueMmio};
 pub use disasm::{disassemble, format_instruction, listing};
 pub use isa::{AluOp, BranchCond, Instruction, MemWidth, MulOp, Reg, Uses};
 pub use kernel::{KernelError, KernelRun, KernelVariant, LoadBound, SamplerKernel, SecretSource};
-pub use power::{
-    render_power, NoiseSampler, PowerCapture, PowerModelConfig, PowerRenderer, SampleSpan,
-};
+pub use power::{NoiseSampler, PowerCapture, PowerModelConfig, PowerRenderer, SampleSpan};

@@ -224,32 +224,14 @@ impl PowerCapture {
     }
 }
 
-/// Receives power samples as they are produced, one record at a time.
+/// The reusable sample buffer every capture renders into.
 ///
-/// A sink sees the noiseless sample stream that [`render_power`] adds its
-/// noise to: `begin_record` / `end_record` bracket the samples of one
-/// executed instruction, in execution order. Implementations that do not
-/// need span bookkeeping can ignore the bracketing calls.
-pub trait PowerSink {
-    /// Called before the samples of one record are pushed.
-    fn begin_record(&mut self, record_index: usize, pc: u32);
-    /// One power sample.
-    fn push_sample(&mut self, sample: f64);
-    /// A block of consecutive samples, equivalent to pushing each in order:
-    /// the shape of a memoized burst replay.
-    fn push_samples(&mut self, samples: &[f64]);
-    /// `count` copies of `value`, equivalent to pushing `value` repeatedly:
-    /// the shape of every record body (constant base level).
-    fn push_fill(&mut self, value: f64, count: usize);
-    /// Called after the samples of the current record are pushed.
-    fn end_record(&mut self);
-}
-
-/// A reusable sample buffer implementing [`PowerSink`].
-///
-/// The streaming fast path renders each run into a caller-owned
-/// `TraceBuffer`, so back-to-back runs reuse one allocation instead of
-/// growing a fresh `Vec<ExecRecord>` plus a fresh sample vector per run.
+/// `begin_record` / `end_record` bracket the noiseless samples of one
+/// executed instruction, in execution order; [`NoiseSampler::add_noise`]
+/// adds the noise over the finished samples. The streaming fast path
+/// renders each run into a caller-owned `TraceBuffer`, so back-to-back runs
+/// reuse one allocation instead of growing a fresh `Vec<ExecRecord>` plus a
+/// fresh sample vector per run.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     samples: Vec<f64>,
@@ -319,28 +301,32 @@ impl TraceBuffer {
             spans: self.spans,
         }
     }
-}
 
-impl PowerSink for TraceBuffer {
-    fn begin_record(&mut self, record_index: usize, pc: u32) {
+    /// Opens the span of one record's samples.
+    pub fn begin_record(&mut self, record_index: usize, pc: u32) {
         if self.record_spans {
             self.pending = Some((record_index, self.samples.len(), pc));
         }
     }
 
-    fn push_sample(&mut self, sample: f64) {
+    /// One power sample.
+    pub fn push_sample(&mut self, sample: f64) {
         self.samples.push(sample);
     }
 
-    fn push_samples(&mut self, samples: &[f64]) {
+    /// A block of consecutive samples: the shape of a memoized burst replay.
+    pub fn push_samples(&mut self, samples: &[f64]) {
         self.samples.extend_from_slice(samples);
     }
 
-    fn push_fill(&mut self, value: f64, count: usize) {
+    /// `count` copies of `value`: the shape of every record body (constant
+    /// base level).
+    pub fn push_fill(&mut self, value: f64, count: usize) {
         self.samples.resize(self.samples.len() + count, value);
     }
 
-    fn end_record(&mut self) {
+    /// Closes the span opened by [`TraceBuffer::begin_record`].
+    pub fn end_record(&mut self) {
         if let Some((record_index, start, pc)) = self.pending.take() {
             self.spans.push(SampleSpan {
                 record_index,
@@ -354,12 +340,12 @@ impl PowerSink for TraceBuffer {
 
 /// Streaming power-model renderer with a precomputed per-bit weight table.
 ///
-/// [`render_power`] recomputes `sin(2.3 b + 1.7)` for every set bit of every
-/// leaked word — roughly one `sin` per set data bit per executed instruction,
-/// which dominates `profile_collect`. The renderer evaluates [`bit_weight`]
-/// once per bit position at construction; the lookups then produce the exact
-/// same floating-point sums (same per-bit values, same ascending-bit
-/// accumulation order), so traces stay bit-identical to the slow path.
+/// [`render_power_reference`] recomputes `sin(2.3 b + 1.7)` for every set
+/// bit of every leaked word — roughly one `sin` per set data bit per
+/// executed instruction. The renderer evaluates [`bit_weight`] once per bit
+/// position at construction; the lookups then produce the exact same
+/// floating-point sums (same per-bit values, same ascending-bit
+/// accumulation order), so traces stay bit-identical to the reference.
 #[derive(Debug, Clone)]
 pub struct PowerRenderer {
     config: PowerModelConfig,
@@ -429,14 +415,9 @@ impl PowerRenderer {
     ///
     /// Feeding records of a run in execution order with consecutive
     /// `record_index` values, then adding noise over the finished samples
-    /// with [`NoiseSampler::add_noise`], reproduces [`render_power`]
-    /// exactly.
-    pub fn render_record<S: PowerSink>(
-        &self,
-        record_index: usize,
-        record: &ExecRecord,
-        sink: &mut S,
-    ) {
+    /// with [`NoiseSampler::add_noise`], reproduces
+    /// [`render_power_reference`] exactly.
+    pub fn render_record(&self, record_index: usize, record: &ExecRecord, sink: &mut TraceBuffer) {
         let base = base_level(&record.instruction);
         let data_term = self.data_term(record);
         self.emit_record(
@@ -458,14 +439,14 @@ impl PowerRenderer {
     /// without materializing a record — both therefore produce the exact same
     /// sample stream by construction.
     #[inline]
-    pub(crate) fn emit_record<S: PowerSink>(
+    pub(crate) fn emit_record(
         &self,
         record_index: usize,
         pc: u32,
         base: f64,
         cycles: u32,
         data_term: f64,
-        sink: &mut S,
+        sink: &mut TraceBuffer,
     ) -> usize {
         let samples_per_cycle = self.config.samples_per_cycle;
         let total = cycles as usize * samples_per_cycle;
@@ -481,14 +462,20 @@ impl PowerRenderer {
     }
 }
 
-/// Renders execution records into a power trace.
+/// The reference renderer and test oracle: it recomputes
+/// [`weighted_bit_leakage`] — one `sin` per set bit — for every record
+/// instead of using [`PowerRenderer`]'s lookup table, and draws each
+/// sample's noise with [`NoiseSampler::sample`] as it goes. The streaming
+/// path ([`PowerRenderer::render_record`], then one
+/// [`NoiseSampler::add_noise`] pass) reproduces it bit for bit;
+/// `bench_pipeline` reports the fast path's speedup against it.
 ///
 /// # Examples
 ///
 /// ```
 /// use reveal_rv32::asm::assemble;
 /// use reveal_rv32::cpu::{Bus, Cpu, QueueMmio};
-/// use reveal_rv32::power::{render_power, PowerModelConfig};
+/// use reveal_rv32::power::{render_power_reference, PowerModelConfig};
 /// use rand::SeedableRng;
 ///
 /// let program = assemble("li t0, 3\nmul t1, t0, t0\nebreak", 0)?;
@@ -497,33 +484,10 @@ impl PowerRenderer {
 /// let mut cpu = Cpu::new(bus);
 /// let (records, _halt) = cpu.run(100);
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let capture = render_power(&records, &PowerModelConfig::default(), &mut rng);
+/// let capture = render_power_reference(&records, &PowerModelConfig::default(), &mut rng);
 /// assert!(!capture.is_empty());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn render_power<R: Rng + ?Sized>(
-    records: &[ExecRecord],
-    config: &PowerModelConfig,
-    rng: &mut R,
-) -> PowerCapture {
-    let renderer = PowerRenderer::new(config);
-    let mut buffer = TraceBuffer::new();
-    for (record_index, record) in records.iter().enumerate() {
-        renderer.render_record(record_index, record, &mut buffer);
-    }
-    if config.noise_sigma > 0.0 {
-        config
-            .noise_sampler
-            .add_noise(config.noise_sigma, rng, buffer.samples_mut());
-    }
-    buffer.into_capture()
-}
-
-/// The pre-fast-path renderer, kept verbatim as the benchmark reference: it
-/// recomputes [`weighted_bit_leakage`] — one `sin` per set bit — for every
-/// record instead of using [`PowerRenderer`]'s lookup table. Produces the
-/// exact same capture as [`render_power`]; exists so `bench_pipeline` can
-/// report the fast path's speedup against the implementation it replaced.
 pub fn render_power_reference<R: Rng + ?Sized>(
     records: &[ExecRecord],
     config: &PowerModelConfig,
@@ -837,14 +801,33 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
 
-    fn capture(source: &str, config: &PowerModelConfig, seed: u64) -> PowerCapture {
+    /// The streaming render of `records`: noiseless samples through
+    /// [`PowerRenderer::render_record`], then one noise pass.
+    fn render(records: &[ExecRecord], config: &PowerModelConfig, seed: u64) -> PowerCapture {
+        let renderer = PowerRenderer::new(config);
+        let mut buffer = TraceBuffer::new();
+        for (i, record) in records.iter().enumerate() {
+            renderer.render_record(i, record, &mut buffer);
+        }
+        if config.noise_sigma > 0.0 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            config
+                .noise_sampler
+                .add_noise(config.noise_sigma, &mut rng, buffer.samples_mut());
+        }
+        buffer.into_capture()
+    }
+
+    fn records(source: &str) -> Vec<ExecRecord> {
         let program = assemble(source, 0).unwrap();
         let mut bus = Bus::new(64 * 1024, QueueMmio::new());
         bus.load_words(0, &program.words);
         let mut cpu = Cpu::new(bus);
-        let (records, _) = cpu.run(100_000);
-        let mut rng = StdRng::seed_from_u64(seed);
-        render_power(&records, config, &mut rng)
+        cpu.run(100_000).0
+    }
+
+    fn capture(source: &str, config: &PowerModelConfig, seed: u64) -> PowerCapture {
+        render(&records(source), config, seed)
     }
 
     #[test]
@@ -976,32 +959,14 @@ mod tests {
 
     #[test]
     fn streaming_render_matches_render_power() {
-        let program = assemble(
+        let records = records(
             "li t0, 0x1234\nmul t1, t0, t0\nsw t1, 0(zero)\nbnez t0, done\nnop\ndone: ebreak",
-            0,
-        )
-        .unwrap();
-        let mut bus = Bus::new(64 * 1024, QueueMmio::new());
-        bus.load_words(0, &program.words);
-        let mut cpu = Cpu::new(bus);
-        let (records, _) = cpu.run(100_000);
+        );
         for sigma in [0.0, 0.05] {
             let config = PowerModelConfig::default().with_noise_sigma(sigma);
             let mut rng = StdRng::seed_from_u64(42);
-            let direct = render_power(&records, &config, &mut rng);
-
-            let renderer = PowerRenderer::new(&config);
-            let mut rng = StdRng::seed_from_u64(42);
-            let mut buffer = TraceBuffer::new();
-            for (i, record) in records.iter().enumerate() {
-                renderer.render_record(i, record, &mut buffer);
-            }
-            if sigma > 0.0 {
-                config
-                    .noise_sampler
-                    .add_noise(sigma, &mut rng, buffer.samples_mut());
-            }
-            assert_eq!(buffer.into_capture(), direct);
+            let reference = render_power_reference(&records, &config, &mut rng);
+            assert_eq!(render(&records, &config, 42), reference);
         }
     }
 
@@ -1071,15 +1036,8 @@ mod tests {
 
     #[test]
     fn noise_sampler_choice_changes_the_stream_but_not_the_noiseless_trace() {
-        let program = assemble("li t0, 3\nmul t1, t0, t0\nebreak", 0).unwrap();
-        let mut bus = Bus::new(4096, QueueMmio::new());
-        bus.load_words(0, &program.words);
-        let mut cpu = Cpu::new(bus);
-        let (records, _halt) = cpu.run(100);
-        let run = |config: &PowerModelConfig| {
-            let mut rng = StdRng::seed_from_u64(7);
-            render_power(&records, config, &mut rng)
-        };
+        let records = records("li t0, 3\nmul t1, t0, t0\nebreak");
+        let run = |config: &PowerModelConfig| render(&records, config, 7);
         let noisy = PowerModelConfig::default();
         let polar = run(&noisy);
         let zig = run(&noisy.with_noise_sampler(NoiseSampler::Ziggurat));
@@ -1178,20 +1136,13 @@ mod tests {
             sigma in 0.0f64..0.2,
             samples_per_cycle in 1usize..4,
         ) {
-            let program = assemble(
+            let records = records(
                 "li t0, 0x1234\nmul t1, t0, t0\nsw t1, 0(zero)\nbnez t0, done\nnop\ndone: ebreak",
-                0,
-            )
-            .unwrap();
-            let mut bus = Bus::new(64 * 1024, QueueMmio::new());
-            bus.load_words(0, &program.words);
-            let mut cpu = Cpu::new(bus);
-            let (records, _) = cpu.run(100_000);
+            );
             let mut config = PowerModelConfig::default().with_noise_sigma(sigma);
             config.samples_per_cycle = samples_per_cycle;
 
-            let mut rng = StdRng::seed_from_u64(seed);
-            let blocked = render_power(&records, &config, &mut rng);
+            let blocked = render(&records, &config, seed);
             let mut rng = StdRng::seed_from_u64(seed);
             let reference = render_power_reference(&records, &config, &mut rng);
 

@@ -61,6 +61,11 @@ const SCATTER_CHUNK: usize = 64;
 /// `dim²` multiply-adds; a column is ~half that, folded into the prior).
 static LINV_COLUMN_COST: reveal_par::CostModel = reveal_par::CostModel::new("lda.linv.column", 0.5);
 
+/// Cost model for one chunk of the within-class scatter (units: `dim²`
+/// multiply-adds per observation, times [`SCATTER_CHUNK`]).
+static SCATTER_CHUNK_COST: reveal_par::CostModel =
+    reveal_par::CostModel::new("lda.scatter.chunk", 1.0);
+
 /// Cost model for projecting one observation (units: `components · dim`
 /// multiply-adds).
 static PROJECT_COST: reveal_par::CostModel = reveal_par::CostModel::new("lda.project", 1.0);
@@ -134,8 +139,12 @@ impl LdaProjection {
         // in parallel and merge in chunk order. Chunk boundaries are fixed
         // (not thread-dependent), so the sum — and every result downstream —
         // is bit-identical for any `REVEAL_THREADS`.
+        let chunks = observations.len().div_ceil(SCATTER_CHUNK);
+        let chunk_units = (SCATTER_CHUNK * dim * dim) as u64;
         let partial_scatters =
-            reveal_par::par_map_chunks(observations, SCATTER_CHUNK, |_, chunk| {
+            reveal_par::par_map_index_modeled(chunks, &SCATTER_CHUNK_COST, chunk_units, |c| {
+                let chunk = &observations
+                    [c * SCATTER_CHUNK..((c + 1) * SCATTER_CHUNK).min(observations.len())];
                 let mut local = vec![0.0; dim * dim];
                 let mut diff = vec![0.0; dim];
                 for (label, v) in chunk {
@@ -252,8 +261,8 @@ impl LdaProjection {
         // A projection is a handful of dot products; the cost model demands
         // a real batch per worker before fanning out.
         let units = (self.components.len() * self.dim) as u64;
-        reveal_par::par_map_modeled(observations, &PROJECT_COST, units, |o| {
-            self.project(o.as_ref())
+        reveal_par::par_map_index_modeled(observations.len(), &PROJECT_COST, units, |i| {
+            self.project(observations[i].as_ref())
         })
     }
 

@@ -19,7 +19,7 @@
 //!   shuffles) comes from [`StdRng`]s seeded via
 //!   [`reveal_par::derive_seed`] from the single configured seed;
 //! - the per-example forward/backward passes fan out through
-//!   [`reveal_par::par_map_modeled`], which returns results in input order
+//!   [`reveal_par::par_map_index_modeled`], which returns results in index order
 //!   whatever the thread count, and the gradient fold over a mini-batch is
 //!   a serial in-order [`simd::axpy`] accumulation;
 //! - all inner products and rank-1 updates go through the lane-structured
@@ -364,9 +364,12 @@ impl LearnedClassifier {
             )));
             let mut epoch_loss = 0.0;
             for batch in batch_order.chunks(config.batch_size) {
-                let passes: Vec<(Vec<f64>, f64)> =
-                    reveal_par::par_map_modeled(batch, &SGD_EXAMPLE_COST, cost_units, |&i| {
-                        let ex = &train[i];
+                let passes: Vec<(Vec<f64>, f64)> = reveal_par::par_map_index_modeled(
+                    batch.len(),
+                    &SGD_EXAMPLE_COST,
+                    cost_units,
+                    |b| {
+                        let ex = &train[batch[b]];
                         let logits: Vec<f64> = (0..classes)
                             .map(|c| simd::dot(&weights[c * stride..(c + 1) * stride], &ex.phi))
                             .collect();
@@ -375,7 +378,8 @@ impl LearnedClassifier {
                         let mut errors: Vec<f64> = logits.iter().map(|l| (l - lse).exp()).collect();
                         errors[ex.class] -= 1.0;
                         (errors, loss)
-                    });
+                    },
+                );
                 grad.fill(0.0);
                 for ((errors, loss), &i) in passes.iter().zip(batch) {
                     epoch_loss += loss;

@@ -1,11 +1,14 @@
 //! Equivalence suite for the rv32 trace-generation fast path.
 //!
-//! The streaming pipeline (predecode cache, `PowerSink` emission, sub-trace
-//! memoization, chunked profiling collection) is a pure performance layer:
-//! every output it produces must be bit-identical to the materializing
-//! baseline for the same inputs and RNG seed. These tests pin that contract
-//! at the kernel level (all five sampler variants, deterministic cases and
-//! a proptest over random coefficient sequences) and at the pipeline level
+//! The streaming pipeline (compiled basic blocks with fused power
+//! emission, sub-trace memoization, worker-pinned profiling scratch) is a
+//! pure performance layer: every output it produces must be bit-identical
+//! to the materializing reference oracle (`run_reference`: per-step
+//! decoding, a record list, per-sample noise) for the same inputs and RNG
+//! seed. These tests pin that contract at the kernel level (all five
+//! sampler variants, deterministic cases and a proptest over random
+//! coefficient sequences), at the block level (self-modifying code and
+//! guest bus faults, blocks against stepping) and at the pipeline level
 //! (profiling collection and the trained attack built from it).
 
 use proptest::prelude::*;
@@ -31,9 +34,9 @@ const VARIANTS: [KernelVariant; 5] = [
     KernelVariant::Ckks,
 ];
 
-/// Runs one input set through the block-compiled fast path, the per-step
-/// `run()` path, and the verbatim reference oracle, and asserts every
-/// output matches bit for bit.
+/// Runs one input set through the fast path on a shared (possibly warm)
+/// scratch, through `run()` on a fresh one, and through the reference
+/// oracle, and asserts every output matches bit for bit.
 fn assert_fast_path_identical(
     kernel: &SamplerKernel,
     values: &[i64],
@@ -59,7 +62,7 @@ fn assert_fast_path_identical(
     prop_assert_eq!(&fast.coefficient_windows, &baseline.coefficient_windows);
     prop_assert_eq!(fast.instruction_count, baseline.instruction_count);
     // The superinstruction path must also match the reference oracle, which
-    // shares no code with the block compiler or the predecode cache.
+    // shares no code with the block compiler or the burst memo.
     prop_assert_eq!(&fast.capture.samples, &reference.capture.samples);
     prop_assert_eq!(&fast.capture.spans, &reference.capture.spans);
     prop_assert_eq!(&fast.poly, &reference.poly);
@@ -130,14 +133,17 @@ fn add_noise(config: &PowerModelConfig, seed: u64, sink: &mut TraceBuffer) {
         .add_noise(config.noise_sigma, &mut rng, sink.samples_mut());
 }
 
-/// Drives `program` to halt through the block-dispatch loop (compile at
-/// first execution, superinstruction execution with fused power emission,
-/// store-overlap invalidation), mirroring the kernel's dispatch.
-fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>, BlockCacheStats) {
-    let mut bus = Bus::new(64 * 1024, QueueMmio::new());
+/// What a run to halt left behind: the capture, the core and the halt.
+type Finished = (TraceBuffer, Cpu<QueueMmio>, Halt);
+
+/// Drives `program` to halt on `ram_bytes` of RAM through the
+/// block-dispatch loop (compile at first execution, superinstruction
+/// execution with fused power emission, store-overlap invalidation),
+/// mirroring the kernel's dispatch.
+fn run_via_blocks(program: &Program, ram_bytes: usize, seed: u64) -> (Finished, BlockCacheStats) {
+    let mut bus = Bus::new(ram_bytes, QueueMmio::new());
     bus.load_words(0, &program.words);
     let mut cpu = Cpu::new(bus);
-    cpu.predecode(0, program.words.len());
     let config = PowerModelConfig::default();
     let renderer = PowerRenderer::new(&config);
     let mut sink = TraceBuffer::new();
@@ -193,18 +199,16 @@ fn run_via_blocks(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>,
             },
         }
     };
-    assert_eq!(halt, Halt::Ebreak);
     add_noise(&config, seed, &mut sink);
-    (sink, cpu, cache.stats)
+    ((sink, cpu, halt), cache.stats)
 }
 
 /// The same program, stepped one instruction at a time with per-record
-/// rendering — the pre-block interpreter semantics.
-fn run_via_steps(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>) {
-    let mut bus = Bus::new(64 * 1024, QueueMmio::new());
+/// rendering — the interpreter semantics blocks must reproduce.
+fn run_via_steps(program: &Program, ram_bytes: usize, seed: u64) -> Finished {
+    let mut bus = Bus::new(ram_bytes, QueueMmio::new());
     bus.load_words(0, &program.words);
     let mut cpu = Cpu::new(bus);
-    cpu.predecode(0, program.words.len());
     let config = PowerModelConfig::default();
     let renderer = PowerRenderer::new(&config);
     let mut sink = TraceBuffer::new();
@@ -218,9 +222,8 @@ fn run_via_steps(program: &Program, seed: u64) -> (TraceBuffer, Cpu<QueueMmio>) 
             Err(halt) => break halt,
         }
     };
-    assert_eq!(halt, Halt::Ebreak);
     add_noise(&config, seed, &mut sink);
-    (sink, cpu)
+    (sink, cpu, halt)
 }
 
 #[test]
@@ -250,9 +253,11 @@ fn store_into_executed_block_invalidates_and_stays_bit_identical() {
     );
     let program = assemble(&src, 0).unwrap();
 
-    let (blocked, blocked_cpu, stats) = run_via_blocks(&program, 0xB10C);
-    let (stepped, stepped_cpu) = run_via_steps(&program, 0xB10C);
+    let ((blocked, blocked_cpu, blocked_halt), stats) = run_via_blocks(&program, 64 * 1024, 0xB10C);
+    let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 64 * 1024, 0xB10C);
 
+    assert_eq!(blocked_halt, Halt::Ebreak);
+    assert_eq!(stepped_halt, Halt::Ebreak);
     assert_eq!(blocked.samples(), stepped.samples());
     assert_eq!(blocked.spans(), stepped.spans());
     let t1 = reveal_rv32::Reg(6);
@@ -265,6 +270,35 @@ fn store_into_executed_block_invalidates_and_stays_bit_identical() {
     assert!(stats.invalidations >= 1, "stats: {stats:?}");
     assert!(stats.blocks_compiled >= 2, "stats: {stats:?}");
     assert_eq!(stats.fused_samples as usize, blocked.samples().len());
+}
+
+#[test]
+fn bus_faults_halt_identically_on_blocks_and_steps() {
+    // 4 KiB of RAM: a load, a store and a jump past its end must halt the
+    // guest with a typed fault on both paths, after the same samples.
+    for source in [
+        "li t1, 0x100000\nlw t0, 0(t1)\nebreak",
+        "li t1, 0x100000\nsw t0, 0(t1)\nebreak",
+        "li t0, 0x100000\njr t0\nebreak",
+    ] {
+        let program = assemble(source, 0).unwrap();
+        let ((blocked, blocked_cpu, blocked_halt), _) = run_via_blocks(&program, 4096, 0xFA17);
+        let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 4096, 0xFA17);
+        assert!(
+            matches!(
+                stepped_halt,
+                Halt::BusFault {
+                    addr: 0x10_0000,
+                    ..
+                }
+            ),
+            "{source}: {stepped_halt:?}"
+        );
+        assert_eq!(blocked_halt, stepped_halt, "{source}");
+        assert_eq!(blocked.samples(), stepped.samples(), "{source}");
+        assert_eq!(blocked.spans(), stepped.spans(), "{source}");
+        assert_eq!(blocked_cpu.pc(), stepped_cpu.pc(), "{source}");
+    }
 }
 
 #[test]
