@@ -1190,4 +1190,41 @@ mod tests {
             Err(AttackError::NotEnoughProfilingData { .. })
         ));
     }
+
+    #[test]
+    fn non_finite_profiling_sample_fails_typed() {
+        let config = AttackConfig::default();
+        let set = |labels: &[i64], nan: bool| -> TraceSet {
+            (0..60)
+                .map(|i| {
+                    let label = labels[i % labels.len()];
+                    let mut samples: Vec<f64> = (0..config.ladder_window)
+                        .map(|t| {
+                            ((i * 7 + t * 13) % 17) as f64 * 0.1 + (label * (t % 3) as i64) as f64
+                        })
+                        .collect();
+                    if nan && i == 17 {
+                        samples[5] = f64::NAN;
+                    }
+                    Trace::labelled(samples, label)
+                })
+                .collect()
+        };
+        // The NaN in each of the sign, positive and negative sets.
+        for bad in 0..3 {
+            let err = TrainedAttack::fit(
+                config.clone(),
+                set(&[-1, 0, 1], bad == 0),
+                set(&[1, 2, 3], bad == 1),
+                set(&[-1, -2, -3], bad == 2),
+                180,
+            )
+            .err();
+            assert_eq!(
+                err,
+                Some(AttackError::Poi(PoiError::NonFinite { sample: 5 })),
+                "NaN in set {bad}"
+            );
+        }
+    }
 }

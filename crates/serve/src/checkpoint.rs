@@ -226,7 +226,9 @@ impl Snapshot {
         }
         let count: usize = v[1].parse().map_err(|_| bad(ln, "bad victim count"))?;
 
-        let mut victims = Vec::with_capacity(count);
+        // Counts come from the file: reserve no more than the remaining
+        // lines can hold (two per victim, one per decision token).
+        let mut victims = Vec::with_capacity(count.min(lines.clone().count() / 2));
         for _ in 0..count {
             let (ln, victim_line) = lines
                 .next()
@@ -281,7 +283,7 @@ impl Snapshot {
             if tokens.next() != Some("decisions") {
                 return Err(bad(ln, "expected `decisions …`"));
             }
-            let mut decisions = Vec::with_capacity(coefficients);
+            let mut decisions = Vec::with_capacity(coefficients.min(tokens.clone().count()));
             for token in tokens {
                 let d = if token == "S" {
                     HintDecision::Skipped
@@ -521,6 +523,40 @@ mod tests {
         let corrupt = good.replace("P:0", "X:0");
         assert!(matches!(
             Snapshot::decode(&corrupt),
+            Err(CheckpointError::BadLine { .. })
+        ));
+    }
+
+    #[test]
+    fn crafted_counts_fail_typed_without_reserving() {
+        let good = Snapshot::capture(&populated(), 3).encode();
+        let victims = good
+            .lines()
+            .find(|l| l.starts_with("victims "))
+            .unwrap()
+            .to_string();
+        let coefficients = good
+            .lines()
+            .find(|l| l.starts_with("coefficients "))
+            .unwrap()
+            .to_string();
+        // A victim count far beyond the file: once past `usize`'s capacity
+        // limit, once large enough that reserving it aborts the process.
+        for huge in ["18446744073709551615", "100000000000"] {
+            let crafted = good.replace(&victims, &format!("victims {huge}"));
+            assert!(matches!(
+                Snapshot::decode(&crafted),
+                Err(CheckpointError::BadLine { .. })
+            ));
+        }
+        // A coefficient count no decision line can match.
+        let crafted = good.replace(
+            &coefficients,
+            &coefficients.replacen(" 16 ", " 18446744073709551615 ", 1),
+        );
+        assert_ne!(crafted, good);
+        assert!(matches!(
+            Snapshot::decode(&crafted),
             Err(CheckpointError::BadLine { .. })
         ));
     }

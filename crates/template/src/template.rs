@@ -12,8 +12,8 @@ use crate::scores::ScoreTable;
 use reveal_par::simd;
 use reveal_trace::stats::Covariance;
 use reveal_trace::TraceSet;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Classes the scoring kernel advances in lockstep. Each class's
 /// Mahalanobis solve is a chain of dependent divides; walking a group's
@@ -130,88 +130,20 @@ impl TemplateSet {
             .first()
             .map(|(_, v)| v.len())
             .ok_or(TemplateError::NoClasses)?;
-        let mut by_label: BTreeMap<i64, Vec<&Vec<f64>>> = BTreeMap::new();
-        for (label, v) in observations {
-            if v.len() != dim {
-                return Err(TemplateError::DimensionMismatch {
-                    expected: dim,
-                    got: v.len(),
-                });
-            }
-            by_label.entry(*label).or_default().push(v);
+        if let Some((_, v)) = observations.iter().find(|(_, v)| v.len() != dim) {
+            return Err(TemplateError::DimensionMismatch {
+                expected: dim,
+                got: v.len(),
+            });
         }
-        let mut classes = Vec::with_capacity(by_label.len());
-        let mut factors = Vec::new();
-        match mode {
-            CovarianceMode::Pooled => {
-                let mut pooled = Covariance::new(dim);
-                let mut means: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-                for (&label, vecs) in &by_label {
-                    let mut acc = Covariance::new(dim);
-                    for v in vecs {
-                        acc.push(v);
-                    }
-                    means.insert(label, acc.mean().to_vec());
-                }
-                // Pool the *centered* observations across classes.
-                for (&label, vecs) in &by_label {
-                    let mean = &means[&label];
-                    for v in vecs {
-                        let centered: Vec<f64> = v.iter().zip(mean).map(|(a, b)| a - b).collect();
-                        pooled.push(&centered);
-                    }
-                }
-                let mut cov = pooled.sample_covariance();
-                regularize(&mut cov, dim, ridge);
-                let ch = Cholesky::new(&cov, dim)?;
-                let log_det = ch.log_determinant();
-                factors.push((ch, log_det));
-                for (label, mean) in means {
-                    classes.push(ClassTemplate {
-                        label,
-                        mean,
-                        factor: 0,
-                    });
-                }
-            }
-            CovarianceMode::PerClass => {
-                for (&label, vecs) in &by_label {
-                    if vecs.len() <= dim {
-                        return Err(TemplateError::NotEnoughTraces {
-                            label,
-                            count: vecs.len(),
-                            dim,
-                        });
-                    }
-                    let mut acc = Covariance::new(dim);
-                    for v in vecs {
-                        acc.push(v);
-                    }
-                    let mut cov = acc.sample_covariance();
-                    regularize(&mut cov, dim, ridge);
-                    let ch = Cholesky::new(&cov, dim)?;
-                    let log_det = ch.log_determinant();
-                    classes.push(ClassTemplate {
-                        label,
-                        mean: acc.mean().to_vec(),
-                        factor: factors.len(),
-                    });
-                    factors.push((ch, log_det));
-                }
-            }
-        }
-        if classes.is_empty() {
-            return Err(TemplateError::NoClasses);
-        }
-        Ok(Self {
-            dim,
-            classes,
-            factors,
-            mode,
-        })
+        let observations = observations.iter().map(|(l, v)| (*l, v.as_slice()));
+        let rows = ClassRows::gather(dim, observations, |v, row| row.copy_from_slice(v));
+        Self::fit_rows(&rows, mode, ridge)
     }
 
     /// Convenience: fits from a labelled [`TraceSet`] projected onto POIs.
+    /// Each labelled trace's projection is written once, straight into the
+    /// class-grouped buffer the fit reads.
     ///
     /// # Errors
     ///
@@ -222,11 +154,85 @@ impl TemplateSet {
         mode: CovarianceMode,
         ridge: f64,
     ) -> Result<Self, TemplateError> {
-        let observations: Vec<(i64, Vec<f64>)> = set
+        let labelled = set
             .iter()
-            .filter_map(|t| t.label().map(|l| (l, t.project(pois))))
-            .collect();
-        Self::fit(&observations, mode, ridge)
+            .filter_map(|t| t.label().map(|l| (l, t.samples())));
+        let rows = ClassRows::gather(pois.len(), labelled, |samples, row| {
+            for (r, &p) in row.iter_mut().zip(pois) {
+                *r = samples[p];
+            }
+        });
+        Self::fit_rows(&rows, mode, ridge)
+    }
+
+    /// The fit body behind [`fit`](Self::fit) and
+    /// [`fit_trace_set`](Self::fit_trace_set). Each class's Welford pass,
+    /// and in pooled mode the pass over the centred observations (classes
+    /// ascending, input order within a class), pushes the same vectors in
+    /// the same order as a per-class grouping of the input would, so every
+    /// mean, covariance and factor is bit-identical to it.
+    fn fit_rows(rows: &ClassRows, mode: CovarianceMode, ridge: f64) -> Result<Self, TemplateError> {
+        if rows.classes.is_empty() {
+            return Err(TemplateError::NoClasses);
+        }
+        let dim = rows.dim;
+        let accumulate = |range: &Range<usize>| {
+            let mut acc = Covariance::new(dim);
+            for v in rows.rows(range) {
+                acc.push(v);
+            }
+            acc
+        };
+        let mut classes = Vec::with_capacity(rows.classes.len());
+        let mut factors = Vec::new();
+        match mode {
+            CovarianceMode::Pooled => {
+                for (label, range) in &rows.classes {
+                    classes.push(ClassTemplate {
+                        label: *label,
+                        mean: accumulate(range).mean().to_vec(),
+                        factor: 0,
+                    });
+                }
+                // Pool the *centered* observations across classes.
+                let mut pooled = Covariance::new(dim);
+                let mut centered = vec![0.0; dim];
+                for ((_, range), class) in rows.classes.iter().zip(&classes) {
+                    for v in rows.rows(range) {
+                        for ((c, a), b) in centered.iter_mut().zip(v).zip(&class.mean) {
+                            *c = a - b;
+                        }
+                        pooled.push(&centered);
+                    }
+                }
+                factors.push(factor(&pooled, ridge)?);
+            }
+            CovarianceMode::PerClass => {
+                for (label, range) in &rows.classes {
+                    if range.len() <= dim {
+                        return Err(TemplateError::NotEnoughTraces {
+                            label: *label,
+                            count: range.len(),
+                            dim,
+                        });
+                    }
+                    let acc = accumulate(range);
+                    let class_factor = factor(&acc, ridge)?;
+                    classes.push(ClassTemplate {
+                        label: *label,
+                        mean: acc.mean().to_vec(),
+                        factor: factors.len(),
+                    });
+                    factors.push(class_factor);
+                }
+            }
+        }
+        Ok(Self {
+            dim,
+            classes,
+            factors,
+            mode,
+        })
     }
 
     /// POI-vector dimension.
@@ -362,10 +368,309 @@ impl TemplateSet {
     }
 }
 
+/// The factor of `acc`'s sample covariance with `ridge` on the diagonal,
+/// and its log-determinant.
+fn factor(acc: &Covariance, ridge: f64) -> Result<(Cholesky, f64), TemplateError> {
+    let dim = acc.dim();
+    let mut cov = acc.sample_covariance();
+    regularize(&mut cov, dim, ridge);
+    let ch = Cholesky::new(&cov, dim)?;
+    let log_det = ch.log_determinant();
+    Ok((ch, log_det))
+}
+
+/// Fit observations grouped by class in one flat row-major buffer: labels
+/// ascending, each class's rows contiguous and in input order (a counting
+/// sort).
+struct ClassRows {
+    dim: usize,
+    /// Each class's label and row range, ascending by label.
+    classes: Vec<(i64, Range<usize>)>,
+    rows: Vec<f64>,
+}
+
+impl ClassRows {
+    /// Counting-sorts `observations` into class order; `write` fills an
+    /// observation's `dim`-wide row from its source.
+    fn gather<'a>(
+        dim: usize,
+        observations: impl Iterator<Item = (i64, &'a [f64])> + Clone,
+        write: impl Fn(&[f64], &mut [f64]),
+    ) -> Self {
+        // Each run of equal sorted labels is one class's row range.
+        let mut labels: Vec<i64> = observations.clone().map(|(label, _)| label).collect();
+        labels.sort_unstable();
+        let mut end = 0;
+        let classes: Vec<(i64, Range<usize>)> = labels
+            .chunk_by(|a, b| a == b)
+            .map(|run| {
+                end += run.len();
+                (run[0], end - run.len()..end)
+            })
+            .collect();
+        // Each class's next free row.
+        let mut next: Vec<usize> = classes.iter().map(|(_, range)| range.start).collect();
+        let mut rows = vec![0.0; end * dim];
+        for (label, source) in observations {
+            let (Ok(c) | Err(c)) = classes.binary_search_by_key(&label, |(l, _)| *l);
+            write(source, &mut rows[next[c] * dim..][..dim]);
+            next[c] += 1;
+        }
+        Self { dim, classes, rows }
+    }
+
+    /// The rows in `range`, in order.
+    fn rows<'a>(&'a self, range: &Range<usize>) -> impl Iterator<Item = &'a [f64]> + 'a {
+        range
+            .clone()
+            .map(move |r| &self.rows[r * self.dim..][..self.dim])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use reveal_trace::Trace;
+    use std::collections::BTreeMap;
+
+    /// The reference fit: a `BTreeMap` of per-class observation lists,
+    /// and a fresh centred `Vec` per pooled observation.
+    fn fit_reference(
+        observations: &[(i64, Vec<f64>)],
+        mode: CovarianceMode,
+        ridge: f64,
+    ) -> Result<TemplateSet, TemplateError> {
+        let dim = observations
+            .first()
+            .map(|(_, v)| v.len())
+            .ok_or(TemplateError::NoClasses)?;
+        let mut by_label: BTreeMap<i64, Vec<&Vec<f64>>> = BTreeMap::new();
+        for (label, v) in observations {
+            if v.len() != dim {
+                return Err(TemplateError::DimensionMismatch {
+                    expected: dim,
+                    got: v.len(),
+                });
+            }
+            by_label.entry(*label).or_default().push(v);
+        }
+        let mut classes = Vec::with_capacity(by_label.len());
+        let mut factors = Vec::new();
+        match mode {
+            CovarianceMode::Pooled => {
+                let mut pooled = Covariance::new(dim);
+                let mut means: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+                for (&label, vecs) in &by_label {
+                    let mut acc = Covariance::new(dim);
+                    for v in vecs {
+                        acc.push(v);
+                    }
+                    means.insert(label, acc.mean().to_vec());
+                }
+                for (&label, vecs) in &by_label {
+                    let mean = &means[&label];
+                    for v in vecs {
+                        let centered: Vec<f64> = v.iter().zip(mean).map(|(a, b)| a - b).collect();
+                        pooled.push(&centered);
+                    }
+                }
+                let mut cov = pooled.sample_covariance();
+                regularize(&mut cov, dim, ridge);
+                let ch = Cholesky::new(&cov, dim)?;
+                let log_det = ch.log_determinant();
+                factors.push((ch, log_det));
+                for (label, mean) in means {
+                    classes.push(ClassTemplate {
+                        label,
+                        mean,
+                        factor: 0,
+                    });
+                }
+            }
+            CovarianceMode::PerClass => {
+                for (&label, vecs) in &by_label {
+                    if vecs.len() <= dim {
+                        return Err(TemplateError::NotEnoughTraces {
+                            label,
+                            count: vecs.len(),
+                            dim,
+                        });
+                    }
+                    let mut acc = Covariance::new(dim);
+                    for v in vecs {
+                        acc.push(v);
+                    }
+                    let mut cov = acc.sample_covariance();
+                    regularize(&mut cov, dim, ridge);
+                    let ch = Cholesky::new(&cov, dim)?;
+                    let log_det = ch.log_determinant();
+                    classes.push(ClassTemplate {
+                        label,
+                        mean: acc.mean().to_vec(),
+                        factor: factors.len(),
+                    });
+                    factors.push((ch, log_det));
+                }
+            }
+        }
+        if classes.is_empty() {
+            return Err(TemplateError::NoClasses);
+        }
+        Ok(TemplateSet {
+            dim,
+            classes,
+            factors,
+            mode,
+        })
+    }
+
+    /// The reference trace-set fit: one projected `Vec` per labelled trace.
+    fn fit_trace_set_reference(
+        set: &TraceSet,
+        pois: &[usize],
+        mode: CovarianceMode,
+        ridge: f64,
+    ) -> Result<TemplateSet, TemplateError> {
+        let observations: Vec<(i64, Vec<f64>)> = set
+            .iter()
+            .filter_map(|t| t.label().map(|l| (l, t.project(pois))))
+            .collect();
+        fit_reference(&observations, mode, ridge)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Two fits agree bit for bit: the same error, or the same labels,
+    /// means, factors and log-determinants, and the same scores on
+    /// `probes`.
+    fn assert_same_fit(
+        got: &Result<TemplateSet, TemplateError>,
+        want: &Result<TemplateSet, TemplateError>,
+        probes: &[Vec<f64>],
+    ) -> Result<(), TestCaseError> {
+        let (got, want) = match (got, want) {
+            (Ok(got), Ok(want)) => (got, want),
+            (got, want) => {
+                prop_assert_eq!(got.as_ref().err(), want.as_ref().err());
+                return Ok(());
+            }
+        };
+        prop_assert_eq!(got.dim, want.dim);
+        prop_assert_eq!(got.mode, want.mode);
+        prop_assert_eq!(got.labels(), want.labels());
+        for label in want.labels() {
+            let mean = |set: &TemplateSet| set.class_mean(label).map(bits);
+            prop_assert_eq!(mean(got), mean(want));
+        }
+        let factors = |set: &TemplateSet| -> Vec<(Vec<u64>, u64)> {
+            set.factors
+                .iter()
+                .map(|(ch, log_det)| (bits(ch.lower()), log_det.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(factors(got), factors(want));
+        let class_factors =
+            |set: &TemplateSet| -> Vec<usize> { set.classes.iter().map(|c| c.factor).collect() };
+        prop_assert_eq!(class_factors(got), class_factors(want));
+        for x in probes {
+            let scores = |set: &TemplateSet| -> Vec<(i64, u64)> {
+                let table = set.classify(x).unwrap();
+                table
+                    .log_likelihoods()
+                    .iter()
+                    .map(|(l, s)| (*l, s.to_bits()))
+                    .collect()
+            };
+            prop_assert_eq!(scores(got), scores(want));
+        }
+        Ok(())
+    }
+
+    /// `count` observations of dimension `dim` with labels drawn from
+    /// `labels` classes, interleaved in random order; the noise spans
+    /// several magnitudes.
+    fn random_observations(
+        seed: u64,
+        count: usize,
+        dim: usize,
+        labels: i64,
+    ) -> Vec<(i64, Vec<f64>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let label = rng.gen_range(0..labels) * 5 - 9;
+                let v = (0..dim)
+                    .map(|i| {
+                        let noise = (rng.gen::<f64>() - 0.5) * 10f64.powi(rng.gen_range(-2..2));
+                        label as f64 * 0.3 * (i % 3) as f64 + noise
+                    })
+                    .collect();
+                (label, v)
+            })
+            .collect()
+    }
+
+    /// Observations to score: an input vector, and a far outlier.
+    fn probes(input: &[f64]) -> Vec<Vec<f64>> {
+        vec![input.to_vec(), vec![1e3; input.len()]]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn prop_fit_matches_reference_bit_for_bit(
+            seed in any::<u64>(),
+            count in 1usize..120,
+            dim in 0usize..=12,
+            labels in 1i64..=6,
+        ) {
+            let observations = random_observations(seed, count, dim, labels);
+            let probes = probes(&observations[0].1);
+            for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
+                assert_same_fit(
+                    &TemplateSet::fit(&observations, mode, 1e-9),
+                    &fit_reference(&observations, mode, 1e-9),
+                    &probes,
+                )?;
+            }
+        }
+
+        #[test]
+        fn prop_fit_trace_set_matches_reference_bit_for_bit(
+            seed in any::<u64>(),
+            count in 1usize..120,
+            len in 1usize..=30,
+            dim in 1usize..=12,
+            labels in 1i64..=6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let set: TraceSet = random_observations(seed, count, len, labels)
+                .into_iter()
+                .map(|(label, samples)| {
+                    if rng.gen_bool(0.1) {
+                        Trace::new(samples)
+                    } else {
+                        Trace::labelled(samples, label)
+                    }
+                })
+                .collect();
+            let pois: Vec<usize> = (0..dim).map(|_| rng.gen_range(0..len)).collect();
+            let probes = probes(&set.traces()[0].project(&pois));
+            for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
+                assert_same_fit(
+                    &TemplateSet::fit_trace_set(&set, &pois, mode, 1e-9),
+                    &fit_trace_set_reference(&set, &pois, mode, 1e-9),
+                    &probes,
+                )?;
+            }
+        }
+    }
 
     fn gaussian_cloud(center: &[f64], count: usize, spread: f64, seed: u64) -> Vec<Vec<f64>> {
         // Deterministic pseudo-random jitter (hash-based, isotropic enough

@@ -85,6 +85,10 @@ impl RunningStats {
     }
 }
 
+/// Largest dimension whose [`Covariance::push`] keeps its work vector on
+/// the stack.
+const STACK_DIM: usize = 32;
+
 /// A dense symmetric covariance estimate over `d` dimensions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Covariance {
@@ -119,6 +123,9 @@ impl Covariance {
 
     /// Adds one observation vector.
     ///
+    /// The deviation from the old mean lives on the stack up to 32
+    /// dimensions (one heap buffer per call above that).
+    ///
     /// # Panics
     ///
     /// Panics if `x.len() != dim`.
@@ -126,15 +133,23 @@ impl Covariance {
         assert_eq!(x.len(), self.dim, "dimension mismatch");
         self.count += 1;
         let n = self.count as f64;
-        let mut delta = vec![0.0; self.dim];
-        for i in 0..self.dim {
-            delta[i] = x[i] - self.mean[i];
-            self.mean[i] += delta[i] / n;
+        let mut stack = [0.0; STACK_DIM];
+        let mut heap = Vec::new();
+        let delta = if self.dim <= STACK_DIM {
+            &mut stack[..self.dim]
+        } else {
+            heap.resize(self.dim, 0.0);
+            heap.as_mut_slice()
+        };
+        for ((d, m), xi) in delta.iter_mut().zip(&mut self.mean).zip(x) {
+            *d = xi - *m;
+            *m += *d / n;
         }
-        for i in 0..self.dim {
-            let d2_i = x[i] - self.mean[i];
-            for j in 0..self.dim {
-                self.comoment[i * self.dim + j] += delta[j] * d2_i;
+        let rows = self.comoment.chunks_exact_mut(self.dim.max(1));
+        for ((row, xi), m) in rows.zip(x).zip(&self.mean) {
+            let d2_i = xi - m;
+            for (c, d) in row.iter_mut().zip(&*delta) {
+                *c += d * d2_i;
             }
         }
     }
@@ -242,6 +257,50 @@ mod tests {
         assert!((cov[3] - 4.0 * var_x).abs() < 1e-9);
         assert_eq!(cov[1], cov[2], "symmetric");
         assert!((c.mean()[0] - 4.5).abs() < 1e-12);
+    }
+
+    /// The reference push: a fresh `delta` vector and indexed loops.
+    fn push_reference(c: &mut Covariance, x: &[f64]) {
+        assert_eq!(x.len(), c.dim, "dimension mismatch");
+        c.count += 1;
+        let n = c.count as f64;
+        let mut delta = vec![0.0; c.dim];
+        for i in 0..c.dim {
+            delta[i] = x[i] - c.mean[i];
+            c.mean[i] += delta[i] / n;
+        }
+        for i in 0..c.dim {
+            let d2_i = x[i] - c.mean[i];
+            for j in 0..c.dim {
+                c.comoment[i * c.dim + j] += delta[j] * d2_i;
+            }
+        }
+    }
+
+    #[test]
+    fn push_matches_indexed_reference_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Both sides of the stack limit, and the empty dimension.
+        for dim in 0..=40 {
+            let mut fast = Covariance::new(dim);
+            let mut slow = Covariance::new(dim);
+            for obs in 0..dim + 7 {
+                let x: Vec<f64> = (0..dim)
+                    .map(|i| {
+                        ((obs * 31 + i * 17) as f64 * 0.37).sin() * 10f64.powi((i % 5) as i32 - 2)
+                    })
+                    .collect();
+                fast.push(&x);
+                push_reference(&mut slow, &x);
+                assert_eq!(fast.count(), slow.count());
+                assert_eq!(bits(fast.mean()), bits(slow.mean()), "dim {dim} obs {obs}");
+                assert_eq!(
+                    bits(&fast.comoment),
+                    bits(&slow.comoment),
+                    "dim {dim} obs {obs}"
+                );
+            }
+        }
     }
 
     #[test]
