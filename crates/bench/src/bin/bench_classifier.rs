@@ -9,11 +9,11 @@
 //!    arbitration enabled, a clean standard-scale capture produces the
 //!    one-shot pipeline's report bit for bit (`f64::to_bits` equality,
 //!    bikz 242.02 at standard scale): arbitration only arms on degradation
-//!    signals, so a clean trace never consults the learned rail. Like
-//!    `bench_serve`, this phase disables the per-window suspicion screens
-//!    (their ~0.3% clean-capture false-positive rate would conservatively
-//!    demote a few hints) so the measurement isolates the claim under
-//!    test: *attaching the rail* adds zero numerical perturbation.
+//!    signals, so a clean trace never consults the learned rail. This
+//!    phase disables the per-window suspicion screens (their ~0.3%
+//!    clean-capture false-positive rate would conservatively demote a few
+//!    hints) so the measurement isolates the claim under test: *attaching
+//!    the rail* adds zero numerical perturbation.
 //! 2. **Graceful degradation** — a desync / low-SNR sweep where the
 //!    arbitrated attacker must extract strictly more security than the
 //!    LDA-only driver once measured noise reaches twice the calibrated
@@ -64,8 +64,8 @@ fn scale_name(scale: Scale) -> &'static str {
 }
 
 /// Disables the per-window suspicion screens (every z threshold and
-/// tolerance to ∞) for the bit-identity phase, exactly as `bench_serve`
-/// does; calibration, inflation, and the hint ladder stay live.
+/// tolerance to ∞) for the bit-identity phase; calibration, inflation, and
+/// the hint ladder stay live.
 fn disable_screens(robust: &mut RobustConfig) {
     robust.glitch_z = f64::INFINITY;
     robust.score_z = f64::INFINITY;

@@ -68,11 +68,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-pub mod channel;
 pub mod cost;
 pub mod simd;
 
-pub use channel::{bounded, OverflowPolicy, QueueMetrics, RecvError, SendError};
 pub use cost::{
     hardware_threads, snapshots as cost_snapshots, spawn_cost_ns, CostModel, CostSnapshot, Plan,
 };

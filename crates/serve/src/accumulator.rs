@@ -5,7 +5,7 @@
 //!
 //! ## Bit-identity by construction
 //!
-//! The scorer folds a victim's merged [`HintDecision`]s through
+//! The service folds a victim's merged [`HintDecision`]s through
 //! [`reveal_attack::integrate_decision`] in ascending coordinate order —
 //! exactly what [`reveal_attack::report_robust`] does — so after a single
 //! zero-fault trace the emitted estimate equals the one-shot report
@@ -16,11 +16,10 @@
 //!
 //! ## Sharding
 //!
-//! Victims are partitioned into `key % shards` ordered maps. The scorer
-//! is single-threaded (per-key fold order is the determinism contract),
+//! Victims are partitioned into `key % shards` ordered maps. The service
+//! folds under one lock (per-key fold order is the determinism contract),
 //! so shards are a data-layout choice: they give checkpoints a stable
-//! iteration order, bound any per-shard scan, and are the unit a future
-//! multi-scorer deployment would lock.
+//! iteration order and bound any per-shard scan.
 
 use crate::{KeyId, ServeError};
 use reveal_attack::{integrate_decision, HintDecision, Rail, RobustAttackResult};
@@ -300,7 +299,7 @@ impl ShardedAccumulator {
         let (estimate, summary) = self.fold(&merged)?;
         let state = self.entry(key);
         state.decisions = merged;
-        state.traces_processed = state.traces_processed.max(trace_seq + 1);
+        state.traces_processed = state.traces_processed.max(trace_seq.saturating_add(1));
         state.consecutive_failures = 0;
         state.last_estimate = Some(estimate);
         state.summary = summary;
@@ -327,7 +326,7 @@ impl ShardedAccumulator {
         let threshold = self.quarantine_threshold;
         let baseline = self.baseline;
         let state = self.entry(key);
-        state.traces_processed = state.traces_processed.max(trace_seq + 1);
+        state.traces_processed = state.traces_processed.max(trace_seq.saturating_add(1));
         state.traces_failed += 1;
         state.consecutive_failures += 1;
         let mut newly_quarantined = false;

@@ -380,7 +380,9 @@ impl Snapshot {
     }
 
     /// Validates that this snapshot can resume a store configured with
-    /// `params` and `coefficients`.
+    /// `params`, `coefficients` and `shards`. Run it before
+    /// [`Snapshot::restore`]: a crafted shard count would otherwise size
+    /// the restored store.
     ///
     /// # Errors
     ///
@@ -389,6 +391,7 @@ impl Snapshot {
         &self,
         params: &LweParameters,
         coefficients: usize,
+        shards: usize,
     ) -> Result<(), CheckpointError> {
         if self.params.n != params.n
             || self.params.m != params.m
@@ -405,6 +408,14 @@ impl Snapshot {
             return Err(CheckpointError::ParamsMismatch(format!(
                 "snapshot coefficients={} vs store {}",
                 self.coefficients, coefficients
+            )));
+        }
+        // `ShardedAccumulator::new` keeps at least one shard.
+        if self.shards != shards.max(1) {
+            return Err(CheckpointError::ParamsMismatch(format!(
+                "snapshot shards={} vs store {}",
+                self.shards,
+                shards.max(1)
             )));
         }
         Ok(())
@@ -605,9 +616,10 @@ mod tests {
     #[test]
     fn compatibility_check_catches_mismatches() {
         let snap = Snapshot::capture(&populated(), 3);
-        assert!(snap.check_compatible(&params(), 16).is_ok());
-        assert!(snap.check_compatible(&params(), 8).is_err());
+        assert!(snap.check_compatible(&params(), 16, 4).is_ok());
+        assert!(snap.check_compatible(&params(), 8, 4).is_err());
+        assert!(snap.check_compatible(&params(), 16, 8).is_err());
         let other = LweParameters::seal_like(32, 3329.0, 2.0);
-        assert!(snap.check_compatible(&other, 16).is_err());
+        assert!(snap.check_compatible(&other, 16, 4).is_err());
     }
 }

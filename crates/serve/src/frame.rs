@@ -16,7 +16,7 @@ pub type KeyId = u64;
 pub struct TraceFrame {
     /// The victim key this trace belongs to.
     pub key: KeyId,
-    /// Per-victim monotone trace number (0-based). The scorer consumes
+    /// Per-victim monotone trace number (0-based). The fold consumes
     /// outcomes in this order.
     pub trace_seq: u64,
     /// Position of this frame within the trace (0-based).

@@ -3,30 +3,24 @@
 
 //! # reveal-serve
 //!
-//! The RevEAL attack as a long-running service: a fault-tolerant,
-//! backpressured supervisor that accepts streams of raw trace frames from
-//! many simulated victims, reassembles them, pushes each completed trace
-//! through the robust segment→classify→score pipeline against a persistent
-//! fitted-template store, and emits incremental hint sets + bikz updates
-//! per victim key.
+//! The RevEAL attack as a long-running service: it accepts streams of raw
+//! trace frames from many simulated victims, reassembles them, pushes each
+//! completed trace through the robust segment→classify→score pipeline
+//! against a persistent fitted-template store, and emits incremental hint
+//! sets + bikz updates per victim key. This is the paper's hint fold
+//! (§IV) in streaming form: each trace is analysed on its own, and its
+//! coefficients are folded into the victim's DBDD instance as perfect or
+//! approximate hints.
 //!
-//! The one-shot pipeline (`reveal-attack`) answers "what does this trace
-//! leak?"; this crate answers the operational question a real campaign
-//! faces: what happens when a million of them arrive over a lossy link,
-//! some of them garbage, and the answer must keep flowing anyway. The
-//! design is robustness-first:
-//!
-//! - **Explicit job model.** Three stages — ingress (validate + reassemble),
-//!   analyze (robust attack), score (per-key hint accumulation) — joined by
-//!   bounded channels ([`reveal_par::channel`]) with block/shed overflow
-//!   policies and high-water metrics. Memory is bounded by construction.
+//! - **One locked fold, one analysis pool.** Each submit ingests its frame
+//!   on the caller's thread under one lock (validate, reassemble, expire);
+//!   completed traces go over one bounded queue to
+//!   [`reveal_par::max_threads`] analysis workers, which fold their results
+//!   under the same lock ([`supervisor`]). The queue, the reassembly
+//!   budget, the gap limit and the update buffer bound what is in flight.
 //! - **Typed failure, never panic.** Every way a stream can go wrong is a
 //!   [`ServeError`] variant; a failed trace becomes a failure *outcome*
-//!   that flows through the same scoring path as a success.
-//! - **Bounded retry with backoff.** Analysis failures are retried up to
-//!   the depth of `reveal_attack::robust`'s relaxation schedule (the same
-//!   ladder the driver walks internally), with exponential backoff between
-//!   attempts.
+//!   that flows through the same fold as a success.
 //! - **Degradation ladder.** Per coefficient: perfect → approximate →
 //!   skipped, gated by the existing confidence machinery; per victim:
 //!   repeated failures quarantine the key, so one poisoned stream can
@@ -38,7 +32,7 @@
 //! ## Bit-identity contract
 //!
 //! A zero-fault served stream reproduces the one-shot pipeline exactly:
-//! the scorer folds each trace's [`reveal_attack::HintDecision`]s through
+//! the fold passes each trace's [`reveal_attack::HintDecision`]s through
 //! [`reveal_attack::integrate_decision`] — the same helper, in the same
 //! coordinate order, as [`reveal_attack::report_robust`] — so the emitted
 //! bikz matches `report_full_attack` bit-for-bit (`f64::to_bits`
@@ -56,31 +50,12 @@ pub use accumulator::{
 pub use checkpoint::{CheckpointError, Snapshot};
 pub use frame::{frame_stream, FrameError, KeyId, TraceFrame};
 pub use reassembly::{CompletedTrace, ExpiredStream, Reassembly, ReassemblyError};
-pub use supervisor::{IngestHandle, ServeConfig, ServeMetrics, ServeSummary, Supervisor};
+pub use supervisor::{
+    IngestHandle, QueueMetrics, ServeConfig, ServeMetrics, ServeSummary, Supervisor,
+};
 
 use reveal_attack::AttackError;
 use std::fmt;
-
-/// A pipeline stage, for typed deadline/queue errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Frame validation and reassembly.
-    Ingress,
-    /// Robust trace analysis.
-    Analyze,
-    /// Hint accumulation and reporting.
-    Score,
-}
-
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Stage::Ingress => write!(f, "ingress"),
-            Stage::Analyze => write!(f, "analyze"),
-            Stage::Score => write!(f, "score"),
-        }
-    }
-}
 
 /// Every way the service can fail a frame, a trace, or an operation —
 /// typed, recoverable, and attributable to one victim stream.
@@ -98,35 +73,13 @@ pub enum ServeError {
         /// Frames that had arrived before the stall.
         frames_seen: u32,
     },
-    /// A stage exceeded its per-item deadline.
-    StageDeadline {
-        /// Which stage blew the budget.
-        stage: Stage,
-        /// Observed processing time in milliseconds.
-        elapsed_ms: u64,
-        /// The configured budget in milliseconds.
-        budget_ms: u64,
-    },
-    /// Analysis failed after the full retry ladder.
-    Analysis {
-        /// Attempts made (= the retry budget when surfaced).
-        attempts: u32,
-        /// The final attempt's typed attack error.
-        last: AttackError,
-    },
-    /// The scorer abandoned a trace sequence number that never produced an
-    /// outcome (its frames were shed before reassembly began).
+    /// The robust attack could not analyse the trace.
+    Analysis(AttackError),
+    /// The fold abandoned trace sequence numbers that never produced an
+    /// outcome; one failure covers a whole gap.
     GapAbandoned,
-    /// A queue was closed while the item was in flight (shutdown race).
-    QueueClosed {
-        /// The stage whose input closed.
-        stage: Stage,
-    },
-    /// A submit was rejected because the ingest queue was full under the
-    /// shed policy.
-    Backpressure,
-    /// The victim key is quarantined; its frames are dropped at ingress.
-    Quarantined,
+    /// A frame was submitted after shutdown or kill.
+    Closed,
     /// Checkpoint encode/decode/IO failure.
     Checkpoint(CheckpointError),
     /// The accumulator rejected a result (coefficient-count mismatch or
@@ -146,21 +99,9 @@ impl fmt::Display for ServeError {
                 f,
                 "stream stalled for {waited_ms} ms after {frames_seen} frames"
             ),
-            ServeError::StageDeadline {
-                stage,
-                elapsed_ms,
-                budget_ms,
-            } => write!(
-                f,
-                "stage {stage} took {elapsed_ms} ms against a {budget_ms} ms deadline"
-            ),
-            ServeError::Analysis { attempts, last } => {
-                write!(f, "analysis failed after {attempts} attempts: {last}")
-            }
+            ServeError::Analysis(e) => write!(f, "analysis failed: {e}"),
             ServeError::GapAbandoned => write!(f, "trace never produced an outcome"),
-            ServeError::QueueClosed { stage } => write!(f, "{stage} queue closed"),
-            ServeError::Backpressure => write!(f, "ingest queue full (shed policy)"),
-            ServeError::Quarantined => write!(f, "victim key is quarantined"),
+            ServeError::Closed => write!(f, "service closed"),
             ServeError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             ServeError::Accumulator(msg) => write!(f, "accumulator: {msg}"),
         }

@@ -2,7 +2,7 @@
 //! sequence back into complete traces, under a hard memory budget.
 //!
 //! Duplicates are dropped (first payload wins — arrival is serialized
-//! through the ingress thread, so this is deterministic), out-of-order
+//! by the serving fold's lock, so this is deterministic), out-of-order
 //! frames are held in a per-stream ordered map, and a stream completes
 //! when its terminal frame and every predecessor are present. Two things
 //! bound memory: a global buffered-sample budget (exceeding it drops the
@@ -48,8 +48,8 @@ pub enum ReassemblyError {
         /// The configured budget.
         budget: usize,
     },
-    /// The frame's sequence number is past the per-stream bound, or past a
-    /// previously seen terminal frame.
+    /// The frame's sequence number is past the per-stream bound, or a
+    /// frame lies past the stream's terminal frame.
     BadSequence {
         /// The offending frame sequence number.
         frame_seq: u32,
@@ -120,7 +120,7 @@ struct StreamBuf {
     last_progress: Instant,
 }
 
-/// The reassembly buffer. Single-owner (the ingress thread).
+/// The reassembly buffer. Single-owner (the serving fold).
 pub struct Reassembly {
     streams: BTreeMap<(KeyId, u64), StreamBuf>,
     buffered_samples: usize,
@@ -181,6 +181,15 @@ impl Reassembly {
                     bound,
                 });
             }
+        }
+        // Likewise a terminal frame behind a frame already buffered.
+        let beyond = entry.chunks.last_key_value().map_or(0, |(&seq, _)| seq);
+        if frame.last && beyond > frame.frame_seq {
+            self.drop_stream(&id);
+            return Err(ReassemblyError::BadSequence {
+                frame_seq: beyond,
+                bound: frame.frame_seq,
+            });
         }
         if entry.chunks.contains_key(&frame.frame_seq) {
             entry.duplicates += 1;
@@ -255,7 +264,7 @@ impl Reassembly {
     }
 
     /// Flushes every incomplete stream (shutdown): each becomes an expired
-    /// entry so the scorer records a typed failure rather than a gap.
+    /// entry so the fold records a typed failure rather than a gap.
     pub fn drain_all(&mut self) -> Vec<ExpiredStream> {
         let ids: Vec<(KeyId, u64)> = self.streams.keys().copied().collect();
         ids.into_iter()
@@ -404,6 +413,31 @@ mod tests {
     }
 
     #[test]
+    fn terminal_frame_behind_a_buffered_frame_drops_the_stream() {
+        let frame = |frame_seq: u32, last: bool| TraceFrame {
+            key: 1,
+            trace_seq: 0,
+            frame_seq,
+            last,
+            samples: vec![f64::from(frame_seq); 4],
+        };
+        let mut r = Reassembly::new(cfg());
+        let now = Instant::now();
+        assert_eq!(r.insert(frame(0, false), now).unwrap(), Inserted::Pending);
+        assert_eq!(r.insert(frame(5, false), now).unwrap(), Inserted::Pending);
+        // Frame 1 never came and frame 5 lies past the terminal frame 2:
+        // completing here would splice frame 5 in where frame 1 belongs.
+        assert_eq!(
+            r.insert(frame(2, true), now),
+            Err(ReassemblyError::BadSequence {
+                frame_seq: 5,
+                bound: 2
+            })
+        );
+        assert_eq!((r.streams(), r.buffered_samples()), (0, 0));
+    }
+
+    #[test]
     fn drop_key_discards_all_streams_for_that_key() {
         let mut r = Reassembly::new(cfg());
         let now = Instant::now();
@@ -416,5 +450,101 @@ mod tests {
         assert_eq!(r.drop_key(8), 3);
         assert_eq!(r.streams(), 1);
         assert_eq!(r.buffered_samples(), 200);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Budget and frame bound small enough that random arrivals hit
+        /// both.
+        const BUDGET: usize = 64;
+        const MAX_FRAMES: u32 = 8;
+
+        /// What one open stream should hold.
+        #[derive(Default)]
+        struct Expected {
+            /// The first-arrived payload of each frame.
+            frames: BTreeMap<u32, Vec<f64>>,
+            /// The terminal frame, once one arrived.
+            terminal: Option<u32>,
+        }
+
+        /// Decodes one random arrival: key 0–2, trace 0–2, frame 0–9 (past
+        /// the frame bound included), a random terminal flag and 0–32
+        /// samples, each holding the frame's sequence number.
+        fn arrival(bits: u64) -> TraceFrame {
+            let frame_seq = ((bits / 9) % 10) as u32;
+            TraceFrame {
+                key: bits % 3,
+                trace_seq: (bits / 3) % 3,
+                frame_seq,
+                last: (bits / 90) % 2 == 1,
+                samples: vec![f64::from(frame_seq); ((bits / 180) % 33) as usize],
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random arrivals never panic, keep the sample count exact and
+            /// within budget, and complete only traces made of exactly
+            /// frames `0..=last`, each with its first-arrived payload.
+            #[test]
+            fn random_arrivals_keep_the_budget_and_complete_exactly(
+                arrivals in proptest::collection::vec(any::<u64>(), 0..200),
+            ) {
+                let mut r = Reassembly::new(ReassemblyConfig {
+                    stream_deadline: Duration::from_secs(60),
+                    max_buffered_samples: BUDGET,
+                    max_frames_per_stream: MAX_FRAMES,
+                });
+                let now = Instant::now();
+                let mut model: BTreeMap<(KeyId, u64), Expected> = BTreeMap::new();
+                for bits in arrivals {
+                    let frame = arrival(bits);
+                    let id = (frame.key, frame.trace_seq);
+                    let (frame_seq, last) = (frame.frame_seq, frame.last);
+                    let samples = frame.samples.clone();
+                    match r.insert(frame, now) {
+                        Ok(Inserted::Pending) => {
+                            let stream = model.entry(id).or_default();
+                            stream.frames.insert(frame_seq, samples);
+                            if last {
+                                stream.terminal = Some(frame_seq);
+                            }
+                        }
+                        Ok(Inserted::Duplicate) => {
+                            let held = model.get(&id).map(|s| &s.frames);
+                            prop_assert!(held.is_some_and(|f| f.contains_key(&frame_seq)));
+                        }
+                        Ok(Inserted::Complete(trace)) => {
+                            let Expected { mut frames, terminal } =
+                                model.remove(&id).unwrap_or_default();
+                            frames.insert(frame_seq, samples);
+                            let terminal = if last { Some(frame_seq) } else { terminal };
+                            prop_assert_eq!(terminal, Some(trace.frames - 1));
+                            prop_assert!(frames.keys().copied().eq(0..trace.frames));
+                            let expected: Vec<f64> = frames.into_values().flatten().collect();
+                            prop_assert_eq!(trace.samples, expected);
+                        }
+                        Err(_) => {
+                            model.remove(&id);
+                        }
+                    }
+                    let buffered: usize = r
+                        .streams
+                        .values()
+                        .flat_map(|s| s.chunks.values())
+                        .map(Vec::len)
+                        .sum();
+                    prop_assert_eq!(r.buffered_samples(), buffered);
+                    prop_assert!(buffered <= BUDGET);
+                    let modelled: usize =
+                        model.values().flat_map(|s| s.frames.values()).map(Vec::len).sum();
+                    prop_assert_eq!(modelled, buffered);
+                }
+            }
+        }
     }
 }

@@ -1,58 +1,66 @@
-//! The three-stage supervisor: ingress → analyze → score, joined by
-//! bounded channels, degrading gracefully under every fault the chaos
-//! harness can throw.
+//! The serving fold: one locked fold, driven by each submit on the
+//! caller's thread, feeding a pool of analysis workers.
 //!
 //! ## Topology
 //!
 //! ```text
-//!  clients ──IngestHandle──▶ [ingest queue] ── ingress thread
-//!                                                │  validate / reassemble / expire
-//!                                                ▼
-//!                                          [work queue] ── N worker threads
-//!                                                │  robust attack + retry ladder
-//!                                                ▼
-//!                                        [result queue] ── scorer thread
-//!                                                │  per-key reorder + fold
-//!                                                ▼
-//!                                   updates / checkpoints / metrics
+//!  clients ──IngestHandle::submit──▶ fold (locked, on the caller's thread)
+//!                                      │  quarantine check / validate / reassemble / expire
+//!                                      ▼  lock released
+//!                              [trace queue] ── reveal_par::max_threads() workers
+//!                                      │  robust attack, no lock held
+//!                                      ▼
+//!                              fold (locked): per-key reorder, accumulate,
+//!                              checkpoint, publish
 //! ```
 //!
-//! The scorer is single-threaded on purpose: per-key fold order is the
-//! determinism contract, so worker count only changes *when* outcomes
-//! arrive, never what they fold to. A per-key reorder buffer re-serializes
-//! outcomes by `trace_seq` before they touch the accumulator, which is why
-//! a zero-fault stream emits bit-identical estimates at any
-//! `REVEAL_THREADS`.
+//! Everything but the analysis happens under one `Mutex`. A submit that
+//! completes a trace sends it to the pool only after releasing the lock: a
+//! worker waiting for the lock to admit its result would otherwise never
+//! free a queue slot. A blocking send on the full queue is the service's
+//! backpressure.
+//!
+//! Per-key fold order is the determinism contract: a per-key reorder
+//! buffer re-serializes outcomes by `trace_seq` before they touch the
+//! accumulator, so the worker count changes only *when* outcomes arrive,
+//! never what they fold to. A zero-fault stream therefore emits
+//! bit-identical estimates at any `REVEAL_THREADS`.
+//!
+//! The pool stays because analysis dominates: the robust driver costs about
+//! four one-shot attacks per trace, and a fold that analysed inline on the
+//! submitting thread served `serve-n1024` at 59.5 traces/s against 104.0
+//! with the pool, on a 2-vCPU host (docs/serve.md).
 //!
 //! ## Shutdown vs kill
 //!
-//! [`Supervisor::shutdown`] is the graceful path: close ingest, drain every
-//! queue through the normal machinery (incomplete streams become typed
-//! failures), write a final checkpoint, join, and report.
-//! [`Supervisor::kill`] models a crash: raise the kill flag, slam every
-//! channel shut, join, and deliberately skip the final checkpoint — the
-//! recovery test restores from whatever the *periodic* checkpoint last
-//! persisted, which is exactly what a real crash leaves behind.
+//! [`Supervisor::shutdown`] is the graceful path: close the queue, let the
+//! workers drain it, flush incomplete streams and reorder buffers as typed
+//! failures, write a final checkpoint, and report. [`Supervisor::kill`]
+//! models a crash: the workers discard their results and nothing is
+//! flushed or checkpointed, so a restore sees whatever the last *periodic*
+//! checkpoint persisted — exactly what a real crash leaves behind. Dropping
+//! a `Supervisor` kills it, so no worker outlives it.
 
-use crate::accumulator::{ShardedAccumulator, VictimUpdate};
+use crate::accumulator::{ShardedAccumulator, VictimStatus, VictimUpdate};
 use crate::checkpoint::Snapshot;
 use crate::frame::{KeyId, TraceFrame};
 use crate::reassembly::{ExpiredStream, Inserted, Reassembly, ReassemblyConfig};
-use crate::{ServeError, Stage};
-use reveal_attack::{
-    relaxation_schedule, Calibration, RobustAttack, RobustAttackResult, RobustConfig, TrainedAttack,
-};
+use crate::ServeError;
+use reveal_attack::{Calibration, RobustAttack, RobustAttackResult, RobustConfig, TrainedAttack};
 use reveal_hints::{HintPolicy, LweParameters};
-use reveal_par::channel::{bounded, OverflowPolicy, QueueMetrics, Receiver, RecvError, Sender};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Completed traces the queue holds per analysis worker.
+const QUEUE_PER_WORKER: usize = 2;
 
 /// Service configuration. Construct with [`ServeConfig::new`] and override
-/// fields as needed; every bound has a conservative default.
+/// fields as needed; every bound has a conservative default. The worker
+/// count is [`reveal_par::max_threads`] at start.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// LWE parameters the hint store estimates against.
@@ -68,34 +76,13 @@ pub struct ServeConfig {
     pub calibration: Option<Calibration>,
     /// Hint-store shard count.
     pub shards: usize,
-    /// Analysis worker threads; 0 means [`reveal_par::max_threads`].
-    pub workers: usize,
-    /// Ingest queue capacity (frames).
-    pub ingest_capacity: usize,
-    /// Work queue capacity (completed traces awaiting analysis).
-    pub work_capacity: usize,
-    /// Result queue capacity (outcomes awaiting scoring).
-    pub result_capacity: usize,
     /// Update buffer capacity; the oldest update is dropped (and counted)
     /// past this.
     pub update_capacity: usize,
-    /// What a full ingest queue does to a submit: block the client or shed
-    /// the frame.
-    pub ingest_policy: OverflowPolicy,
-    /// Per-trace analysis deadline; overruns become
-    /// [`ServeError::StageDeadline`] failures.
-    pub stage_deadline: Duration,
     /// Reassembly limits (stream deadline, memory budget, frame bound).
     pub reassembly: ReassemblyConfig,
     /// Per-frame payload bound for admission control.
     pub max_frame_samples: usize,
-    /// Analysis retry budget; 0 means the depth of the robust relaxation
-    /// schedule.
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
     /// Consecutive failed traces before a victim key is quarantined.
     pub quarantine_threshold: u32,
     /// Checkpoint after every N scored traces; 0 disables periodic
@@ -104,11 +91,9 @@ pub struct ServeConfig {
     /// Where checkpoints are written (atomic tmp+rename). `None` disables
     /// all checkpointing.
     pub checkpoint_path: Option<PathBuf>,
-    /// Scorer reorder-buffer depth per key before a missing `trace_seq` is
+    /// Reorder-buffer depth per key before a missing `trace_seq` is
     /// abandoned as [`ServeError::GapAbandoned`].
     pub gap_limit: usize,
-    /// Poll tick for the ingress expiry sweep and scorer kill checks.
-    pub tick: Duration,
 }
 
 impl ServeConfig {
@@ -122,31 +107,32 @@ impl ServeConfig {
             robust: RobustConfig::default(),
             calibration: None,
             shards: 8,
-            workers: 0,
-            ingest_capacity: 256,
-            work_capacity: 64,
-            result_capacity: 128,
             update_capacity: 1024,
-            ingest_policy: OverflowPolicy::Block,
-            stage_deadline: Duration::from_secs(60),
             reassembly: ReassemblyConfig::default(),
             max_frame_samples: 1 << 20,
-            max_retries: 0,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(50),
             quarantine_threshold: 3,
             checkpoint_every: 0,
             checkpoint_path: None,
             gap_limit: 64,
-            tick: Duration::from_millis(25),
         }
     }
 }
 
-/// A point-in-time view of the service counters and queue depths.
+/// Occupancy of a queue.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueMetrics {
+    /// Items the queue itself holds at most.
+    pub capacity: usize,
+    /// Items counted now.
+    pub depth: usize,
+    /// Most items counted at once.
+    pub high_water: usize,
+}
+
+/// A point-in-time view of the service counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeMetrics {
-    /// Frames accepted off the ingest queue.
+    /// Frames submitted while the service ran.
     pub frames_received: u64,
     /// Frames rejected by admission validation.
     pub frames_rejected: u64,
@@ -158,21 +144,27 @@ pub struct ServeMetrics {
     pub traces_completed: u64,
     /// Traces scored as successes.
     pub traces_analyzed: u64,
-    /// Traces scored as typed failures.
+    /// Traces scored as typed failures (an abandoned gap counts once).
     pub traces_failed: u64,
-    /// Analysis retry attempts beyond the first.
+    /// Always 0: each trace is analysed exactly once. The robust driver is
+    /// a pure function of its inputs and walks its relaxation schedule
+    /// itself, so a retry could only repeat the same error.
     pub retries: u64,
     /// Updates dropped because the update buffer was full.
     pub updates_dropped: u64,
-    /// Periodic checkpoints written.
+    /// Checkpoints written (periodic and final).
     pub checkpoints_written: u64,
     /// Checkpoint writes that failed (service keeps running).
     pub checkpoint_failures: u64,
-    /// Ingest queue counters (capacity, high-water, depth, shed).
+    /// Always zero: frames are ingested on the submitting thread, with no
+    /// queue in between.
     pub ingest_queue: QueueMetrics,
-    /// Work queue counters.
+    /// The trace queue: `capacity` is its bound, `depth` and `high_water`
+    /// count traces in flight (queued or under analysis), so they can
+    /// exceed `capacity` by up to the worker count.
     pub work_queue: QueueMetrics,
-    /// Result queue counters.
+    /// Always zero: workers fold their results under the lock, with no
+    /// queue in between.
     pub result_queue: QueueMetrics,
     /// Victim keys tracked.
     pub victims: usize,
@@ -200,7 +192,7 @@ struct TraceJob {
     completed_at: Instant,
 }
 
-/// One trace's terminal outcome, en route to the scorer.
+/// One trace's terminal outcome, en route to the accumulator.
 struct Outcome {
     key: KeyId,
     trace_seq: u64,
@@ -208,29 +200,55 @@ struct Outcome {
     completed_at: Option<Instant>,
 }
 
-#[derive(Default)]
-struct Counters {
-    frames_received: AtomicU64,
-    frames_rejected: AtomicU64,
-    frames_quarantined: AtomicU64,
-    streams_expired: AtomicU64,
-    traces_completed: AtomicU64,
-    traces_analyzed: AtomicU64,
-    traces_failed: AtomicU64,
-    retries: AtomicU64,
-    updates_dropped: AtomicU64,
-    checkpoints_written: AtomicU64,
-    checkpoint_failures: AtomicU64,
+impl Outcome {
+    fn failure(key: KeyId, trace_seq: u64, error: ServeError) -> Self {
+        Self {
+            key,
+            trace_seq,
+            result: Err(error),
+            completed_at: None,
+        }
+    }
 }
 
-struct SharedState {
+#[derive(Default)]
+struct Counters {
+    frames_received: u64,
+    frames_rejected: u64,
+    frames_quarantined: u64,
+    streams_expired: u64,
+    traces_completed: u64,
+    traces_analyzed: u64,
+    traces_failed: u64,
+    updates_dropped: u64,
+    checkpoints_written: u64,
+    checkpoint_failures: u64,
+    /// Traces the queue accepted.
+    queued: u64,
+    /// Analysed traces whose outcome reached the fold.
+    analysed: u64,
+    /// Most traces in flight at once.
+    in_flight_high_water: usize,
+}
+
+/// All service state but the analysis, under one lock.
+struct Fold {
+    config: ServeConfig,
+    reassembly: Reassembly,
+    quarantined: BTreeSet<KeyId>,
+    accumulator: ShardedAccumulator,
+    /// Per-key reorder buffers, keyed by `trace_seq`.
+    pending: BTreeMap<KeyId, BTreeMap<u64, Outcome>>,
+    updates: VecDeque<VictimUpdate>,
+    latencies_ms: Vec<f64>,
     counters: Counters,
-    accumulator: Mutex<ShardedAccumulator>,
-    quarantined: Mutex<BTreeSet<KeyId>>,
-    updates: Mutex<VecDeque<VictimUpdate>>,
-    latencies: Mutex<Vec<f64>>,
-    kill: AtomicBool,
-    workers_active: AtomicUsize,
+    /// Outcomes folded, driving the checkpoint cadence.
+    scored: u64,
+    /// The queue's sending side; `None` once the service closed.
+    queue: Option<SyncSender<TraceJob>>,
+    queue_capacity: usize,
+    /// Set by a kill: results still arriving are discarded.
+    killed: bool,
 }
 
 /// Poison-proof lock: a panicking holder (which the crate forbids anyway)
@@ -239,51 +257,272 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A cloneable client-side submit handle.
-#[derive(Clone)]
-pub struct IngestHandle {
-    tx: Sender<TraceFrame>,
-    policy: OverflowPolicy,
-}
+impl Fold {
+    /// Ingests one frame: quarantine check, validation, reassembly, then
+    /// expiry. Returns the completed trace, if any, with a sender to queue
+    /// it on once the lock is released.
+    fn ingest(
+        &mut self,
+        frame: TraceFrame,
+    ) -> Result<Option<(TraceJob, SyncSender<TraceJob>)>, ServeError> {
+        if self.queue.is_none() {
+            return Err(ServeError::Closed);
+        }
+        self.counters.frames_received += 1;
+        let now = Instant::now();
+        let (key, trace_seq) = (frame.key, frame.trace_seq);
+        let mut job = None;
+        if self.quarantined.contains(&key) {
+            self.counters.frames_quarantined += 1;
+            self.reassembly.drop_key(key);
+        } else if let Err(e) = frame.validate(self.config.max_frame_samples) {
+            self.counters.frames_rejected += 1;
+            self.admit(Outcome::failure(key, trace_seq, ServeError::Frame(e)));
+        } else {
+            match self.reassembly.insert(frame, now) {
+                Ok(Inserted::Complete(trace)) => {
+                    self.counters.traces_completed += 1;
+                    job = Some(TraceJob {
+                        key: trace.key,
+                        trace_seq: trace.trace_seq,
+                        samples: trace.samples,
+                        completed_at: now,
+                    });
+                }
+                Ok(Inserted::Pending | Inserted::Duplicate) => {}
+                Err(e) => self.admit(Outcome::failure(key, trace_seq, e.into())),
+            }
+        }
+        self.expire(now);
+        Ok(job.and_then(|job| self.queue.clone().map(|queue| (job, queue))))
+    }
 
-impl IngestHandle {
-    /// Submits one frame, honoring the configured overflow policy.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Backpressure`] when the queue is full under the shed
-    /// policy; [`ServeError::QueueClosed`] after shutdown/kill.
-    pub fn submit(&self, frame: TraceFrame) -> Result<(), ServeError> {
-        use reveal_par::channel::SendError;
-        match self.tx.send(frame, self.policy) {
-            Ok(()) => Ok(()),
-            Err(SendError::Full(_)) => Err(ServeError::Backpressure),
-            Err(SendError::Closed(_)) => Err(ServeError::QueueClosed {
-                stage: Stage::Ingress,
-            }),
+    /// Counts a trace the queue accepted.
+    fn queued(&mut self) {
+        self.counters.queued += 1;
+        let in_flight = self.in_flight();
+        let high_water = &mut self.counters.in_flight_high_water;
+        *high_water = (*high_water).max(in_flight);
+    }
+
+    /// Traces in flight: queued or under analysis. A worker can fold a
+    /// result before its submit counts it as queued, so this saturates.
+    fn in_flight(&self) -> usize {
+        self.counters.queued.saturating_sub(self.counters.analysed) as usize
+    }
+
+    /// Admits a worker's analysis of `job`, unless the service was killed.
+    fn analysed(&mut self, job: TraceJob, result: Result<RobustAttackResult, ServeError>) {
+        if self.killed {
+            return;
+        }
+        self.counters.analysed += 1;
+        self.admit(Outcome {
+            key: job.key,
+            trace_seq: job.trace_seq,
+            result,
+            completed_at: Some(job.completed_at),
+        });
+    }
+
+    /// Fails every stream that made no progress within its deadline.
+    fn expire(&mut self, now: Instant) {
+        for stream in self.reassembly.expire(now) {
+            self.stream_failed(stream);
         }
     }
 
-    /// Ingest queue counters (capacity, depth, high-water, shed).
-    pub fn metrics(&self) -> QueueMetrics {
-        self.tx.metrics()
+    fn stream_failed(&mut self, stream: ExpiredStream) {
+        self.counters.streams_expired += 1;
+        self.admit(Outcome::failure(
+            stream.key,
+            stream.trace_seq,
+            ServeError::StreamTimeout {
+                waited_ms: stream.waited_ms,
+                frames_seen: stream.frames_seen,
+            },
+        ));
+    }
+
+    /// Buffers an outcome and folds everything now in order.
+    fn admit(&mut self, outcome: Outcome) {
+        let key = outcome.key;
+        if outcome.trace_seq < self.accumulator.next_trace_seq(key) {
+            return; // replay of an already-scored trace
+        }
+        self.pending
+            .entry(key)
+            .or_default()
+            .entry(outcome.trace_seq)
+            .or_insert(outcome);
+        self.drain_key(key, false);
+    }
+
+    /// Folds buffered outcomes for `key` in `trace_seq` order. A missing
+    /// sequence number stalls the key until `force` (shutdown flush) or
+    /// until the reorder buffer exceeds the gap limit. Then the whole gap is
+    /// abandoned in one step: one [`ServeError::GapAbandoned`] failure, at
+    /// the gap's last sequence number, moves the key to its smallest
+    /// pending `trace_seq`.
+    fn drain_key(&mut self, key: KeyId, force: bool) {
+        loop {
+            let expected = self.accumulator.next_trace_seq(key);
+            let Some(map) = self.pending.get_mut(&key) else {
+                return;
+            };
+            // Discard anything the accumulator has already moved past.
+            map.retain(|&seq, _| seq >= expected);
+            let backlog = map.len();
+            let Some(first) = map.first_entry() else {
+                self.pending.remove(&key);
+                return;
+            };
+            let outcome = if *first.key() == expected {
+                first.remove()
+            } else if force || backlog > self.config.gap_limit {
+                Outcome::failure(key, *first.key() - 1, ServeError::GapAbandoned)
+            } else {
+                return;
+            };
+            self.apply(outcome);
+        }
+    }
+
+    /// Applies one outcome to the accumulator and publishes its update. The
+    /// order — fold, checkpoint, then publish — guarantees that any update
+    /// a client has observed is covered by a checkpoint at least as new.
+    fn apply(&mut self, outcome: Outcome) {
+        let Outcome {
+            key,
+            trace_seq,
+            result,
+            completed_at,
+        } = outcome;
+        let acc = &mut self.accumulator;
+        let update = match result {
+            Ok(result) => acc
+                .apply_success(key, trace_seq, &result)
+                .unwrap_or_else(|e| acc.apply_failure(key, trace_seq, e)),
+            Err(e) => acc.apply_failure(key, trace_seq, e),
+        };
+        if update.failed.is_some() {
+            self.counters.traces_failed += 1;
+        } else {
+            self.counters.traces_analyzed += 1;
+        }
+        if let Some(completed_at) = completed_at {
+            self.latencies_ms
+                .push(completed_at.elapsed().as_secs_f64() * 1e3);
+        }
+        if update.quarantined {
+            self.quarantined.insert(update.key);
+        }
+        self.scored += 1;
+        if self.config.checkpoint_every > 0
+            && self.scored.is_multiple_of(self.config.checkpoint_every)
+        {
+            self.write_checkpoint();
+        }
+        if self.updates.len() >= self.config.update_capacity {
+            self.updates.pop_front();
+            self.counters.updates_dropped += 1;
+        }
+        self.updates.push_back(update);
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        Snapshot::capture(&self.accumulator, self.config.quarantine_threshold)
+    }
+
+    fn write_checkpoint(&mut self) {
+        let Some(path) = self.config.checkpoint_path.as_deref() else {
+            return;
+        };
+        // Checkpointing is best-effort: a failed write costs recovery
+        // freshness, never liveness.
+        match self.snapshot().write_atomic(path) {
+            Ok(()) => self.counters.checkpoints_written += 1,
+            Err(_) => self.counters.checkpoint_failures += 1,
+        }
+    }
+
+    /// Shutdown flush: every incomplete stream and every buffered outcome is
+    /// folded, gaps abandoned, in (key, seq) order; then the final
+    /// checkpoint.
+    fn flush(&mut self) {
+        for stream in self.reassembly.drain_all() {
+            self.stream_failed(stream);
+        }
+        let keys: Vec<KeyId> = self.pending.keys().copied().collect();
+        for key in keys {
+            self.drain_key(key, true);
+        }
+        self.write_checkpoint();
+    }
+
+    fn metrics(&self) -> ServeMetrics {
+        let c = &self.counters;
+        ServeMetrics {
+            frames_received: c.frames_received,
+            frames_rejected: c.frames_rejected,
+            frames_quarantined: c.frames_quarantined,
+            streams_expired: c.streams_expired,
+            traces_completed: c.traces_completed,
+            traces_analyzed: c.traces_analyzed,
+            traces_failed: c.traces_failed,
+            retries: 0,
+            updates_dropped: c.updates_dropped,
+            checkpoints_written: c.checkpoints_written,
+            checkpoint_failures: c.checkpoint_failures,
+            ingest_queue: QueueMetrics::default(),
+            work_queue: QueueMetrics {
+                capacity: self.queue_capacity,
+                depth: self.in_flight(),
+                high_water: c.in_flight_high_water,
+            },
+            result_queue: QueueMetrics::default(),
+            victims: self.accumulator.victims(),
+            quarantined_keys: self.quarantined.len(),
+        }
+    }
+}
+
+/// A cloneable client-side submit handle.
+#[derive(Clone)]
+pub struct IngestHandle {
+    fold: Arc<Mutex<Fold>>,
+}
+
+impl IngestHandle {
+    /// Submits one frame. The frame is ingested on the calling thread; if
+    /// it completes a trace, the call blocks while the analysis queue is
+    /// full. A frame that fails validation or reassembly still returns
+    /// `Ok`: it becomes a typed failure outcome of its trace.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Closed`] after shutdown or kill.
+    pub fn submit(&self, frame: TraceFrame) -> Result<(), ServeError> {
+        let Some((job, queue)) = lock(&self.fold).ingest(frame)? else {
+            return Ok(());
+        };
+        queue.send(job).map_err(|_| ServeError::Closed)?;
+        // `queue` lives until the count is in: the workers, and so a
+        // shutdown, wait for every sender to go.
+        lock(&self.fold).queued();
+        Ok(())
     }
 }
 
 /// The running service.
 pub struct Supervisor {
-    tx_ingest: Sender<TraceFrame>,
-    tx_work: Sender<TraceJob>,
-    tx_results: Sender<Outcome>,
-    ingress: Option<JoinHandle<()>>,
+    fold: Arc<Mutex<Fold>>,
     workers: Vec<JoinHandle<()>>,
-    scorer: Option<JoinHandle<()>>,
-    shared: Arc<SharedState>,
-    config: ServeConfig,
 }
 
 impl Supervisor {
-    /// Starts the service with an empty hint store.
+    /// Starts the service with an empty hint store and
+    /// [`reveal_par::max_threads`] analysis workers.
     pub fn start(trained: TrainedAttack, config: ServeConfig) -> Self {
         let accumulator = ShardedAccumulator::new(
             config.params,
@@ -299,23 +538,16 @@ impl Supervisor {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Checkpoint`] when the snapshot's parameters do not
-    /// match `config`.
+    /// [`ServeError::Checkpoint`] when the snapshot's parameters, coefficient
+    /// count or shard count do not match `config`; nothing is allocated
+    /// from the snapshot before that check.
     pub fn resume(
         trained: TrainedAttack,
         config: ServeConfig,
         snapshot: &Snapshot,
     ) -> Result<Self, ServeError> {
-        snapshot.check_compatible(&config.params, config.coefficients)?;
-        let accumulator = snapshot.restore();
-        let quarantined: BTreeSet<KeyId> = accumulator
-            .iter()
-            .filter(|(_, v)| matches!(v.status, crate::accumulator::VictimStatus::Quarantined(_)))
-            .map(|(k, _)| k)
-            .collect();
-        let sup = Self::launch(trained, config, accumulator);
-        lock(&sup.shared.quarantined).extend(quarantined);
-        Ok(sup)
+        snapshot.check_compatible(&config.params, config.coefficients, config.shards)?;
+        Ok(Self::launch(trained, config, snapshot.restore()))
     }
 
     fn launch(
@@ -323,544 +555,170 @@ impl Supervisor {
         config: ServeConfig,
         accumulator: ShardedAccumulator,
     ) -> Self {
-        let worker_count = if config.workers == 0 {
-            reveal_par::max_threads()
-        } else {
-            config.workers
-        };
-        let (tx_ingest, rx_ingest) = bounded::<TraceFrame>(config.ingest_capacity);
-        let (tx_work, rx_work) = bounded::<TraceJob>(config.work_capacity);
-        let (tx_results, rx_results) = bounded::<Outcome>(config.result_capacity);
-
-        let shared = Arc::new(SharedState {
+        let worker_count = reveal_par::max_threads();
+        let queue_capacity = QUEUE_PER_WORKER * worker_count;
+        let (queue, jobs) = sync_channel(queue_capacity);
+        let quarantined = accumulator
+            .iter()
+            .filter(|(_, v)| matches!(v.status, VictimStatus::Quarantined(_)))
+            .map(|(k, _)| k)
+            .collect();
+        let fold = Arc::new(Mutex::new(Fold {
+            reassembly: Reassembly::new(config.reassembly),
+            quarantined,
+            accumulator,
+            pending: BTreeMap::new(),
+            updates: VecDeque::new(),
+            latencies_ms: Vec::new(),
             counters: Counters::default(),
-            accumulator: Mutex::new(accumulator),
-            quarantined: Mutex::new(BTreeSet::new()),
-            updates: Mutex::new(VecDeque::new()),
-            latencies: Mutex::new(Vec::new()),
-            kill: AtomicBool::new(false),
-            workers_active: AtomicUsize::new(worker_count),
-        });
-
-        let ingress = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            let rx = rx_ingest;
-            let tx_work = tx_work.clone();
-            let tx_results = tx_results.clone();
-            std::thread::Builder::new()
-                .name("serve-ingress".into())
-                .spawn(move || ingress_loop(&shared, &config, &rx, &tx_work, &tx_results))
-                .expect("spawn ingress thread")
-        };
-
+            scored: 0,
+            queue: Some(queue),
+            queue_capacity,
+            killed: false,
+            config,
+        }));
         let trained = Arc::new(trained);
-        // Workers share one receiver: each job is delivered to exactly one
-        // of them, whichever wins the next recv.
-        let rx_work = Arc::new(rx_work);
-        let workers: Vec<JoinHandle<()>> = (0..worker_count)
+        // Workers share one receiver: each trace goes to exactly one of
+        // them, whichever takes the lock for the next recv.
+        let jobs = Arc::new(Mutex::new(jobs));
+        let workers = (0..worker_count)
             .map(|i| {
-                let shared = Arc::clone(&shared);
-                let config = config.clone();
+                let fold = Arc::clone(&fold);
                 let trained = Arc::clone(&trained);
-                let rx = Arc::clone(&rx_work);
-                let tx = tx_results.clone();
+                let jobs = Arc::clone(&jobs);
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &config, &trained, &rx, &tx))
+                    .spawn(move || analyse(&fold, &trained, &jobs))
                     .expect("spawn worker thread")
             })
             .collect();
-
-        let scorer = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name("serve-scorer".into())
-                .spawn(move || scorer_loop(&shared, &config, &rx_results))
-                .expect("spawn scorer thread")
-        };
-
-        Self {
-            tx_ingest,
-            tx_work,
-            tx_results,
-            ingress: Some(ingress),
-            workers,
-            scorer: Some(scorer),
-            shared,
-            config,
-        }
+        Self { fold, workers }
     }
 
     /// A cloneable submit handle for clients.
     pub fn handle(&self) -> IngestHandle {
         IngestHandle {
-            tx: self.tx_ingest.clone(),
-            policy: self.config.ingest_policy,
+            fold: Arc::clone(&self.fold),
         }
     }
 
-    /// Drains all pending incremental updates, in scoring order.
+    /// Expires stalled streams, then drains all pending incremental
+    /// updates, in scoring order.
     pub fn drain_updates(&self) -> Vec<VictimUpdate> {
-        lock(&self.shared.updates).drain(..).collect()
+        let mut fold = lock(&self.fold);
+        fold.expire(Instant::now());
+        fold.updates.drain(..).collect()
     }
 
     /// A live snapshot of the hint store (for ad-hoc checkpointing or
     /// inspection while the service runs).
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(
-            &lock(&self.shared.accumulator),
-            self.config.quarantine_threshold,
-        )
+        lock(&self.fold).snapshot()
     }
 
-    /// Current counters and queue depths.
+    /// Current counters.
     pub fn metrics(&self) -> ServeMetrics {
-        let c = &self.shared.counters;
-        ServeMetrics {
-            frames_received: c.frames_received.load(Ordering::Relaxed),
-            frames_rejected: c.frames_rejected.load(Ordering::Relaxed),
-            frames_quarantined: c.frames_quarantined.load(Ordering::Relaxed),
-            streams_expired: c.streams_expired.load(Ordering::Relaxed),
-            traces_completed: c.traces_completed.load(Ordering::Relaxed),
-            traces_analyzed: c.traces_analyzed.load(Ordering::Relaxed),
-            traces_failed: c.traces_failed.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            updates_dropped: c.updates_dropped.load(Ordering::Relaxed),
-            checkpoints_written: c.checkpoints_written.load(Ordering::Relaxed),
-            checkpoint_failures: c.checkpoint_failures.load(Ordering::Relaxed),
-            ingest_queue: self.tx_ingest.metrics(),
-            work_queue: self.tx_work.metrics(),
-            result_queue: self.tx_results.metrics(),
-            victims: lock(&self.shared.accumulator).victims(),
-            quarantined_keys: lock(&self.shared.quarantined).len(),
-        }
+        lock(&self.fold).metrics()
     }
 
-    /// Graceful shutdown: close ingest, drain every stage, write a final
-    /// checkpoint, join all threads, and report.
+    /// Graceful shutdown: close the queue, let the workers drain it, fold
+    /// incomplete streams and gaps as typed failures, write a final
+    /// checkpoint, and report.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the panic of an analysis worker that panicked.
     pub fn shutdown(mut self) -> ServeSummary {
-        self.tx_ingest.close();
-        if let Some(h) = self.ingress.take() {
-            let _ = h.join();
+        if let Err(panic) = self.close(false) {
+            std::panic::resume_unwind(panic);
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scorer.take() {
-            let _ = h.join();
-        }
-        let metrics = self.metrics();
+        let mut fold = lock(&self.fold);
+        fold.flush();
         ServeSummary {
-            metrics,
-            updates: self.drain_updates(),
-            latencies_ms: lock(&self.shared.latencies).clone(),
+            metrics: fold.metrics(),
+            updates: fold.updates.drain(..).collect(),
+            latencies_ms: std::mem::take(&mut fold.latencies_ms),
         }
     }
 
-    /// Crash the service: raise the kill flag, slam every channel shut,
-    /// join, and skip the final checkpoint. Whatever the last *periodic*
-    /// checkpoint persisted is what a restore sees — crash semantics.
+    /// Crash the service: discard the results of traces still queued or
+    /// under analysis and skip the final checkpoint. Whatever the last
+    /// *periodic* checkpoint persisted is what a restore sees — crash
+    /// semantics.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the panic of an analysis worker that panicked.
     pub fn kill(mut self) {
-        self.shared.kill.store(true, Ordering::SeqCst);
-        self.tx_ingest.close();
-        self.tx_work.close();
-        self.tx_results.close();
-        if let Some(h) = self.ingress.take() {
-            let _ = h.join();
+        if let Err(panic) = self.close(true) {
+            std::panic::resume_unwind(panic);
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+    }
+
+    /// Closes the queue, so later submits fail, and joins the workers once
+    /// they drained it. Returns the first worker panic, if any.
+    fn close(&mut self, kill: bool) -> std::thread::Result<()> {
+        {
+            let mut fold = lock(&self.fold);
+            fold.killed |= kill;
+            fold.queue = None;
         }
-        if let Some(h) = self.scorer.take() {
-            let _ = h.join();
+        let mut joined = Ok(());
+        for worker in self.workers.drain(..) {
+            let result = worker.join();
+            if joined.is_ok() {
+                joined = result;
+            }
         }
+        joined
     }
 }
 
-/// Sends a failure outcome toward the scorer; send errors are swallowed
-/// (they only happen while the service is being killed).
-fn send_failure(tx: &Sender<Outcome>, key: KeyId, trace_seq: u64, error: ServeError) {
-    let _ = tx.send(
-        Outcome {
-            key,
-            trace_seq,
-            result: Err(error),
-            completed_at: None,
-        },
-        OverflowPolicy::Block,
-    );
-}
-
-fn expired_to_failures(tx: &Sender<Outcome>, shared: &SharedState, expired: Vec<ExpiredStream>) {
-    for e in expired {
-        shared
-            .counters
-            .streams_expired
-            .fetch_add(1, Ordering::Relaxed);
-        send_failure(
-            tx,
-            e.key,
-            e.trace_seq,
-            ServeError::StreamTimeout {
-                waited_ms: e.waited_ms,
-                frames_seen: e.frames_seen,
-            },
-        );
+impl Drop for Supervisor {
+    fn drop(&mut self) {
+        // A drop must not panic; shutdown and kill report worker panics.
+        let _ = self.close(true);
     }
 }
 
-fn ingress_loop(
-    shared: &SharedState,
-    config: &ServeConfig,
-    rx: &Receiver<TraceFrame>,
-    tx_work: &Sender<TraceJob>,
-    tx_results: &Sender<Outcome>,
-) {
-    let mut reassembly = Reassembly::new(config.reassembly);
-    let mut last_sweep = Instant::now();
-    loop {
-        if shared.kill.load(Ordering::SeqCst) {
-            break;
-        }
-        match rx.recv_timeout(config.tick) {
-            Ok(frame) => {
-                shared
-                    .counters
-                    .frames_received
-                    .fetch_add(1, Ordering::Relaxed);
-                let key = frame.key;
-                let trace_seq = frame.trace_seq;
-                if lock(&shared.quarantined).contains(&key) {
-                    shared
-                        .counters
-                        .frames_quarantined
-                        .fetch_add(1, Ordering::Relaxed);
-                    reassembly.drop_key(key);
-                    continue;
-                }
-                if let Err(e) = frame.validate(config.max_frame_samples) {
-                    shared
-                        .counters
-                        .frames_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    send_failure(tx_results, key, trace_seq, ServeError::Frame(e));
-                    continue;
-                }
-                let now = Instant::now();
-                match reassembly.insert(frame, now) {
-                    Ok(Inserted::Complete(trace)) => {
-                        shared
-                            .counters
-                            .traces_completed
-                            .fetch_add(1, Ordering::Relaxed);
-                        let job = TraceJob {
-                            key: trace.key,
-                            trace_seq: trace.trace_seq,
-                            samples: trace.samples,
-                            completed_at: now,
-                        };
-                        if tx_work.send(job, OverflowPolicy::Block).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(Inserted::Pending | Inserted::Duplicate) => {}
-                    Err(e) => {
-                        send_failure(tx_results, key, trace_seq, ServeError::Reassembly(e));
-                    }
-                }
-                if last_sweep.elapsed() >= config.tick {
-                    last_sweep = Instant::now();
-                    expired_to_failures(tx_results, shared, reassembly.expire(last_sweep));
-                }
-            }
-            Err(RecvError::Timeout) => {
-                last_sweep = Instant::now();
-                expired_to_failures(tx_results, shared, reassembly.expire(last_sweep));
-            }
-            Err(RecvError::Closed) => {
-                // Graceful drain: every incomplete stream becomes a typed
-                // failure so the scorer never sees a silent gap.
-                if !shared.kill.load(Ordering::SeqCst) {
-                    expired_to_failures(tx_results, shared, reassembly.drain_all());
-                }
-                break;
-            }
-        }
-    }
-    tx_work.close();
-}
-
-fn worker_loop(
-    shared: &SharedState,
-    config: &ServeConfig,
-    trained: &TrainedAttack,
-    rx: &Receiver<TraceJob>,
-    tx: &Sender<Outcome>,
-) {
-    let mut robust = RobustAttack::new(trained).with_config(config.robust.clone());
+/// One analysis worker: analyse each queued trace with no lock held, then
+/// fold its outcome. Exits once the queue is closed and empty.
+fn analyse(fold: &Mutex<Fold>, trained: &TrainedAttack, jobs: &Mutex<Receiver<TraceJob>>) {
+    let config = lock(fold).config.clone();
+    let mut robust = RobustAttack::new(trained).with_config(config.robust);
     if let Some(calibration) = config.calibration {
         robust = robust.with_calibration(calibration);
     }
-    let budget = if config.max_retries == 0 {
-        relaxation_schedule(&trained.config().segment).len() as u32
-    } else {
-        config.max_retries
-    }
-    .max(1);
-
-    while let Ok(job) = rx.recv() {
-        if shared.kill.load(Ordering::SeqCst) {
-            break;
-        }
-        let start = Instant::now();
-        let mut attempt = 0u32;
-        let result = loop {
-            attempt += 1;
-            match robust.attack_trace(&job.samples, config.coefficients, &config.policy) {
-                Ok(r) => break Ok(r),
-                Err(e) => {
-                    if attempt >= budget || shared.kill.load(Ordering::SeqCst) {
-                        break Err(ServeError::Analysis {
-                            attempts: attempt,
-                            last: e,
-                        });
-                    }
-                    shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let backoff = config
-                        .backoff_base
-                        .saturating_mul(1u32 << (attempt - 1).min(16))
-                        .min(config.backoff_cap);
-                    std::thread::sleep(backoff);
-                }
-            }
-        };
-        let elapsed = start.elapsed();
-        let result = if result.is_ok() && elapsed > config.stage_deadline {
-            Err(ServeError::StageDeadline {
-                stage: Stage::Analyze,
-                elapsed_ms: elapsed.as_millis() as u64,
-                budget_ms: config.stage_deadline.as_millis() as u64,
-            })
-        } else {
-            result
-        };
-        let outcome = Outcome {
-            key: job.key,
-            trace_seq: job.trace_seq,
-            result,
-            completed_at: Some(job.completed_at),
-        };
-        if tx.send(outcome, OverflowPolicy::Block).is_err() {
-            break;
-        }
-    }
-    // The last worker out closes the result queue so the scorer can drain
-    // and exit.
-    if shared.workers_active.fetch_sub(1, Ordering::SeqCst) == 1 {
-        tx.close();
-    }
-}
-
-/// The scorer's per-key reorder buffers.
-type Pending = BTreeMap<KeyId, BTreeMap<u64, Outcome>>;
-
-struct Scorer<'a> {
-    shared: &'a SharedState,
-    config: &'a ServeConfig,
-    pending: Pending,
-    scored: u64,
-}
-
-impl Scorer<'_> {
-    fn expected(&self, key: KeyId) -> u64 {
-        lock(&self.shared.accumulator).next_trace_seq(key)
-    }
-
-    /// Applies one outcome to the accumulator and emits its update. The
-    /// order — fold, checkpoint, then publish — guarantees that any update
-    /// a client has observed is covered by a checkpoint at least as new.
-    fn apply(&mut self, outcome: Outcome) {
-        let update = {
-            let mut acc = lock(&self.shared.accumulator);
-            match outcome.result {
-                Ok(result) => match acc.apply_success(outcome.key, outcome.trace_seq, &result) {
-                    Ok(u) => u,
-                    Err(e) => acc.apply_failure(outcome.key, outcome.trace_seq, e),
-                },
-                Err(e) => acc.apply_failure(outcome.key, outcome.trace_seq, e),
-            }
-        };
-        if update.failed.is_some() {
-            self.shared
-                .counters
-                .traces_failed
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.shared
-                .counters
-                .traces_analyzed
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(completed_at) = outcome.completed_at {
-            lock(&self.shared.latencies).push(completed_at.elapsed().as_secs_f64() * 1e3);
-        }
-        if update.quarantined {
-            lock(&self.shared.quarantined).insert(update.key);
-        }
-        self.scored += 1;
-        if self.config.checkpoint_every > 0
-            && self.scored.is_multiple_of(self.config.checkpoint_every)
-        {
-            self.write_checkpoint();
-        }
-        let mut updates = lock(&self.shared.updates);
-        if updates.len() >= self.config.update_capacity {
-            updates.pop_front();
-            self.shared
-                .counters
-                .updates_dropped
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        updates.push_back(update);
-    }
-
-    fn write_checkpoint(&self) {
-        let Some(path) = self.config.checkpoint_path.as_deref() else {
-            return;
-        };
-        let snapshot = Snapshot::capture(
-            &lock(&self.shared.accumulator),
-            self.config.quarantine_threshold,
-        );
-        match snapshot.write_atomic(path) {
-            Ok(()) => {
-                self.shared
-                    .counters
-                    .checkpoints_written
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                // Checkpointing is best-effort: a failed write costs
-                // recovery freshness, never liveness.
-                self.shared
-                    .counters
-                    .checkpoint_failures
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Buffers an outcome and drains everything now in order.
-    fn admit(&mut self, outcome: Outcome) {
-        let key = outcome.key;
-        if outcome.trace_seq < self.expected(key) {
-            return; // replay of an already-scored trace
-        }
-        self.pending
-            .entry(key)
-            .or_default()
-            .entry(outcome.trace_seq)
-            .or_insert(outcome);
-        self.drain_key(key, false);
-    }
-
-    /// Scores buffered outcomes for `key` in `trace_seq` order. A missing
-    /// sequence number stalls the key until `force` (shutdown flush) or
-    /// the reorder buffer exceeds the gap limit, at which point the gap is
-    /// abandoned as a typed failure so later outcomes can land.
-    fn drain_key(&mut self, key: KeyId, force: bool) {
-        loop {
-            let expected = self.expected(key);
-            let Some(map) = self.pending.get_mut(&key) else {
-                return;
-            };
-            // Discard anything the accumulator has already moved past.
-            while let Some((&seq, _)) = map.iter().next() {
-                if seq < expected {
-                    map.remove(&seq);
-                } else {
-                    break;
-                }
-            }
-            if map.is_empty() {
-                self.pending.remove(&key);
-                return;
-            }
-            if let Some(outcome) = map.remove(&expected) {
-                self.apply(outcome);
-                continue;
-            }
-            if force || map.len() > self.config.gap_limit {
-                self.apply(Outcome {
-                    key,
-                    trace_seq: expected,
-                    result: Err(ServeError::GapAbandoned),
-                    completed_at: None,
-                });
-                continue;
-            }
-            return;
-        }
-    }
-
-    /// Shutdown flush: everything still buffered is scored, with gaps
-    /// abandoned, in (key, seq) order.
-    fn flush(&mut self) {
-        let keys: Vec<KeyId> = self.pending.keys().copied().collect();
-        for key in keys {
-            self.drain_key(key, true);
-        }
-    }
-}
-
-fn scorer_loop(shared: &SharedState, config: &ServeConfig, rx: &Receiver<Outcome>) {
-    let mut scorer = Scorer {
-        shared,
-        config,
-        pending: Pending::new(),
-        scored: 0,
-    };
     loop {
-        if shared.kill.load(Ordering::SeqCst) {
-            return; // crash semantics: no flush, no final checkpoint
-        }
-        match rx.recv_timeout(config.tick) {
-            Ok(outcome) => scorer.admit(outcome),
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Closed) => break,
-        }
+        // A statement of its own, so the receiver lock is released before
+        // the analysis.
+        let job = lock(jobs).recv();
+        let Ok(job) = job else {
+            return;
+        };
+        let result = robust
+            .attack_trace(&job.samples, config.coefficients, &config.policy)
+            .map_err(ServeError::Analysis);
+        lock(fold).analysed(job, result);
     }
-    if shared.kill.load(Ordering::SeqCst) {
-        return;
-    }
-    scorer.flush();
-    scorer.write_checkpoint();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Supervisor behavior is exercised end-to-end (with real trained
-    // attacks) in `tests/serve.rs`; the unit tests here cover the pure
-    // config plumbing.
-
-    fn config() -> ServeConfig {
-        ServeConfig::new(
-            LweParameters::seal_like(16, 3329.0, 2.0),
-            16,
-            HintPolicy::seal_paper(),
-        )
-    }
+    // The fold is exercised end-to-end (with real trained attacks) in
+    // `tests/serve.rs`; the unit test here covers the config defaults.
 
     #[test]
     fn defaults_are_bounded_and_sane() {
-        let c = config();
-        assert!(c.ingest_capacity > 0 && c.work_capacity > 0 && c.result_capacity > 0);
-        assert_eq!(c.ingest_policy, OverflowPolicy::Block);
-        assert_eq!(c.max_retries, 0, "0 delegates to the relaxation ladder");
+        let c = ServeConfig::new(
+            LweParameters::seal_like(16, 3329.0, 2.0),
+            16,
+            HintPolicy::seal_paper(),
+        );
+        assert!(c.update_capacity > 0 && c.gap_limit > 0 && c.max_frame_samples > 0);
+        assert!(c.quarantine_threshold > 0);
         assert!(c.checkpoint_path.is_none() && c.checkpoint_every == 0);
     }
 }

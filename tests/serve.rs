@@ -4,7 +4,7 @@
 //!
 //! 1. **Bit-identity**: a zero-fault served stream reproduces the one-shot
 //!    pipeline's hints and bikz bit-for-bit (`f64::to_bits` equality), at
-//!    any worker count.
+//!    any worker count (`reveal_par::with_threads` at start).
 //! 2. **Crash recovery**: killing the supervisor mid-stream and resuming
 //!    from the periodic checkpoint converges to the same final state as an
 //!    uninterrupted run — compared as encoded snapshots, i.e. bit-exact.
@@ -12,9 +12,14 @@
 //!    configured failure run and never stalls or corrupts other victims.
 //! 4. **Liveness under chaos**: random frame-fault schedules (truncation,
 //!    duplication, reordering, disconnects) at any intensity never
-//!    deadlock the service or overflow a bounded queue, and benign
-//!    schedules (no data loss) still produce the clean answer.
+//!    deadlock the service, every submitted trace gets exactly one update,
+//!    traces in flight stay within the queue bound plus the worker count,
+//!    and benign schedules (no data loss) still produce the clean answer.
+//! 5. **Hostile input**: far-ahead sequence numbers, unanalysable traces
+//!    and crafted checkpoints cost one typed failure each, never a stall or
+//!    an abort.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -29,7 +34,8 @@ use reveal_hints::{HintPolicy, LweParameters};
 use reveal_rv32::power::PowerModelConfig;
 use reveal_serve::accumulator::ShardedAccumulator;
 use reveal_serve::{
-    frame_stream, KeyId, ServeConfig, Snapshot, Supervisor, TraceFrame, VictimStatus,
+    frame_stream, CheckpointError, KeyId, ServeConfig, ServeError, Snapshot, Supervisor,
+    TraceFrame, VictimStatus,
 };
 
 const DEGREE: usize = 32;
@@ -190,7 +196,7 @@ fn zero_fault_stream_matches_one_shot_pipeline_bit_identically() {
 
     // The one-shot *plain* pipeline report for the single-trace victim —
     // the service's clean path must reproduce it exactly (robust clean
-    // path == plain pipeline, and the scorer fold == report_robust).
+    // path == plain pipeline, and the service fold == report_robust).
     let plain = sh
         .attack
         .attack_trace_expecting(&traces[0].1[0], DEGREE)
@@ -199,9 +205,8 @@ fn zero_fault_stream_matches_one_shot_pipeline_bit_identically() {
 
     let mut per_worker_snapshots = Vec::new();
     for workers in [1usize, 4] {
-        let mut cfg = config();
-        cfg.workers = workers;
-        let sup = Supervisor::start(sh.attack.clone(), cfg);
+        let sup =
+            reveal_par::with_threads(workers, || Supervisor::start(sh.attack.clone(), config()));
         submit_all(&sup, &traces);
         let updates = await_updates(&sup, 3, Duration::from_secs(60));
         let snapshot = sup.snapshot().encode();
@@ -255,16 +260,15 @@ fn crash_mid_stream_then_restore_is_bit_identical() {
 
     let base = {
         let mut c = config();
-        c.workers = 1;
         c.checkpoint_every = 1;
         c.checkpoint_path = Some(ckpt.clone());
         c
     };
     let reference = reference_snapshot(&traces, &base).encode();
 
-    // Phase 1: serve the first two traces, wait until at least trace 0 is
-    // scored (so a periodic checkpoint exists), then crash.
-    let sup = Supervisor::start(sh.attack.clone(), base.clone());
+    // Phase 1: serve the first two traces on one worker, wait until at
+    // least trace 0 is scored (so a periodic checkpoint exists), then crash.
+    let sup = reveal_par::with_threads(1, || Supervisor::start(sh.attack.clone(), base.clone()));
     let handle = sup.handle();
     for (seq, samples) in traces[0].1.iter().take(2).enumerate() {
         for frame in frame_stream(7, seq as u64, samples, FRAME_LEN) {
@@ -285,7 +289,10 @@ fn crash_mid_stream_then_restore_is_bit_identical() {
     // Phase 2: resume from the checkpoint and replay the full stream
     // (already-scored traces are ignored as replays), plus the trace the
     // crash interrupted.
-    let sup = Supervisor::resume(sh.attack.clone(), base.clone(), &snapshot).unwrap();
+    let sup = reveal_par::with_threads(1, || {
+        Supervisor::resume(sh.attack.clone(), base.clone(), &snapshot)
+    })
+    .unwrap();
     submit_all(&sup, &traces);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
@@ -321,11 +328,10 @@ fn poisoned_victim_is_quarantined_without_stalling_others() {
     let clean_traces = vec![(clean_key, vec![capture(55), capture(56)])];
 
     let mut cfg = config();
-    cfg.workers = 1;
     cfg.quarantine_threshold = 2;
     let reference = reference_snapshot(&clean_traces, &cfg);
 
-    let sup = Supervisor::start(sh.attack.clone(), cfg);
+    let sup = reveal_par::with_threads(1, || Supervisor::start(sh.attack.clone(), cfg));
     let handle = sup.handle();
 
     // Two poisoned single-frame traces: NaN payloads fail admission, which
@@ -438,27 +444,24 @@ fn chaos_reference() -> &'static str {
 
 /// One full chaos scenario: frame the standard traces, scramble every
 /// stream with `FramePlan::standard_sweep(seed, intensity)`, serve them
-/// through tight queues at the given worker count, shut down, and assert
-/// the liveness/boundedness invariants. Benign schedules (no data loss)
-/// must additionally produce the bit-exact clean answer.
+/// at the given worker count, shut down, and assert the liveness and
+/// accounting invariants. Benign schedules (no data loss) must
+/// additionally produce the bit-exact clean answer.
 fn chaos_scenario(seed: u64, intensity: f64, workers: usize) {
     let sh = shared();
     let traces = standard_traces();
     let reference = chaos_reference();
 
     let mut cfg = config();
-    cfg.workers = workers;
     cfg.shards = 4;
-    cfg.ingest_capacity = 16;
-    cfg.work_capacity = 4;
-    cfg.result_capacity = 8;
     cfg.gap_limit = 4;
     cfg.reassembly.stream_deadline = Duration::from_millis(200);
-    let sup = Supervisor::start(sh.attack.clone(), cfg);
+    let sup = reveal_par::with_threads(workers, || Supervisor::start(sh.attack.clone(), cfg));
     let handle = sup.handle();
 
     let plan = FramePlan::standard_sweep(seed, intensity);
     let mut any_data_lost = false;
+    let mut submitted = BTreeSet::new();
     let mut stream_id = 0u64;
     for (key, ts) in &traces {
         for (seq, samples) in ts.iter().enumerate() {
@@ -474,6 +477,7 @@ fn chaos_scenario(seed: u64, intensity: f64, workers: usize) {
             stream_id += 1;
             any_data_lost |= scrambled.log.data_lost;
             for chunk in scrambled.frames {
+                submitted.insert((*key, seq as u64));
                 handle
                     .submit(TraceFrame {
                         key: *key,
@@ -482,7 +486,7 @@ fn chaos_scenario(seed: u64, intensity: f64, workers: usize) {
                         last: chunk.last,
                         samples: chunk.samples,
                     })
-                    .expect("block-policy submit");
+                    .expect("submit while running");
             }
         }
     }
@@ -500,19 +504,25 @@ fn chaos_scenario(seed: u64, intensity: f64, workers: usize) {
     let summary = sup.shutdown();
 
     let m = &summary.metrics;
-    for (label, q) in [
-        ("ingest", &m.ingest_queue),
-        ("work", &m.work_queue),
-        ("result", &m.result_queue),
-    ] {
-        assert!(
-            q.high_water <= q.capacity,
-            "{label} queue exceeded its bound: {} > {}",
-            q.high_water,
-            q.capacity
-        );
-        assert_eq!(q.depth, 0, "{label} queue not drained at shutdown");
+    let mut updates: BTreeMap<(KeyId, u64), usize> = BTreeMap::new();
+    for u in &summary.updates {
+        *updates.entry((u.key, u.trace_seq)).or_default() += 1;
     }
+    for pair in &submitted {
+        assert_eq!(
+            updates.get(pair),
+            Some(&1),
+            "trace {pair:?} must produce exactly one update"
+        );
+    }
+    let q = &m.work_queue;
+    assert!(
+        q.high_water <= q.capacity + workers,
+        "{} traces in flight against a queue of {} and {workers} workers",
+        q.high_water,
+        q.capacity
+    );
+    assert_eq!(q.depth, 0, "traces still in flight at shutdown");
 
     if !any_data_lost {
         // Duplication and reordering are absorbed exactly.
@@ -542,6 +552,118 @@ fn frame_faults_and_shutdown_never_deadlock_and_queues_stay_bounded() {
     }
 }
 
+/// A single-frame trace of 16 zero samples: it reassembles, but the robust
+/// attack finds no operation to segment.
+fn unanalysable(key: KeyId, trace_seq: u64) -> TraceFrame {
+    TraceFrame {
+        key,
+        trace_seq,
+        frame_seq: 0,
+        last: true,
+        samples: vec![0.0; 16],
+    }
+}
+
+#[test]
+fn an_unanalysable_trace_is_analysed_once() {
+    let sup = Supervisor::start(shared().attack.clone(), config());
+    sup.handle().submit(unanalysable(3, 0)).unwrap();
+    let summary = sup.shutdown();
+    let m = &summary.metrics;
+    assert_eq!((m.traces_completed, m.traces_failed, m.retries), (1, 1, 0));
+    assert!(
+        matches!(
+            summary.updates.as_slice(),
+            [u] if matches!(u.failed, Some(ServeError::Analysis(_)))
+        ),
+        "one analysis failure expected, got {:?}",
+        summary.updates
+    );
+}
+
+#[test]
+fn far_ahead_trace_seq_abandons_its_gap_in_one_step() {
+    for seq in [1_000_000_000_000, u64::MAX - 1] {
+        let attack = shared().attack.clone();
+        let cfg = config();
+        with_watchdog(
+            &format!("trace_seq {seq}"),
+            Duration::from_secs(5),
+            move || {
+                let sup = Supervisor::start(attack, cfg);
+                sup.handle().submit(unanalysable(1, seq)).unwrap();
+                let summary = sup.shutdown();
+                let gaps: Vec<u64> = summary
+                    .updates
+                    .iter()
+                    .filter(|u| u.failed == Some(ServeError::GapAbandoned))
+                    .map(|u| u.trace_seq)
+                    .collect();
+                assert_eq!(gaps, [seq - 1], "one update abandons the whole gap");
+                assert_eq!(summary.metrics.traces_failed, 2);
+            },
+        );
+    }
+}
+
+#[test]
+fn far_outcomes_pending_for_one_key_do_not_stall_another() {
+    let attack = shared().attack.clone();
+    let cfg = config();
+    let clean = capture(57);
+    with_watchdog(
+        "65 far outcomes pending",
+        Duration::from_secs(60),
+        move || {
+            // One worker analyses in submission order, so all 65 far
+            // outcomes reach the fold before the clean trace's: the 65th
+            // overflows the default gap limit of 64.
+            let sup = reveal_par::with_threads(1, || Supervisor::start(attack, cfg));
+            let handle = sup.handle();
+            let far = 1_000_000_000_000;
+            for seq in far..far + 65 {
+                handle.submit(unanalysable(1, seq)).unwrap();
+            }
+            for frame in frame_stream(2, 0, &clean, FRAME_LEN) {
+                handle.submit(frame).unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(50);
+            let update = loop {
+                if let Some(u) = sup.drain_updates().into_iter().find(|u| u.key == 2) {
+                    break u;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "victim 2 stalled behind victim 1"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            };
+            assert!(update.failed.is_none());
+            sup.shutdown();
+        },
+    );
+}
+
+#[test]
+fn crafted_checkpoint_shard_count_fails_resume_typed() {
+    let sh = shared();
+    let cfg = config();
+    let text = reference_snapshot(&[], &cfg).encode();
+    let shards = format!(" shards {} ", cfg.shards);
+    assert!(text.contains(&shards));
+    // Once past `usize`'s capacity limit, once large enough that sizing the
+    // restored store would abort the process.
+    for huge in ["18446744073709551615", "100000000000"] {
+        let crafted = Snapshot::decode(&text.replace(&shards, &format!(" shards {huge} ")))
+            .expect("a crafted shard count still decodes");
+        let resumed = Supervisor::resume(sh.attack.clone(), cfg.clone(), &crafted);
+        assert!(matches!(
+            resumed.err(),
+            Some(ServeError::Checkpoint(CheckpointError::ParamsMismatch(_)))
+        ));
+    }
+}
+
 mod serve_properties {
     use super::*;
     use proptest::prelude::*;
@@ -550,8 +672,8 @@ mod serve_properties {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Any random fault schedule at any intensity and worker count
-        /// shuts down cleanly: no deadlock (watchdog), no unbounded
-        /// queue, no panic — and benign schedules keep the exact answer.
+        /// shuts down cleanly: no deadlock (watchdog), one update per
+        /// trace, no panic — and benign schedules keep the exact answer.
         #[test]
         fn random_fault_schedules_shut_down_cleanly(
             seed in 0u64..1024,
