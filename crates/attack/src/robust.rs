@@ -10,11 +10,19 @@
 //!    *healed* (over-count → merge the closest pair, under-count → split
 //!    the longest burst), and every healed window is remembered as
 //!    untrustworthy.
-//! 2. **Screen** — each ladder window passes sample-level (glitch/clip
-//!    spikes via MAD z-scores), gain-level (burst-median vs a calibrated
-//!    clean reference) and fit-level (raw sign-template log-likelihood vs
-//!    the per-trace population) sanity checks; failures mark the window
-//!    *suspect* without aborting anything.
+//! 2. **Screen** — each ladder window passes sample-level (MAD z-scores
+//!    against the window's own samples), gain-level (burst-median vs a
+//!    calibrated clean reference) and fit-level (raw sign-template
+//!    log-likelihood vs the per-trace population) sanity checks; failures
+//!    mark the window *suspect* without aborting anything. At the default
+//!    knobs the sample-level screen cannot fire: its threshold,
+//!    `glitch_z · glitch_floor_fraction · range` = 10 · 0.1 · range, is
+//!    the trace's whole dynamic range, and no sample deviates from its
+//!    window median by more; spiked windows are flagged, when at all,
+//!    mostly by the fit screen. The glitch and gain screens decide each
+//!    window from exact bounds (its span; the burst's counts against the
+//!    exact level interval the gain test passes) and run their selections
+//!    only where a bound cannot decide.
 //! 3. **Gate** — per-coefficient posteriors are classified onto the
 //!    perfect / approximate / skipped ladder by the *shared*
 //!    [`HintPolicy::classify_variance`] decision, with the posterior
@@ -34,8 +42,10 @@ use crate::config::AttackConfig;
 use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack, ATTACK_WINDOW_COST};
 use crate::report::{AttackReport, ReportError};
 use reveal_hints::{DbddInstance, HintClass, HintPolicy, HintSummary, LweParameters, Posterior};
+use reveal_trace::order::last_not_exceeding;
 use reveal_trace::sanity::{
-    mad_in_place, mad_outlier_flags, median, median_in_place, robust_noise_sigma, MAD_TO_SIGMA,
+    finite_min_max, mad_in_place, mad_outlier_flags, median, median_in_place, robust_noise_sigma,
+    MAD_TO_SIGMA,
 };
 use reveal_trace::segment::{refined_bursts_into, SegmentConfig, SegmentError, SegmentScratch};
 
@@ -49,6 +59,9 @@ pub struct RobustConfig {
     pub glitch_z: f64,
     /// MAD floor for the glitch screen, as a fraction of the trace's
     /// dynamic range (keeps near-constant windows from flagging noise).
+    /// At the default 0.1, with the default `glitch_z` of 10, the screen's
+    /// threshold is the whole dynamic range and it never fires; a floor of
+    /// 0.01 lets it flag spiked windows.
     pub glitch_floor_fraction: f64,
     /// Robust z-score below the population median at which a window's raw
     /// sign-template log-likelihood marks it suspect (misalignment screen).
@@ -309,6 +322,10 @@ struct SegmentedWindow {
     healed: bool,
 }
 
+/// The per-window screening stage of [`RobustAttack::attack_trace`].
+type ScreenStage<'a> =
+    fn(&RobustAttack<'a>, &[f64], &[SegmentedWindow], &[Option<f64>]) -> Vec<Suspicion>;
+
 /// The robust pipeline driver: wraps a [`TrainedAttack`] with retrying
 /// segmentation, sanity screens and the hint-degradation ladder.
 #[derive(Debug, Clone)]
@@ -357,9 +374,23 @@ impl<'a> RobustAttack<'a> {
         n: usize,
         policy: &HintPolicy,
     ) -> Result<RobustAttackResult, AttackError> {
+        self.attack_trace_with(samples, n, policy, robust_noise_sigma, Self::screen)
+    }
+
+    /// [`attack_trace`](Self::attack_trace) with the noise estimate and the
+    /// screening stage passed in, so tests can run the same driver over
+    /// reference stages.
+    fn attack_trace_with(
+        &self,
+        samples: &[f64],
+        n: usize,
+        policy: &HintPolicy,
+        noise_sigma: fn(&[f64]) -> f64,
+        screen: ScreenStage<'a>,
+    ) -> Result<RobustAttackResult, AttackError> {
         let mut diagnostics = Diagnostics {
             variance_inflation: 1.0,
-            noise_sigma: robust_noise_sigma(samples),
+            noise_sigma: noise_sigma(samples),
             ..Diagnostics::default()
         };
         let segmented = self.segment_with_retry(samples, n, &mut diagnostics)?;
@@ -422,7 +453,7 @@ impl<'a> RobustAttack<'a> {
             .into_iter()
             .unzip();
 
-        let suspicions = self.screen(samples, &segmented, &fit_scores);
+        let suspicions = screen(self, samples, &segmented, &fit_scores);
         diagnostics.suspect_windows = suspicions.iter().filter(|s| s.soft()).count();
 
         // Per-burst rail arbitration arms only on degraded evidence: a
@@ -657,13 +688,12 @@ impl<'a> RobustAttack<'a> {
             })
             .collect();
 
-        let finite = samples.iter().copied().filter(|s| s.is_finite());
-        let lo = finite.clone().fold(f64::INFINITY, f64::min);
-        let hi = finite.fold(f64::NEG_INFINITY, f64::max);
+        let (lo, hi) = finite_min_max(samples);
         let range = (hi - lo).max(1e-12);
 
         // The glitch, gain and fit screens select in place on this one
-        // buffer, refilled per window and per burst.
+        // buffer, refilled per window and per burst, where a bound cannot
+        // decide the screen.
         let mut buf: Vec<f64> = Vec::new();
 
         // Glitch screen: any sample in a window that is a massive robust
@@ -671,8 +701,12 @@ impl<'a> RobustAttack<'a> {
         let floor = cfg.glitch_floor_fraction * range;
         for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
             let Some(start) = sw.start else { continue };
+            let window = &samples[start..start + ladder];
+            if span_clears_glitch(window, cfg.glitch_z, floor) {
+                continue;
+            }
             buf.clear();
-            buf.extend_from_slice(&samples[start..start + ladder]);
+            buf.extend_from_slice(window);
             let (_, mad) = mad_in_place(&mut buf);
             let scale = (mad * MAD_TO_SIGMA).max(floor);
             // `buf` now holds each sample's |x − median|.
@@ -684,15 +718,15 @@ impl<'a> RobustAttack<'a> {
         if let Some(cal) = self.calibration {
             let reference = cal.reference_burst_level;
             if reference.abs() > 1e-12 {
+                let tolerance = cfg.gain_tolerance;
+                let bounds = gain_bounds(reference, tolerance);
                 for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
                     let (s, e) = sw.burst;
                     if sw.start.is_none() || e <= s || e > samples.len() {
                         continue;
                     }
-                    buf.clear();
-                    buf.extend_from_slice(&samples[s..e]);
-                    let level = median_in_place(&mut buf);
-                    suspicion.gain = (level / reference - 1.0).abs() > cfg.gain_tolerance;
+                    suspicion.gain =
+                        gain_flagged(&samples[s..e], reference, tolerance, bounds, &mut buf);
                 }
             }
         }
@@ -883,6 +917,82 @@ impl<'a> RobustAttack<'a> {
     }
 }
 
+/// Whether a window's span alone proves the glitch screen cannot flag it:
+/// `glitch_z ≥ 0` and `max − min ≤ glitch_z · floor`. Exact: the screen's
+/// threshold `glitch_z · max(MAD · 1.4826, floor)` is at least
+/// `glitch_z · floor`, and no `|x − median|` exceeds `max − min`, because
+/// the median lies in `[min, max]` and rounded subtraction is monotone.
+/// (An even-length median whose half-sum overflows is `±∞`; then every
+/// deviation and the MAD are `∞`, and nothing flags either.)
+fn span_clears_glitch(window: &[f64], glitch_z: f64, floor: f64) -> bool {
+    glitch_z >= 0.0 && {
+        let (lo, hi) = finite_min_max(window);
+        hi - lo <= glitch_z * floor
+    }
+}
+
+/// Largest magnitude at which the half-sum of two values cannot overflow:
+/// the median of values inside `[lo, hi] ⊆ [−HALF_MAX, HALF_MAX]` stays
+/// inside `[lo, hi]`.
+const HALF_MAX: f64 = f64::MAX / 2.0;
+
+/// The exact level interval `[lo, hi]` the gain screen passes: for every
+/// finite `level`, `lo <= level && level <= hi` is exactly
+/// `!((level / reference - 1.0).abs() > tolerance)`. For a finite positive
+/// `reference` that rounded deviation is monotone in `level`, so each bound
+/// is one [`last_not_exceeding`] walk from its rounded estimate. `None`
+/// (every burst selects its median) unless `reference` and `tolerance` are
+/// finite and positive, both walks settle, and both bounds lie within
+/// `±HALF_MAX`.
+fn gain_bounds(reference: f64, tolerance: f64) -> Option<(f64, f64)> {
+    let finite_positive = |v: f64| v.is_finite() && v > 0.0;
+    if !finite_positive(reference) || !finite_positive(tolerance) {
+        return None;
+    }
+    let deviation = |level: f64| level / reference - 1.0;
+    let hi = last_not_exceeding(reference * (1.0 + tolerance), |l| deviation(l) > tolerance)?;
+    let lo = -last_not_exceeding(-(reference * (1.0 - tolerance)), |l| {
+        deviation(-l) < -tolerance
+    })?;
+    (-HALF_MAX <= lo && hi <= HALF_MAX).then_some((lo, hi))
+}
+
+/// The gain screen's verdict on one burst:
+/// `(median / reference - 1.0).abs() > tolerance`. With [`gain_bounds`], one
+/// counting pass places the burst's central order statistics against
+/// `[lo, hi]`; when they lie on one side, the median (one of them, or for
+/// an even length their half-sum) lies there too. Only a central pair that
+/// straddles a bound selects the median. The burst is finite: the screens
+/// run only on traces that segmentation accepted.
+fn gain_flagged(
+    burst: &[f64],
+    reference: f64,
+    tolerance: f64,
+    bounds: Option<(f64, f64)>,
+    buf: &mut Vec<f64>,
+) -> bool {
+    if let Some((lo, hi)) = bounds {
+        let (mut below, mut above) = (0, 0);
+        for &x in burst {
+            below += usize::from(x < lo);
+            above += usize::from(x > hi);
+        }
+        // The side of `[lo, hi]` the order statistic of a rank lies on:
+        // 0 below, 1 inside, 2 above.
+        let side =
+            |rank: usize| usize::from(rank >= below) + usize::from(rank + above >= burst.len());
+        let mid = burst.len() / 2;
+        let first = if burst.len() % 2 == 1 { mid } else { mid - 1 };
+        if side(first) == side(mid) {
+            return side(mid) != 1;
+        }
+    }
+    buf.clear();
+    buf.extend_from_slice(burst);
+    let level = median_in_place(buf);
+    (level / reference - 1.0).abs() > tolerance
+}
+
 /// Integrates one ladder decision into `instance` at `coord`, updating the
 /// running summary: perfect hints via `integrate_perfect_hint`, approximate
 /// ones via `integrate_approximate_hint` with the gated ε², skipped ones
@@ -952,8 +1062,10 @@ pub fn report_robust(
 mod tests {
     use super::*;
     use crate::device::Device;
+    use proptest::prelude::{prop_assert_eq, ProptestConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use reveal_chaos::{ChaosPlan, Fault};
     use reveal_rv32::power::PowerModelConfig;
 
     const Q: u64 = 3329;
@@ -1041,9 +1153,10 @@ mod tests {
 
     #[test]
     fn glitch_screen_agrees_with_mad_outlier_flags() {
-        // The screen reads each sample's deviation from the buffer its MAD
-        // selection leaves behind; its verdicts must equal the plain MAD
-        // outlier flags, at the default floor and at lower ones that let
+        // The screen decides a window from its span where it can, else
+        // reads each sample's deviation from the buffer its MAD selection
+        // leaves behind; its verdicts must equal the plain MAD outlier
+        // flags at every threshold and floor, including the ones that let
         // it fire.
         let (device, attack) = trained(16, 0x6117C4);
         let capture = device
@@ -1067,26 +1180,383 @@ mod tests {
         let ladder = attack.config().ladder_window;
         let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut fired = 0;
-        for fraction in [0.0, 0.01, 0.1] {
-            let config = RobustConfig {
-                glitch_floor_fraction: fraction,
-                ..RobustConfig::default()
-            };
-            let result = RobustAttack::new(&attack)
-                .with_config(config.clone())
-                .attack_trace(&samples, 16, &HintPolicy::seal_paper())
-                .unwrap();
-            assert_eq!(result.diagnostics.relaxation_rung, 0);
-            for (c, &start) in result.coefficients.iter().zip(&starts) {
-                let window = &samples[start..start + ladder];
-                let expected = mad_outlier_flags(window, config.glitch_z, fraction * (hi - lo))
-                    .contains(&true);
-                assert_eq!(c.suspicion.glitch, expected, "fraction {fraction}");
-                fired += usize::from(expected);
+        let (mut fired, mut span_decided, mut selected) = (0, 0, 0);
+        for glitch_z in [-1.0, 0.0, 2.0, 10.0, f64::INFINITY] {
+            for fraction in [-0.1, 0.0, 0.01, 0.1] {
+                let config = RobustConfig {
+                    glitch_z,
+                    glitch_floor_fraction: fraction,
+                    ..RobustConfig::default()
+                };
+                let result = RobustAttack::new(&attack)
+                    .with_config(config)
+                    .attack_trace(&samples, 16, &HintPolicy::seal_paper())
+                    .unwrap();
+                assert_eq!(result.diagnostics.relaxation_rung, 0);
+                let floor = fraction * (hi - lo);
+                for (c, &start) in result.coefficients.iter().zip(&starts) {
+                    let window = &samples[start..start + ladder];
+                    let expected = mad_outlier_flags(window, glitch_z, floor).contains(&true);
+                    assert_eq!(
+                        c.suspicion.glitch, expected,
+                        "z {glitch_z}, fraction {fraction}"
+                    );
+                    fired += usize::from(expected);
+                    if span_clears_glitch(window, glitch_z, floor) {
+                        span_decided += 1;
+                    } else {
+                        selected += 1;
+                    }
+                }
             }
         }
         assert!(fired > 0, "no window exercised the full screen");
+        assert!(
+            span_decided > 0 && selected > 0,
+            "{span_decided} / {selected}"
+        );
+        // A flat window near f64::MAX: its median's half-sum overflows, and
+        // the infinite MAD keeps it unflagged, as its span says.
+        let huge = vec![0.75 * f64::MAX; ladder];
+        assert!(span_clears_glitch(&huge, 10.0, 1.0));
+        assert!(!mad_outlier_flags(&huge, 10.0, 1.0).contains(&true));
+    }
+
+    #[test]
+    fn default_glitch_screen_never_fires_but_a_lower_floor_does() {
+        // At the defaults the glitch threshold, glitch_z · 0.1 · range, is
+        // the trace's whole dynamic range: no sample deviates from its
+        // window median by more (up to one rounding ulp), so the default
+        // screen cannot flag even a spiked window. A floor of 1% of the
+        // range lets it fire. Lowering the default moves the committed
+        // BENCH_chaos and BENCH_classifier artifacts.
+        let (device, attack) = trained(16, 0x6117C4);
+        let mut rng = StdRng::seed_from_u64(21);
+        let policy = HintPolicy::seal_paper();
+        let lowered = RobustConfig {
+            glitch_floor_fraction: 0.01,
+            ..RobustConfig::default()
+        };
+        let (mut at_default, mut at_lowered) = (0, 0);
+        for seed in 0..3 {
+            let capture = device.capture_fresh(&mut rng).unwrap();
+            let spikes = reveal_chaos::ChaosPlan {
+                seed,
+                faults: vec![reveal_chaos::Fault::GlitchSpikes {
+                    rate: 0.002,
+                    magnitude: 1.5,
+                }],
+            };
+            let sweeps = [0.25, 0.5, 1.0].map(|i| reveal_chaos::ChaosPlan::standard_sweep(seed, i));
+            for plan in sweeps.into_iter().chain([spikes]) {
+                let samples = plan
+                    .inject(
+                        &capture.run.capture.samples,
+                        &capture.run.coefficient_windows,
+                    )
+                    .samples;
+                let flags = |config: RobustConfig| {
+                    RobustAttack::new(&attack)
+                        .with_config(config)
+                        .attack_trace(&samples, 16, &policy)
+                        .map_or(0, |r| {
+                            r.coefficients.iter().filter(|c| c.suspicion.glitch).count()
+                        })
+                };
+                at_default += flags(RobustConfig::default());
+                at_lowered += flags(lowered.clone());
+            }
+        }
+        assert_eq!(at_default, 0);
+        assert!(at_lowered > 0);
+    }
+
+    #[test]
+    fn gain_counts_agree_with_the_median_decision() {
+        // (reference, tolerance): ordinary gains, a tolerance below one ulp
+        // of 1, subnormal and huge references, and tolerances at and past
+        // 1.
+        let valid = [
+            (1.0, 0.015),
+            (2.0, 0.015),
+            (0.7, 1e-17),
+            (3.0, 0.5),
+            (1.5, 1.0),
+            (0.25, 3.0),
+            (1e-300, 0.015),
+            (5e-324, 0.2),
+            (1e300, 0.015),
+            (1e-300, 1e300),
+            (4.0, 1e300),
+            (1e308, 0.015),
+            (1e300, 1e300),
+        ];
+        let invalid = [
+            (0.0, 0.015),
+            (-0.0, 0.015),
+            (-1.0, 0.015),
+            (f64::NAN, 0.015),
+            (f64::INFINITY, 0.015),
+            (1.0, 0.0),
+            (1.0, -0.0),
+            (1.0, -1.0),
+            (1.0, f64::INFINITY),
+            (1.0, f64::NAN),
+        ];
+        let mut buf = Vec::new();
+        for (case, &(reference, tolerance)) in valid.iter().chain(&invalid).enumerate() {
+            let bounds = gain_bounds(reference, tolerance);
+            let verdict = |level: f64| (level / reference - 1.0).abs() > tolerance;
+            let mut palette = vec![reference, 0.5 * reference, 2.0 * reference, 1.0, -1.0, 0.0];
+            if let Some((lo, hi)) = bounds {
+                // The bounds are exact: the verdict flips one ulp outside.
+                let edges = [
+                    lo,
+                    hi,
+                    lo.next_down(),
+                    lo.next_up(),
+                    hi.next_down(),
+                    hi.next_up(),
+                ];
+                for level in edges {
+                    assert_eq!(verdict(level), !(lo <= level && level <= hi), "case {case}");
+                }
+                palette.extend(edges);
+            }
+            palette.retain(|v| v.is_finite());
+            for len in 1..=300usize {
+                let burst: Vec<f64> = (0..len)
+                    .map(|i| {
+                        let h = reveal_par::derive_seed(case as u64 * 1000 + len as u64, i as u64);
+                        palette[h as usize % palette.len()]
+                    })
+                    .collect();
+                let expected = verdict(median(&burst));
+                let got = gain_flagged(&burst, reference, tolerance, bounds, &mut buf);
+                assert_eq!(got, expected, "case {case}, len {len}");
+            }
+            if case >= valid.len() {
+                assert_eq!(bounds, None, "case {case}");
+            }
+        }
+        // The production knobs count. A walk that cannot settle (tolerance
+        // 1 puts the lower bound's estimate at 0, far more ulps from the
+        // boundary than the walk takes) and bounds past f64::MAX / 2 leave
+        // every burst to its median.
+        assert!(gain_bounds(1.0, 0.015).is_some() && gain_bounds(2.0, 0.015).is_some());
+        for (reference, tolerance) in [(1.5, 1.0), (1e308, 0.015), (1e300, 1e300)] {
+            assert_eq!(
+                gain_bounds(reference, tolerance),
+                None,
+                "{reference} {tolerance}"
+            );
+        }
+    }
+
+    /// The stages before the exact fast paths, kept verbatim as the oracles
+    /// of [`prop_attack_trace_matches_the_reference_stages`].
+    mod reference {
+        use super::*;
+
+        /// The noise estimate over the materialized differences.
+        pub fn noise_sigma(samples: &[f64]) -> f64 {
+            if samples.len() < 2 {
+                return 0.0;
+            }
+            let mut diffs: Vec<f64> = samples.windows(2).map(|w| w[1] - w[0]).collect();
+            mad_in_place(&mut diffs).1 * MAD_TO_SIGMA / std::f64::consts::SQRT_2
+        }
+
+        /// The screens with a selection per window and per burst.
+        pub fn screen(
+            robust: &RobustAttack<'_>,
+            samples: &[f64],
+            segmented: &[SegmentedWindow],
+            fit_scores: &[Option<f64>],
+        ) -> Vec<Suspicion> {
+            let cfg = &robust.config;
+            let ladder = robust.attack.config().ladder_window;
+            let mut suspicions: Vec<Suspicion> = segmented
+                .iter()
+                .map(|sw| Suspicion {
+                    healed: sw.healed,
+                    ..Suspicion::default()
+                })
+                .collect();
+
+            let finite = samples.iter().copied().filter(|s| s.is_finite());
+            let lo = finite.clone().fold(f64::INFINITY, f64::min);
+            let hi = finite.fold(f64::NEG_INFINITY, f64::max);
+            let range = (hi - lo).max(1e-12);
+
+            let mut buf: Vec<f64> = Vec::new();
+
+            let floor = cfg.glitch_floor_fraction * range;
+            for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
+                let Some(start) = sw.start else { continue };
+                buf.clear();
+                buf.extend_from_slice(&samples[start..start + ladder]);
+                let (_, mad) = mad_in_place(&mut buf);
+                let scale = (mad * MAD_TO_SIGMA).max(floor);
+                suspicion.glitch = buf.iter().any(|&d| d > cfg.glitch_z * scale);
+            }
+
+            if let Some(cal) = robust.calibration {
+                let reference = cal.reference_burst_level;
+                if reference.abs() > 1e-12 {
+                    for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
+                        let (s, e) = sw.burst;
+                        if sw.start.is_none() || e <= s || e > samples.len() {
+                            continue;
+                        }
+                        buf.clear();
+                        buf.extend_from_slice(&samples[s..e]);
+                        let level = median_in_place(&mut buf);
+                        suspicion.gain = (level / reference - 1.0).abs() > cfg.gain_tolerance;
+                    }
+                }
+            }
+
+            let lengths: Vec<f64> = segmented
+                .iter()
+                .map(|sw| (sw.burst.1.saturating_sub(sw.burst.0)) as f64)
+                .collect();
+            for (flag, suspicion) in mad_outlier_flags(&lengths, cfg.length_z, 4.0)
+                .into_iter()
+                .zip(&mut suspicions)
+            {
+                suspicion.length |= flag;
+            }
+
+            buf.clear();
+            buf.extend(fit_scores.iter().flatten());
+            if buf.len() >= 4 {
+                let (med, mad) = mad_in_place(&mut buf);
+                let spread = mad * MAD_TO_SIGMA;
+                let threshold = med - cfg.score_z * spread.max(1.0);
+                for (score, suspicion) in fit_scores.iter().zip(&mut suspicions) {
+                    if let Some(s) = score {
+                        suspicion.poor_fit = *s < threshold;
+                    }
+                }
+            }
+            suspicions
+        }
+    }
+
+    /// An n = 16 attacker, three of its captures and a measured calibration,
+    /// shared by every case of the differential property.
+    fn differential_fixture() -> &'static DifferentialFixture {
+        static FIXTURE: std::sync::OnceLock<DifferentialFixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let (device, attack) = trained(16, 0xD1FF);
+            let mut rng = StdRng::seed_from_u64(0xD1FF);
+            let mut captures: Vec<_> = (0..4)
+                .map(|_| {
+                    let run = device.capture_fresh(&mut rng).unwrap().run;
+                    (run.capture.samples, run.coefficient_windows)
+                })
+                .collect();
+            let (clean, _) = captures.pop().unwrap();
+            let calibration = calibrate(&clean, attack.config()).unwrap();
+            (attack, captures, calibration)
+        })
+    }
+
+    type DifferentialFixture = (
+        TrainedAttack,
+        Vec<(Vec<f64>, Vec<(usize, usize)>)>,
+        Calibration,
+    );
+
+    /// Knob and calibration values no sane caller sets.
+    const HOSTILE: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -1.0,
+        1e300,
+        1e-300,
+        1.0,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn prop_attack_trace_matches_the_reference_stages(
+            capture in 0usize..3,
+            degradation in 0usize..6,
+            cut in 0usize..4,
+            poison in 0usize..4,
+            at in 0.0f64..1.0,
+            scale in 0usize..5,
+            knobs in proptest::collection::vec(0usize..16, 5),
+            calibration in 0usize..4,
+            level in 0usize..9,
+            n in 0usize..8,
+        ) {
+            let (attack, captures, measured) = differential_fixture();
+            let (clean, windows) = &captures[capture];
+            // Degrade: a chaos sweep, spikes or noise on their own, then a
+            // truncation, a poisoned sample and a scale.
+            let spikes = Fault::GlitchSpikes { rate: 0.004, magnitude: 2.0 };
+            let plan = match degradation {
+                0 => ChaosPlan { seed: 0, faults: Vec::new() },
+                1..=3 => ChaosPlan::standard_sweep(capture as u64, 0.25 * degradation as f64),
+                4 => ChaosPlan { seed: 9, faults: vec![spikes] },
+                _ => ChaosPlan::noise_only(9, 0.2),
+            };
+            let mut samples = plan.inject(clean, windows).samples;
+            samples.truncate(samples.len() * (4 - cut) / 4);
+            if poison > 0 && !samples.is_empty() {
+                let i = ((samples.len() - 1) as f64 * at) as usize;
+                samples[i] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison - 1];
+            }
+            let factor = [1.0, 1e-300, 1e300, -1.0, 3.0][scale];
+            for x in &mut samples {
+                *x *= factor;
+            }
+            // Each knob keeps its default or takes a hostile value.
+            let knob = |i: usize, default: f64| {
+                HOSTILE.get(knobs[i]).copied().unwrap_or(default)
+            };
+            let defaults = RobustConfig::default();
+            let config = RobustConfig {
+                glitch_z: knob(0, defaults.glitch_z),
+                glitch_floor_fraction: knob(1, defaults.glitch_floor_fraction),
+                score_z: knob(2, defaults.score_z),
+                gain_tolerance: knob(3, defaults.gain_tolerance),
+                length_z: knob(4, defaults.length_z),
+                ..defaults
+            };
+            let mut robust = RobustAttack::new(attack).with_config(config);
+            robust = match calibration {
+                0 => robust,
+                1 => robust.with_calibration(*measured),
+                2 => robust.with_calibration(Calibration {
+                    reference_burst_level: HOSTILE[level],
+                    ..*measured
+                }),
+                _ => robust.with_calibration(Calibration {
+                    reference_noise_sigma: HOSTILE[level],
+                    reference_burst_level: measured.reference_burst_level * factor,
+                }),
+            };
+            let n = [16, 16, 16, 0, 1, 8, 17, 23][n];
+            let policy = HintPolicy::seal_paper();
+            let fast = robust.attack_trace(&samples, n, &policy);
+            let oracle = robust.attack_trace_with(
+                &samples,
+                n,
+                &policy,
+                reference::noise_sigma,
+                reference::screen,
+            );
+            // Debug output spells every float, NaN included.
+            prop_assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+        }
     }
 
     #[test]

@@ -33,6 +33,7 @@
 pub mod align;
 pub mod cpa;
 pub mod export;
+pub mod order;
 pub mod poi;
 pub mod sanity;
 pub mod segment;
@@ -43,9 +44,7 @@ pub mod tvla;
 pub use align::{align_to_mean, best_shift, AlignError};
 pub use cpa::{cpa_rank, distinguishing_margin, CpaError, CpaScore};
 pub use poi::{select_pois, PoiError, PoiMethod};
-pub use sanity::{
-    check_finite, mad_outlier_flags, median, median_abs_deviation, robust_noise_sigma,
-};
+pub use sanity::{check_finite, mad_outlier_flags, median, robust_noise_sigma};
 pub use segment::{segment_windows, SegmentConfig, SegmentError};
 pub use stats::{pearson_correlation, Covariance, RunningStats};
 pub use trace::{resample_linear, Trace, TraceSet};

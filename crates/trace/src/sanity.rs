@@ -1,19 +1,24 @@
 //! Robust sanity statistics for degraded acquisitions: finiteness checks,
-//! median / median-absolute-deviation (MAD) outlier detection, and a robust
-//! per-trace noise estimate.
+//! median / median-absolute-deviation (MAD) outlier detection, a robust
+//! per-trace noise estimate and the finite range of a trace.
 //!
 //! These are the building blocks of the self-healing attack driver
-//! (`reveal-attack`'s `robust` module): burst lengths and ladder-window
-//! levels are screened with MAD outlier flags, and the noise estimate feeds
-//! the confidence derating that gates the hint-degradation ladder. MAD is
-//! used instead of mean/σ throughout because a single glitch spike or a
-//! merged burst would drag a moment-based screen past its own outliers.
+//! (`reveal-attack`'s `robust` module): ladder-window samples, burst
+//! lengths and fit scores are screened with MAD statistics, burst gains
+//! with medians, and the noise estimate feeds the confidence derating that
+//! gates the hint-degradation ladder. MAD is used instead of mean/σ
+//! throughout because a single glitch spike or a merged burst would drag a
+//! moment-based screen past its own outliers.
 //!
 //! Every order statistic is a linear-time selection, not a sort.
-//! [`median_in_place`] and [`mad_in_place`] are the in-place primitives
-//! underneath: a caller screening many windows refills one buffer instead
-//! of allocating per window.
+//! [`median_in_place`] and [`mad_in_place`] are the in-place primitives: a
+//! caller screening many windows refills one buffer instead of allocating
+//! per window. [`robust_noise_sigma`] selects both of its medians with the
+//! bracket selection of [`crate::order`], over differences computed on the
+//! fly. The robust driver runs the window and burst selections only where
+//! an exact bound cannot decide its screen.
 
+use crate::order::bracketed_median;
 use crate::segment::SegmentError;
 use std::cmp::Ordering;
 
@@ -85,46 +90,6 @@ pub fn median(xs: &[f64]) -> f64 {
     median_in_place(&mut xs.to_vec())
 }
 
-/// The `p`-th percentile (`0.0 ≤ p ≤ 100.0`, clamped; a NaN `p` is treated
-/// as the median request) of a slice by linear interpolation between order
-/// statistics (0.0 for an empty slice). `percentile(xs, 50.0)` agrees with
-/// [`median`] for every length; the `p = 0` / `p = 100` extremes return
-/// the exact minimum / maximum order statistic with no interpolation
-/// arithmetic in between.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    // A NaN p would poison the rank arithmetic below (NaN survives clamp);
-    // the least surprising robust reading of "no particular percentile" is
-    // the median.
-    let p = if p.is_nan() {
-        50.0
-    } else {
-        p.clamp(0.0, 100.0)
-    };
-    let mut buf = xs.to_vec();
-    let last = buf.len() - 1;
-    // p = 0 and p = 100 put the rank exactly on 0 and `last`.
-    let rank = (p / 100.0) * last as f64;
-    let lo = rank.floor() as usize;
-    let w = rank - lo as f64;
-    let (_, lower, right) = buf.select_nth_unstable_by(lo, numeric_order);
-    let lower = *lower;
-    if w == 0.0 {
-        return lower;
-    }
-    // A fractional rank sits below `last`, so the next order statistic is
-    // the smallest element of the right partition.
-    let upper = right.iter().copied().min_by(numeric_order).unwrap_or(lower);
-    lower * (1.0 - w) + upper * w
-}
-
-/// The median absolute deviation from the median (0.0 for an empty slice).
-pub fn median_abs_deviation(xs: &[f64]) -> f64 {
-    mad_in_place(&mut xs.to_vec()).1
-}
-
 /// Flags entries whose robust z-score `|x − median| / (MAD·1.4826)` exceeds
 /// `k`. The MAD is floored at `scale_floor` so an (almost) constant
 /// population does not flag every harmless wiggle.
@@ -138,17 +103,59 @@ pub fn mad_outlier_flags(xs: &[f64], k: f64, scale_floor: f64) -> Vec<bool> {
 /// first differences, scaled to σ (differencing doubles the noise variance
 /// and suppresses the slow signal component, so glitches and bursts barely
 /// move it).
+///
+/// Both medians are bracketed selections over differences computed on the
+/// fly ([`crate::order`]): no trace-length buffer, no full-domain
+/// selection. On finite samples the estimate is bit-identical to
+/// [`mad_in_place`] over the materialized differences; a trace with NaN or
+/// infinite samples gets an unspecified estimate, never a panic.
 pub fn robust_noise_sigma(samples: &[f64]) -> f64 {
     if samples.len() < 2 {
         return 0.0;
     }
-    let mut diffs: Vec<f64> = samples.windows(2).map(|w| w[1] - w[0]).collect();
-    mad_in_place(&mut diffs).1 * MAD_TO_SIGMA / std::f64::consts::SQRT_2
+    let len = samples.len() - 1;
+    let diff = |j: usize| samples[j + 1] - samples[j];
+    let (mut sample, mut inside) = (Vec::new(), Vec::new());
+    let med = bracketed_median(len, diff, &mut sample, &mut inside);
+    let mad = bracketed_median(len, |j| (diff(j) - med).abs(), &mut sample, &mut inside);
+    mad * MAD_TO_SIGMA / std::f64::consts::SQRT_2
+}
+
+/// The minimum and maximum of the finite samples (`(∞, −∞)` when there are
+/// none), in one pass over four independent compare-and-select lanes. Each
+/// lane keeps one of its inputs, so the pair equals a sequential
+/// `f64::min` / `f64::max` fold over the finite samples, up to the sign of
+/// a zero extreme.
+pub fn finite_min_max(samples: &[f64]) -> (f64, f64) {
+    const LANES: usize = 4;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let chunks = samples.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for lane in 0..LANES {
+            // NaN and ±∞ fail the finiteness compare.
+            let x = chunk[lane];
+            let finite = x.abs() < f64::INFINITY;
+            lo[lane] = if finite && x < lo[lane] { x } else { lo[lane] };
+            hi[lane] = if finite && x > hi[lane] { x } else { hi[lane] };
+        }
+    }
+    for &x in tail.iter().filter(|x| x.is_finite()) {
+        lo[0] = lo[0].min(x);
+        hi[0] = hi[0].max(x);
+    }
+    (
+        lo.into_iter().fold(f64::INFINITY, f64::min),
+        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::tests::PALETTE;
+    use crate::order::{sample_keys, sample_position, RankRun, SAMPLE};
     use proptest::prelude::*;
 
     /// The sort-based statistics the selection-based ones replaced, kept as
@@ -172,34 +179,6 @@ mod tests {
                 sorted[mid]
             } else {
                 0.5 * (sorted[mid - 1] + sorted[mid])
-            }
-        }
-
-        pub fn percentile(xs: &[f64], p: f64) -> f64 {
-            if xs.is_empty() {
-                return 0.0;
-            }
-            let p = if p.is_nan() {
-                50.0
-            } else {
-                p.clamp(0.0, 100.0)
-            };
-            let sorted = sorted(xs);
-            let last = sorted.len() - 1;
-            if last == 0 || p == 0.0 {
-                return sorted[0];
-            }
-            if p == 100.0 {
-                return sorted[last];
-            }
-            let rank = (p / 100.0) * last as f64;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            if lo == hi {
-                sorted[lo]
-            } else {
-                let w = rank - lo as f64;
-                sorted[lo] * (1.0 - w) + sorted[hi] * w
             }
         }
 
@@ -247,15 +226,14 @@ mod tests {
         fn prop_selection_statistics_match_sorted_oracle(
             codes in proptest::collection::vec(0u32..u32::MAX, 1..301),
             scale in 0usize..4,
-            p in 0.0f64..100.0,
             k in 0.5f64..8.0,
         ) {
             let xs: Vec<f64> = codes.iter().map(|&c| finite_sample(c, SCALES[scale])).collect();
             prop_assert_eq!(median(&xs), oracle::median(&xs));
-            prop_assert_eq!(median_abs_deviation(&xs), oracle::median_abs_deviation(&xs));
-            for p in [0.0, p, 50.0, 100.0] {
-                prop_assert_eq!(percentile(&xs, p), oracle::percentile(&xs, p), "p {}", p);
-            }
+            prop_assert_eq!(
+                mad_in_place(&mut xs.clone()),
+                (oracle::median(&xs), oracle::median_abs_deviation(&xs))
+            );
             for floor in [0.0, 1e-9] {
                 prop_assert_eq!(
                     mad_outlier_flags(&xs, k, floor),
@@ -273,6 +251,117 @@ mod tests {
                 robust_noise_sigma(tail).to_bits(),
                 oracle::robust_noise_sigma(tail).to_bits()
             );
+        }
+    }
+
+    /// The estimate before bracket selection: one MAD selection over the
+    /// materialized differences.
+    fn materialized_noise_sigma(samples: &[f64]) -> f64 {
+        let mut diffs: Vec<f64> = samples.windows(2).map(|w| w[1] - w[0]).collect();
+        mad_in_place(&mut diffs).1 * MAD_TO_SIGMA / std::f64::consts::SQRT_2
+    }
+
+    #[test]
+    fn noise_sigma_matches_oracles_above_the_pivot_sample() {
+        // Difference domains just above and a few times the pivot sample,
+        // at both parities: both medians select through hashed positions.
+        for len in [SAMPLE + 1, SAMPLE + 2, 9_999, 20_000] {
+            let hash = |i: usize| reveal_par::derive_seed(11, i as u64);
+            let noise = |i: usize| (hash(i) % 10_000) as f64 * 1e-3;
+            let cases: Vec<Vec<f64>> = vec![
+                vec![1.5; len],
+                (0..len).map(|i| PALETTE[i % PALETTE.len()]).collect(),
+                (0..len)
+                    .map(|i| PALETTE[hash(i) as usize % PALETTE.len()])
+                    .collect(),
+                (0..len).map(noise).collect(),
+                (0..len).map(|i| noise(i) * 1e-310).collect(),
+                (0..len)
+                    .map(|i| {
+                        if i % 4 == 0 {
+                            -0.0
+                        } else {
+                            (hash(i) % 5) as f64
+                        }
+                    })
+                    .collect(),
+                (0..len).map(|i| i as f64 * 0.5 + noise(i)).collect(),
+            ];
+            for (c, samples) in cases.iter().enumerate() {
+                let got = robust_noise_sigma(samples).to_bits();
+                let sorted = oracle::robust_noise_sigma(samples).to_bits();
+                assert_eq!(got, sorted, "len {len}, case {c}");
+                assert_eq!(got, materialized_noise_sigma(samples).to_bits());
+            }
+            // Differences overflowing to ±∞ and deviations to NaN: past the
+            // sort oracle, still the materialized selection's bits.
+            let extreme: Vec<f64> = (0..len)
+                .map(|i| [f64::MAX, -f64::MAX, 0.0][hash(i) as usize % 3])
+                .collect();
+            assert_eq!(
+                robust_noise_sigma(&extreme).to_bits(),
+                materialized_noise_sigma(&extreme).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn missed_median_bracket_falls_back_exactly() {
+        // Every pivot-sample position of the difference domain holds a
+        // difference far above the rest, so the sampled median lies far
+        // above the true one and the median bracket misses.
+        let len = 3 * SAMPLE;
+        let mut diffs: Vec<f64> = (0..len).map(|j| (j % 97) as f64).collect();
+        for i in 0..SAMPLE {
+            diffs[sample_position(i, len)] = 1e6 + i as f64;
+        }
+        let (mut sample, mut inside) = (Vec::new(), Vec::new());
+        sample_keys(len, |j| diffs[j], &mut sample);
+        let mut run = RankRun::new(len / 2 - 1, len / 2, len, &sample, &mut inside);
+        for &d in &diffs {
+            run.offer(d);
+        }
+        assert!(!run.hit(), "the planted sample must make the bracket miss");
+        // Integer prefix sums, so the trace's differences are exactly `diffs`.
+        let samples: Vec<f64> = std::iter::once(0.0)
+            .chain(diffs.iter().scan(0.0, |acc, &d| {
+                *acc += d;
+                Some(*acc)
+            }))
+            .collect();
+        assert_eq!(
+            robust_noise_sigma(&samples).to_bits(),
+            oracle::robust_noise_sigma(&samples).to_bits()
+        );
+    }
+
+    #[test]
+    fn finite_min_max_matches_the_filtered_folds() {
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            -3.5,
+            1e300,
+            5e-324,
+        ];
+        for len in 0..40usize {
+            for seed in 0..6u64 {
+                let xs: Vec<f64> = (0..len)
+                    .map(|i| values[reveal_par::derive_seed(seed, i as u64) as usize % 9])
+                    .collect();
+                let finite = xs.iter().copied().filter(|x| x.is_finite());
+                let lo = finite.clone().fold(f64::INFINITY, f64::min);
+                let hi = finite.fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!(finite_min_max(&xs), (lo, hi), "{xs:?}");
+                // The screens' range keeps its bits whatever sign a zero
+                // extreme carries.
+                let (l, h) = finite_min_max(&xs);
+                assert_eq!((h - l).max(1e-12).to_bits(), (hi - lo).max(1e-12).to_bits());
+            }
         }
     }
 
@@ -298,7 +387,6 @@ mod tests {
         }
         let _ = robust_noise_sigma(&trace);
         let _ = median(&trace);
-        let _ = percentile(&trace, 30.0);
         let _ = mad_outlier_flags(&trace, 6.0, 1e-9);
     }
 
@@ -325,50 +413,9 @@ mod tests {
     }
 
     #[test]
-    fn percentile_interpolates_and_matches_median() {
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-        let xs = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert_eq!(percentile(&xs, 50.0), median(&xs));
-        // rank 0.25·3 = 0.75 → 1.0 + 0.75·(2.0 − 1.0).
-        assert_eq!(percentile(&xs, 25.0), 1.75);
-        // Out-of-range p clamps instead of panicking.
-        assert_eq!(percentile(&xs, -5.0), 1.0);
-        assert_eq!(percentile(&xs, 400.0), 4.0);
-        let odd = [9.0, 5.0, 1.0];
-        assert_eq!(percentile(&odd, 50.0), median(&odd));
-    }
-
-    #[test]
-    fn percentile_edge_cases_are_explicit() {
-        // Empty slice: the documented 0.0 sentinel, at every p.
-        assert_eq!(percentile(&[], 0.0), 0.0);
-        assert_eq!(percentile(&[], 100.0), 0.0);
-        assert_eq!(percentile(&[], f64::NAN), 0.0);
-        // Single element: that element, at every p including the extremes.
-        for p in [0.0, 13.7, 50.0, 100.0, -3.0, 250.0, f64::NAN] {
-            assert_eq!(percentile(&[42.5], p), 42.5);
-        }
-        // p = 0 / p = 100 are the exact order-statistic extremes.
-        let xs = [2.0, -7.5, 11.0, 0.25];
-        assert_eq!(percentile(&xs, 0.0), -7.5);
-        assert_eq!(percentile(&xs, 100.0), 11.0);
-        // NaN p degrades to the median instead of poisoning the rank.
-        assert_eq!(percentile(&xs, f64::NAN), median(&xs));
-        // Infinite p clamps like any out-of-range value.
-        assert_eq!(percentile(&xs, f64::INFINITY), 11.0);
-        assert_eq!(percentile(&xs, f64::NEG_INFINITY), -7.5);
-        // Two elements interpolate linearly across the whole range.
-        assert_eq!(percentile(&[10.0, 20.0], 25.0), 12.5);
-        assert_eq!(percentile(&[10.0, 20.0], 75.0), 17.5);
-    }
-
-    #[test]
     fn mad_is_robust_to_one_outlier() {
         let xs = [10.0, 10.1, 9.9, 10.0, 1000.0];
-        assert!(median_abs_deviation(&xs) < 0.2);
+        assert!(mad_in_place(&mut xs.to_vec()).1 < 0.2);
         let flags = mad_outlier_flags(&xs, 6.0, 1e-9);
         assert_eq!(flags, vec![false, false, false, false, true]);
     }

@@ -11,6 +11,7 @@
 //! `μ + k·σ`, merges the resulting bursts, and emits one window per burst
 //! (from the start of a burst to the start of the next).
 
+use crate::order::{last_not_exceeding, sample_keys, total_order_key, RankRun};
 use std::fmt;
 
 /// Configuration of the peak-based segmenter.
@@ -84,144 +85,9 @@ impl SegmentScratch {
     }
 }
 
-/// Monotone total-order key of an `f64`: `a < b` numerically implies
-/// `key(a) < key(b)` (IEEE-754 sign-magnitude flipped into two's
-/// complement). `-0.0` orders just below `+0.0`; the two are numerically
-/// interchangeable in every downstream use here, so the selections keep the
-/// exact order-statistic semantics of the comparison-based references.
-#[inline]
-fn total_order_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
-
-/// Items in the pivot sample of a selection domain: enough that a sampled
-/// percentile lands within a few dozen sample ranks of the true one, few
-/// enough to sort in tens of microseconds.
-const SAMPLE: usize = 4096;
-
-/// Bracket margin in sample ranks, `√SAMPLE`. The sampled rank of the 5th
-/// percentile has a standard deviation of `√(SAMPLE · 0.05 · 0.95) ≈ 14`
-/// ranks, so a bracket misses only on a ~4.6σ deviation.
-const MARGIN: usize = 64;
-
 /// The 5th and 95th percentile ranks of `len` items.
 fn percentile_ranks(len: usize) -> (usize, usize) {
     ((len - 1) * 5 / 100, (len - 1) * 95 / 100)
-}
-
-/// Position of pivot sample `i` in a domain of `len` items: a SplitMix64
-/// hash of the index scaled onto `0..len`. Positions depend on nothing but
-/// `(i, len)`, so every selection is reproducible without generator state.
-fn sample_position(i: usize, len: usize) -> usize {
-    let h = reveal_par::derive_seed(0, i as u64);
-    ((u128::from(h) * len as u128) >> 64) as usize
-}
-
-/// Fills `keys` with the sorted total-order keys of a domain's pivot
-/// sample: every item when the domain has at most [`SAMPLE`] items, else
-/// [`SAMPLE`] items at [`sample_position`]s.
-fn sample_keys(len: usize, item: impl Fn(usize) -> f64, keys: &mut Vec<u64>) {
-    keys.clear();
-    if len <= SAMPLE {
-        keys.extend((0..len).map(|j| total_order_key(item(j))));
-    } else {
-        keys.extend((0..SAMPLE).map(|i| total_order_key(item(sample_position(i, len)))));
-    }
-    keys.sort_unstable();
-}
-
-/// An exact rank run `first..=last` (0-based, ascending) of a domain of
-/// `len` items, bracketed by two total-order keys read off the domain's
-/// sorted pivot sample `MARGIN` sample ranks outside the run's estimated
-/// position. A counting pass ([`offer`](Self::offer) per item) counts the
-/// items below the bracket and gathers the ones inside it. When the run
-/// lies inside the bracket ([`hit`](Self::hit)), the run is the gathered
-/// set's ranks `first - below ..= last - below`: exactly the values a full
-/// sort of the domain puts at ranks `first..=last`. Equal keys are equal
-/// bit patterns, so ties cannot change the answer.
-struct RankRun<'a> {
-    first: usize,
-    last: usize,
-    low: u64,
-    high: u64,
-    below: usize,
-    inside: &'a mut Vec<f64>,
-}
-
-impl<'a> RankRun<'a> {
-    fn new(
-        first: usize,
-        last: usize,
-        len: usize,
-        sample: &[u64],
-        inside: &'a mut Vec<f64>,
-    ) -> Self {
-        // Estimated sample rank of domain rank `r` (exact when the sample
-        // is the whole domain).
-        let scaled = |r: usize| (r as u128 * sample.len() as u128 / len as u128) as usize;
-        let low = scaled(first).checked_sub(MARGIN).map_or(0, |i| sample[i]);
-        let high = sample
-            .get(scaled(last) + MARGIN)
-            .copied()
-            .unwrap_or(u64::MAX);
-        inside.clear();
-        Self {
-            first,
-            last,
-            low,
-            high,
-            below: 0,
-            inside,
-        }
-    }
-
-    #[inline]
-    fn offer(&mut self, x: f64) {
-        let k = total_order_key(x);
-        self.below += usize::from(k < self.low);
-        if (self.low..=self.high).contains(&k) {
-            self.inside.push(x);
-        }
-    }
-
-    /// Whether the bracket holds the whole run.
-    fn hit(&self) -> bool {
-        self.below <= self.first && self.below + self.inside.len() > self.last
-    }
-
-    /// The exact fallback for a missed bracket: one more pass over the
-    /// domain with the bracket opened to every key, so the selection below
-    /// runs over all `len` items.
-    fn settle(&mut self, len: usize, item: impl Fn(usize) -> f64) {
-        if self.hit() {
-            return;
-        }
-        self.low = 0;
-        self.high = u64::MAX;
-        self.below = 0;
-        self.inside.clear();
-        for j in 0..len {
-            self.offer(item(j));
-        }
-    }
-
-    /// The run's values in ascending total order (after [`settle`](Self::settle)).
-    fn select(self) -> &'a [f64] {
-        let lo = self.first - self.below;
-        let hi = self.last - self.below;
-        let g = self.inside.as_mut_slice();
-        g.select_nth_unstable_by_key(hi, |&d| total_order_key(d));
-        if lo < hi {
-            g[..hi].select_nth_unstable_by_key(lo, |&d| total_order_key(d));
-            g[lo..hi].sort_unstable_by_key(|&d| total_order_key(d));
-        }
-        &g[lo..=hi]
-    }
 }
 
 /// The exact order statistics at `ranks` (each below `values.len()`) of a
@@ -292,46 +158,6 @@ pub fn smooth(samples: &[f64], window: usize) -> Result<Vec<f64>, SegmentError> 
             (prefix[hi] - prefix[lo]) / (hi - lo) as f64
         })
         .collect())
-}
-
-/// The next representable `f64` toward `+∞` (finite, non-NaN input).
-#[inline]
-fn next_toward_pos_inf(x: f64) -> f64 {
-    if x == 0.0 {
-        return f64::from_bits(1); // smallest positive subnormal; covers -0.0
-    }
-    let bits = x.to_bits();
-    if bits >> 63 == 0 {
-        f64::from_bits(bits + 1)
-    } else {
-        f64::from_bits(bits - 1)
-    }
-}
-
-/// The next representable `f64` toward `-∞` (finite, non-NaN input).
-#[inline]
-fn next_toward_neg_inf(x: f64) -> f64 {
-    -next_toward_pos_inf(-x)
-}
-
-/// The largest finite `d` with `d / denom <= threshold`, found by walking
-/// ulps from `threshold * denom` (a step or two at most — the product is
-/// already within rounding error of the exact boundary). IEEE division by a
-/// positive constant is monotone non-decreasing, so `sum > boundary` is
-/// *exactly* `sum / denom > threshold` — without performing the division.
-fn diff_boundary(threshold: f64, denom: f64) -> f64 {
-    let mut d = threshold * denom;
-    while d / denom > threshold {
-        d = next_toward_neg_inf(d);
-    }
-    loop {
-        let up = next_toward_pos_inf(d);
-        if up.is_finite() && up / denom <= threshold {
-            d = up;
-        } else {
-            return d;
-        }
-    }
 }
 
 /// The combined rank-`rank` smoothed value out of the interior candidate
@@ -425,7 +251,7 @@ type BurstsAndLevels = (Vec<(usize, usize)>, (f64, f64));
 ///    percentile candidate runs of the windowed sums and the two raw
 ///    percentile ranks ([`RankRun`]);
 /// 3. after selecting inside the small brackets, the threshold scan against
-///    an ulp-exact boundary ([`diff_boundary`]).
+///    an ulp-exact boundary ([`last_not_exceeding`]).
 ///
 /// The diff-to-value map is monotone and the boundary is exact, so every
 /// burst index is identical to [`find_bursts_reference`]'s.
@@ -521,12 +347,19 @@ fn bursts_and_raw_levels(
         return Err(SegmentError::NoPeaksFound);
     }
     let threshold = lo + config.threshold_fraction * (hi - lo);
-    let boundary = diff_boundary(threshold, denom);
+    // IEEE division by a positive constant is monotone, so `d > boundary`
+    // is exactly `d / denom > threshold` without the division; a walk that
+    // does not settle keeps the division.
+    let boundary = last_not_exceeding(threshold * denom, |d| d / denom > threshold);
+    let above = |d: f64| match boundary {
+        Some(b) => d > b,
+        None => d / denom > threshold,
+    };
     // Pass 3: the division-free threshold scan.
     let flags = head
         .iter()
         .map(|&v| v > threshold)
-        .chain((0..interior).map(|j| diff(j) > boundary))
+        .chain((0..interior).map(|j| above(diff(j))))
         .chain(tail.iter().map(|&v| v > threshold));
     Ok((bursts_from_flags(flags, config)?, raw_levels))
 }
@@ -747,6 +580,8 @@ pub fn window_alignment_score(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::order::tests::PALETTE;
+    use crate::order::{sample_position, SAMPLE};
     use proptest::prelude::*;
 
     fn synthetic_trace(bursts: &[(usize, usize)], len: usize, floor: f64, peak: f64) -> Vec<f64> {
@@ -908,12 +743,6 @@ mod tests {
             );
         }
     }
-
-    /// Ties, both zeros, subnormals and extremes: the values a heavy-tie
-    /// case draws from.
-    const PALETTE: [f64; 10] = [
-        -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 2.5, 1e300, -1e300,
-    ];
 
     #[test]
     fn bracket_order_statistics_match_sorted_oracle_on_shaped_inputs() {
