@@ -190,8 +190,8 @@ impl Device {
     /// [`Device::capture_chosen`] through the reference oracle
     /// ([`SamplerKernel::run_reference`]): per-step decoding, a
     /// materialized record list, and `sin`-per-bit rendering. Bit-identical
-    /// output; exists so the equivalence tests and `bench_pipeline` can
-    /// compare the fast path against it.
+    /// output; exists so the equivalence tests can check the fast path
+    /// against it and the fast-path timing test can measure it.
     ///
     /// # Errors
     ///

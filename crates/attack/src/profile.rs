@@ -7,7 +7,6 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use reveal_rv32::kernel::KernelError;
-use reveal_rv32::BlockCacheStats;
 use reveal_rv32::PowerCapture;
 use reveal_template::{
     CovarianceMode, LearnedClassifier, LearnedConfig, LearnedError, TemplateError, TemplateSet,
@@ -112,8 +111,8 @@ pub fn extract_ladder_windows_into(
 }
 
 /// [`extract_ladder_windows`] through the pre-fast-path segmenters (full
-/// percentile sorts per trace). Identical windows; kept for the
-/// `bench_pipeline` fast-path vs baseline comparison.
+/// percentile sorts per trace). Identical windows; kept for
+/// [`collect_profiling_baseline`], the fast path's oracle and yardstick.
 ///
 /// # Errors
 ///
@@ -334,16 +333,6 @@ pub struct ProfilingData {
     pub neg_set: TraceSet,
     /// Total windows that survived segmentation.
     pub total_windows: usize,
-    /// Burst-memo lookups served warm across all worker scratches
-    /// (diagnostics: partition-dependent, value-neutral — see
-    /// [`reveal_rv32::kernel::SamplerScratch::memo_hits`]).
-    pub scratch_hits: u64,
-    /// Burst-memo lookups rendered cold across all worker scratches.
-    pub scratch_misses: u64,
-    /// Superinstruction-block compilation/dispatch statistics merged across
-    /// all worker scratches (diagnostics: partition-dependent,
-    /// value-neutral).
-    pub block_stats: BlockCacheStats,
 }
 
 /// One profiling worker's reusable state: the rv32 sampler scratch (trace
@@ -425,9 +414,6 @@ fn accumulate_runs(
         pos_set: TraceSet::new(),
         neg_set: TraceSet::new(),
         total_windows: 0,
-        scratch_hits: 0,
-        scratch_misses: 0,
-        block_stats: BlockCacheStats::default(),
     };
     for run_yield in collected {
         let Some((values, windows)) = run_yield? else {
@@ -476,27 +462,20 @@ pub fn collect_profiling(
     master_seed: u64,
 ) -> Result<ProfilingData, AttackError> {
     let labels = config.value_labels();
-    let (collected, scratches) = reveal_par::par_map_index_with_scratch(
+    accumulate_runs(reveal_par::par_map_index_with_scratch(
         runs,
         &PROFILE_RUN_COST,
         1,
         ProfileScratch::new,
         |scratch, run| profiling_run(device, config, &labels, master_seed, run, Some(scratch)),
-    );
-    let mut data = accumulate_runs(collected)?;
-    for scratch in &scratches {
-        data.scratch_hits += scratch.sampler.memo_hits();
-        data.scratch_misses += scratch.sampler.memo_misses();
-        data.block_stats.merge(&scratch.sampler.block_stats());
-    }
-    Ok(data)
+    ))
 }
 
 /// The oracle for [`collect_profiling`]: a plain serial loop over the runs,
 /// materializing captures through [`Device::capture_chosen_reference`]
 /// (per-step decoding, `sin`-per-bit rendering, per-sample noise). Kept for
-/// the equivalence tests and the single-threaded `bench_pipeline` fast-path
-/// vs baseline comparison.
+/// the equivalence tests, and as the yardstick of the fast-path timing test
+/// (`fast_path_outpaces_the_reference_collector`).
 ///
 /// # Errors
 ///

@@ -19,8 +19,14 @@ use reveal_bench::write_artifact;
 use reveal_hints::{DbddInstance, LweParameters};
 use reveal_lattice::embedding::{random_instance, solve_lwe, SolverConfig};
 
+/// The error bound `b` of the generated instances: errors are uniform on
+/// `{-b..=b}`.
+const ERROR_BOUND: i64 = 2;
+
 fn main() {
-    println!("Estimator-vs-solver cross-validation (q = 3329, ternary secret, |e| <= 2)\n");
+    println!(
+        "Estimator-vs-solver cross-validation (q = 3329, ternary secret, |e| <= {ERROR_BOUND})\n"
+    );
     println!(
         "{:>4} {:>4} {:>16} {:>16} {:>10}",
         "n", "m", "predicted beta", "solved at beta", "solved?"
@@ -28,7 +34,8 @@ fn main() {
     println!("{}", "-".repeat(56));
     let mut csv = String::from("n,m,predicted_beta,solved_at_beta,solved\n");
     let mut rng = StdRng::seed_from_u64(99);
-    let sigma_e = 1.3; // std of uniform{-2..2}
+    // The std of uniform{-b..=b}: its variance is ((2b + 1)² − 1) / 12.
+    let sigma_e = ((ERROR_BOUND * (ERROR_BOUND + 1)) as f64 / 3.0).sqrt();
     let mut predictions = Vec::new();
     let mut observations = Vec::new();
     for &(n, m) in &[
@@ -54,7 +61,7 @@ fn main() {
         let trials = 3;
         let mut solved_betas = Vec::new();
         for _ in 0..trials {
-            let (instance, secret, _) = random_instance(n, m, 3329, 2, &mut rng);
+            let (instance, secret, _) = random_instance(n, m, 3329, ERROR_BOUND, &mut rng);
             let config = SolverConfig {
                 beta_schedule: vec![2, 3, 4, 6, 8, 10, 14, 18, 24],
                 ..SolverConfig::default()

@@ -5,9 +5,9 @@
 
 //! # reveal-bench
 //!
-//! Shared harness code for the table/figure generator binaries and the
-//! criterion benchmarks. Every table and figure of the paper has a dedicated
-//! binary (see `src/bin/`); `cargo bench` runs the performance suites.
+//! Shared harness code for the table/figure generator binaries. Every table
+//! and figure of the paper has a dedicated binary (see `src/bin/`). Timing
+//! lives in the repository benchmark (`perfbench/`), not here.
 //!
 //! Scale control: generators default to a *paper-shaped but tractable*
 //! workload and honour two environment variables:

@@ -420,4 +420,72 @@ mod tests {
             Err(SerializeError::InvalidValue)
         );
     }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+
+        /// The paper context and one valid encoding of each object kind.
+        fn fixtures() -> &'static (BfvContext, [Vec<u8>; 4]) {
+            static FIXTURES: OnceLock<(BfvContext, [Vec<u8>; 4])> = OnceLock::new();
+            FIXTURES.get_or_init(|| {
+                let (ctx, sk, pk, mut rng) = setup();
+                let plain = Plaintext::constant(&ctx, 7);
+                let ct = Encryptor::new(&ctx, &pk).encrypt(&plain, &mut rng);
+                let blobs = [
+                    save_plaintext(&ctx, &plain),
+                    save_ciphertext(&ctx, &ct),
+                    save_secret_key(&ctx, &sk),
+                    save_public_key(&ctx, &pk),
+                ];
+                (ctx, blobs)
+            })
+        }
+
+        /// Applies the edit `bits` encodes: flip one bit, truncate, or
+        /// append up to 16 bytes.
+        fn mutate(bytes: &mut Vec<u8>, bits: u64) {
+            let at = (bits >> 8) as usize;
+            match bits % 3 {
+                0 if !bytes.is_empty() => {
+                    let len = bytes.len();
+                    bytes[at / 8 % len] ^= 1 << (at % 8);
+                }
+                1 => bytes.truncate(at % (bytes.len() + 1)),
+                _ => bytes.extend((0..=at % 16).map(|i| (bits >> (i % 8 * 8)) as u8)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every loader, fed any edited encoding of any object, either
+            /// fails typed or returns an object that saves back to exactly
+            /// those bytes (the format is canonical).
+            #[test]
+            fn edited_encodings_load_typed_or_round_trip(
+                object in 0usize..4,
+                script in proptest::collection::vec(any::<u64>(), 1..4),
+            ) {
+                let (ctx, blobs) = fixtures();
+                let mut bytes = blobs[object].clone();
+                for bits in script {
+                    mutate(&mut bytes, bits);
+                }
+                if let Ok(p) = load_plaintext(ctx, &bytes) {
+                    prop_assert!(save_plaintext(ctx, &p) == bytes);
+                }
+                if let Ok(ct) = load_ciphertext(ctx, &bytes) {
+                    prop_assert!(save_ciphertext(ctx, &ct) == bytes);
+                }
+                if let Ok(sk) = load_secret_key(ctx, &bytes) {
+                    prop_assert!(save_secret_key(ctx, &sk) == bytes);
+                }
+                if let Ok(pk) = load_public_key(ctx, &bytes) {
+                    prop_assert!(save_public_key(ctx, &pk) == bytes);
+                }
+            }
+        }
+    }
 }

@@ -32,9 +32,9 @@
 //! ## Observability
 //!
 //! Models register themselves on first use; [`snapshots`] returns every
-//! registered model's measured cost and last plan, which `bench_pipeline`
-//! records in `BENCH_pipeline.json` (schema v3) so a committed benchmark
-//! shows the chunk sizes it actually ran with.
+//! registered model's measured cost and last plan; the repository
+//! benchmark's traced run (`perfbench/`) reports the planned worker count
+//! of the pipeline's parallel call sites (`par.workers.<site>`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};

@@ -242,14 +242,12 @@ pub fn par_map_index_modeled<R: Send>(
     units_per_item: u64,
     f: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
-    par_map_index_with_scratch(count, model, units_per_item, || (), |(), i| f(i)).0
+    par_map_index_with_scratch(count, model, units_per_item, || (), |(), i| f(i))
 }
 
 /// [`par_map_index_modeled`] where every worker owns one long-lived scratch
 /// value for its entire share of the work, built by `init` exactly once per
-/// worker. Returns the results in index order plus each worker's final
-/// scratch (in worker order) for observability — cache hit counters, buffer
-/// high-water marks.
+/// worker. Returns the results in index order.
 ///
 /// ## Caller contract: the scratch must be value-transparent
 ///
@@ -258,20 +256,20 @@ pub fn par_map_index_modeled<R: Send>(
 /// noiseless templates, a pre-grown buffer), never change its result. Under
 /// that contract the output is bit-identical for any thread count and any
 /// partition of indices across workers, preserving the crate's determinism
-/// guarantee. The scratch contents themselves are partition-dependent and
-/// must only feed diagnostics.
+/// guarantee. The scratches are dropped when the map returns.
 pub fn par_map_index_with_scratch<St: Send, R: Send>(
     count: usize,
     model: &'static CostModel,
     units_per_item: u64,
     init: impl Fn() -> St + Sync,
     task: impl Fn(&mut St, usize) -> R + Sync,
-) -> (Vec<R>, Vec<St>) {
+) -> Vec<R> {
     let plan = model.plan(count, units_per_item);
     let start = Instant::now();
-    let out = run_indexed_stateful(count, plan.workers, plan.claim_chunk, &init, &task);
+    let (results, _scratches) =
+        run_indexed_stateful(count, plan.workers, plan.claim_chunk, &init, &task);
     model.record(count, units_per_item, start.elapsed());
-    out
+    results
 }
 
 #[cfg(test)]
@@ -381,27 +379,32 @@ mod tests {
 
     #[test]
     fn scratch_workers_initialize_once_and_results_stay_ordered() {
-        static MODEL: CostModel = CostModel::new("par.test.scratch", 10_000.0);
-        for threads in [1, 2, 4] {
-            let (results, scratches) = with_threads(threads, || {
-                par_map_index_with_scratch(
+        for workers in [1, 2, 4] {
+            for claim_chunk in CLAIM_CHUNKS {
+                let inits = AtomicUsize::new(0);
+                let (results, scratches) = run_indexed_stateful(
                     100,
-                    &MODEL,
-                    1,
-                    || 0u64, // per-worker counter: how many tasks it ran
-                    |seen, i| {
+                    workers,
+                    claim_chunk,
+                    &|| {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        0u64 // per-worker counter: how many tasks it ran
+                    },
+                    &|seen, i| {
                         *seen += 1;
                         i * 2
                     },
-                )
-            });
-            assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
-            // Every index ran on exactly one worker's scratch.
-            assert_eq!(scratches.iter().sum::<u64>(), 100, "threads {threads}");
-            assert!(!scratches.is_empty() && scratches.len() <= threads.max(1));
-            if threads == 1 {
-                // Serial path: one scratch for the full collection.
-                assert_eq!(scratches, vec![100]);
+                );
+                assert_eq!(results, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+                // One `init` per worker, and every index ran on exactly one
+                // worker's scratch.
+                assert_eq!(inits.into_inner(), workers, "workers {workers}");
+                assert_eq!(scratches.len(), workers, "workers {workers}");
+                assert_eq!(scratches.iter().sum::<u64>(), 100, "workers {workers}");
+                if workers == 1 {
+                    // Serial path: one scratch for the full collection.
+                    assert_eq!(scratches, vec![100]);
+                }
             }
         }
     }
@@ -419,7 +422,6 @@ mod tests {
                     std::collections::HashMap::<usize, u64>::new,
                     |memo, i| *memo.entry(i % 7).or_insert_with(|| (i % 7) as u64 * 3),
                 )
-                .0
             })
         };
         let reference = run(1);
@@ -434,9 +436,14 @@ mod tests {
             par_map_index_modeled(0, &MAP_MODEL, 1, |i| i),
             Vec::<usize>::new()
         );
-        let (results, scratches) = par_map_index_with_scratch(0, &MAP_MODEL, 1, || 7u8, |_, i| i);
-        assert!(results.is_empty());
-        assert_eq!(scratches, vec![7]);
+        assert!(par_map_index_with_scratch(0, &MAP_MODEL, 1, || 7u8, |_, i| i).is_empty());
+        // An empty map still builds the one serial scratch, for any worker
+        // count.
+        for workers in [1, 4] {
+            let (results, scratches) = run_indexed_stateful(0, workers, 1, &|| 7u8, &|_, i| i);
+            assert!(results.is_empty());
+            assert_eq!(scratches, vec![7]);
+        }
         assert_eq!(chunked_sum(&[] as &[i64], 8, 4, 1, 7i64, |a, x| a + x), 7);
     }
 

@@ -234,7 +234,7 @@ fn parse_u32_literal(s: &str) -> Option<u32> {
         u32::from_str_radix(hex, 16).ok()
     } else if let Some(rest) = s.strip_prefix('-') {
         let v: i64 = rest.parse().ok()?;
-        Some((-v) as u32)
+        Some(v.checked_neg()? as u32)
     } else {
         s.parse::<u32>().ok()
     }
@@ -296,10 +296,10 @@ impl<'a> Ops<'a> {
             .get(i)
             .ok_or_else(|| format!("missing operand {i}"))?;
         if let Some(off) = self.symbols.get(s.as_str()) {
-            return Ok(*off as i64 as i32 - self.pc as i32);
+            return Ok(off.wrapping_sub(self.pc) as i32);
         }
         if let Some(v) = parse_imm_literal(s) {
-            return Ok(v as i32);
+            return i32::try_from(v).map_err(|_| format!("target `{s}` out of range"));
         }
         Err(format!("unknown label `{s}`"))
     }
@@ -321,7 +321,8 @@ impl<'a> Ops<'a> {
         let offset = if off_str.is_empty() {
             0
         } else {
-            parse_imm_literal(off_str).ok_or_else(|| format!("bad offset `{off_str}`"))? as i32
+            let v = parse_imm_literal(off_str).ok_or_else(|| format!("bad offset `{off_str}`"))?;
+            i32::try_from(v).map_err(|_| format!("offset `{off_str}` out of range"))?
         };
         let reg = Reg::parse(s[open + 1..close].trim())
             .ok_or_else(|| format!("bad register in `{s}`"))?;
@@ -352,7 +353,7 @@ fn emit_mnemonic(
         base,
         symbols,
     };
-    let one = |i: Instruction| Ok(vec![i.encode()]);
+    let one = |i: Instruction| encode_checked(i).map(|word| vec![word]);
     let alu_imm = |op: AluOp, ops: &Ops| -> Result<Vec<u32>, String> {
         ops.arity(3)?;
         one(Instruction::AluImm {
@@ -633,11 +634,10 @@ fn emit_mnemonic(
             // Near call: auipc+jalr would be canonical, but every kernel fits
             // in ±1 MiB, so emit jal ra plus a nop to keep the 2-word size.
             Ok(vec![
-                Instruction::Jal {
+                encode_checked(Instruction::Jal {
                     rd: Reg(1),
                     offset: ops.target(0)?,
-                }
-                .encode(),
+                })?,
                 Instruction::AluImm {
                     op: AluOp::Add,
                     rd: Reg::ZERO,
@@ -649,6 +649,33 @@ fn emit_mnemonic(
         }
         other => Err(format!("unknown mnemonic `{other}`")),
     }
+}
+
+/// Encodes `instr` once its immediate fits the field: 12 signed bits for
+/// I- and S-type, 5 unsigned bits for shift amounts, an even offset within
+/// ±4 KiB for branches and ±1 MiB for `jal`. [`Instruction::encode`]
+/// assumes these ranges, so source operands are checked here and fail
+/// typed.
+fn encode_checked(instr: Instruction) -> Result<u32, String> {
+    let (imm, low, high, even) = match instr {
+        Instruction::Jal { offset, .. } => (offset, -(1 << 20), (1 << 20) - 2, true),
+        Instruction::Branch { offset, .. } => (offset, -4096, 4094, true),
+        Instruction::Jalr { offset, .. }
+        | Instruction::Load { offset, .. }
+        | Instruction::Store { offset, .. } => (offset, -2048, 2047, false),
+        Instruction::AluImm {
+            op: AluOp::Sll | AluOp::Srl | AluOp::Sra,
+            imm,
+            ..
+        } => (imm, 0, 31, false),
+        Instruction::AluImm { imm, .. } => (imm, -2048, 2047, false),
+        _ => return Ok(instr.encode()),
+    };
+    if imm < low || imm > high || (even && imm % 2 != 0) {
+        let parity = if even { "an even value " } else { "" };
+        return Err(format!("immediate {imm} must be {parity}in {low}..={high}"));
+    }
+    Ok(instr.encode())
 }
 
 #[cfg(test)]
@@ -887,6 +914,112 @@ mod tests {
         // Every emitted word must decode back.
         for (i, w) in p.words.iter().enumerate() {
             Instruction::decode(*w).unwrap_or_else(|e| panic!("word {i}: {e}"));
+        }
+    }
+
+    #[test]
+    fn out_of_range_operands_fail_typed() {
+        // Unchecked, each would trip an encoder assertion, overflow a
+        // negation or wrap silently; each must fail typed on its own line.
+        for source in [
+            "addi t0, t0, 2048",
+            "sw t0, -2049(sp)",
+            "lw t0, 4294967296(t0)",
+            "slli t0, t0, 32",
+            "beq t0, t1, 3",
+            "beq t0, t1, 4096",
+            "j -1",
+            "jal ra, 1048576",
+            "call 4294967296",
+            ".word --9223372036854775808",
+        ] {
+            let err = assemble(&format!("nop\n{source}"), 0).unwrap_err();
+            assert_eq!(err.line, 2, "{source}: {err}");
+        }
+        // The edges themselves still assemble.
+        assemble(
+            "addi t0, t0, -2048\nslli t0, t0, 31\nbeq t0, t1, 4094\nj -1048576",
+            0,
+        )
+        .unwrap();
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The token vocabulary of the random sources: mnemonics, pseudo
+        /// instructions and directives, registers, labels, immediates at
+        /// and past every range edge, punctuation, comments and non-ASCII
+        /// text.
+        const TOKENS: [&str; 48] = [
+            "li",
+            "la",
+            "call",
+            "addi",
+            "lui",
+            "auipc",
+            "jal",
+            "jalr",
+            "beq",
+            "bltu",
+            "lw",
+            "sb",
+            "sw",
+            "mul",
+            "slli",
+            "srai",
+            "j",
+            "ret",
+            "ecall",
+            ".word",
+            "zero",
+            "t0",
+            "a7",
+            "x31",
+            "x32",
+            "sp",
+            "loop:",
+            "loop",
+            "end:",
+            ":",
+            ",",
+            "(",
+            ")",
+            "0(t0)",
+            "-4(sp)",
+            "0",
+            "-1",
+            "2047",
+            "2048",
+            "-2049",
+            "0x7fffffff",
+            "0xffffffff",
+            "0x100000000",
+            "-2147483649",
+            "--9223372036854775808",
+            "#",
+            "µ",
+            "\n",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Random token strings either assemble or fail typed; what
+            /// assembles does so the same way at every load address.
+            #[test]
+            fn random_token_strings_never_panic(
+                picks in proptest::collection::vec(0usize..TOKENS.len(), 0..40),
+                base_pick in 0usize..3,
+            ) {
+                let source = picks.iter().map(|&i| TOKENS[i]).collect::<Vec<_>>().join(" ");
+                let base = [0, 0x1000, !3][base_pick];
+                if let Ok(program) = assemble(&source, base) {
+                    let again = assemble(&source, 0).map(|p| (p.words.len(), p.symbols));
+                    prop_assert_eq!(again.ok(), Some((program.words.len(), program.symbols)));
+                }
+            }
         }
     }
 }

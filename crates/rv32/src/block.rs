@@ -382,16 +382,6 @@ pub struct BlockCacheStats {
     pub fused_samples: u64,
 }
 
-impl BlockCacheStats {
-    /// Component-wise sum (for aggregating per-worker caches).
-    pub fn merge(&mut self, other: &BlockCacheStats) {
-        self.blocks_compiled += other.blocks_compiled;
-        self.dispatch_hits += other.dispatch_hits;
-        self.invalidations += other.invalidations;
-        self.fused_samples += other.fused_samples;
-    }
-}
-
 /// A per-program cache of compiled blocks, keyed by entry PC through a
 /// dense per-word index (no hashing on the dispatch path).
 #[derive(Debug, Clone, Default)]

@@ -23,7 +23,7 @@ use crate::block::{self, BlockCache, BlockCacheStats, BlockExit};
 use crate::cpu::{Bus, Cpu, ExecRecord, Halt, QueueMmio};
 use crate::isa::{Instruction, Reg};
 use crate::power::{
-    render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer, TraceBuffer,
+    add_noise, render_power_reference, PowerCapture, PowerModelConfig, PowerRenderer, TraceBuffer,
 };
 use rand::Rng;
 use std::collections::HashMap;
@@ -629,7 +629,8 @@ impl SamplerKernel {
     /// materialized `Vec<ExecRecord>`, and `sin`-per-bit power rendering
     /// with per-sample noise via [`render_power_reference`]. Shares no
     /// emission code with [`SamplerKernel::run_into`] and is bit-identical
-    /// to it; `bench_pipeline` measures the fast path against it.
+    /// to it; the fast-path timing test measures the fast path against the
+    /// profiling collector built on it.
     ///
     /// # Errors
     ///
@@ -665,8 +666,8 @@ impl SamplerKernel {
     /// samples into `scratch`'s reusable [`TraceBuffer`] as they retire (no
     /// `Vec<ExecRecord>` is materialized), and distribution bursts replay
     /// from `scratch`'s noiseless sub-trace memo. After a normal halt, one
-    /// [`NoiseSampler::add_noise`](crate::power::NoiseSampler::add_noise)
-    /// pass adds the measurement noise over the finished capture.
+    /// [`add_noise`] pass adds the measurement noise over the finished
+    /// capture.
     ///
     /// Bit-identical to [`SamplerKernel::run_reference`] for the same inputs
     /// and RNG seed: same capture (samples and spans), outputs, windows, and
@@ -833,9 +834,7 @@ impl SamplerKernel {
             return Err(KernelError::BadHalt(halt));
         }
         if config.noise_sigma > 0.0 {
-            config
-                .noise_sampler
-                .add_noise(config.noise_sigma, rng, scratch.buffer.samples_mut());
+            add_noise(config.noise_sigma, rng, scratch.buffer.samples_mut());
         }
 
         let capture = scratch.buffer.to_capture();
@@ -1596,9 +1595,8 @@ mod tests {
 
     #[test]
     fn noise_settings_keep_the_memo_warm() {
-        // The memo holds noiseless templates, so switching σ or the sampler
-        // on one scratch must neither clear it nor change any output.
-        use crate::power::NoiseSampler;
+        // The memo holds noiseless templates, so switching σ on one scratch
+        // must neither clear it nor change any output.
         let kernel = SamplerKernel::new(8, &[Q]).unwrap();
         let values = [3i64, -2, 0, 1, -1, 41, -41, 14];
         let iters = [4u32, 6, 4, 8, 4, 6, 4, 10];
@@ -1607,7 +1605,6 @@ mod tests {
         for config in [
             PowerModelConfig::default().with_noise_sigma(0.05),
             PowerModelConfig::noiseless(),
-            PowerModelConfig::default().with_noise_sampler(NoiseSampler::Ziggurat),
         ] {
             let mut rng = StdRng::seed_from_u64(41);
             let reference = kernel

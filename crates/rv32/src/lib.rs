@@ -61,4 +61,4 @@ pub use cpu::{Bus, Cpu, ExecRecord, Halt, Mmio, QueueMmio};
 pub use disasm::{disassemble, format_instruction, listing};
 pub use isa::{AluOp, BranchCond, Instruction, MemWidth, MulOp, Reg, Uses};
 pub use kernel::{KernelError, KernelRun, KernelVariant, LoadBound, SamplerKernel, SecretSource};
-pub use power::{NoiseSampler, PowerCapture, PowerModelConfig, PowerRenderer, SampleSpan};
+pub use power::{PowerCapture, PowerModelConfig, PowerRenderer, SampleSpan};

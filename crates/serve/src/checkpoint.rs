@@ -96,9 +96,49 @@ impl Snapshot {
         }
     }
 
-    /// Rebuilds an accumulator from this snapshot. The decision fold on
+    /// Rebuilds the accumulator of a store configured with `params`,
+    /// `coefficients` and `shards` from this snapshot. The decision fold on
     /// next use reproduces the pre-snapshot estimates bit-identically.
-    pub fn restore(&self) -> ShardedAccumulator {
+    ///
+    /// The snapshot must match that configuration exactly. The check runs
+    /// before anything is sized from the snapshot, so a crafted dimension
+    /// or shard count fails typed instead of sizing the restored store.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::ParamsMismatch`] when the parameters, the
+    /// coefficient count or the shard count differ.
+    pub fn restore(
+        &self,
+        params: &LweParameters,
+        coefficients: usize,
+        shards: usize,
+    ) -> Result<ShardedAccumulator, CheckpointError> {
+        if self.params.n != params.n
+            || self.params.m != params.m
+            || self.params.q.to_bits() != params.q.to_bits()
+            || self.params.error_std.to_bits() != params.error_std.to_bits()
+            || self.params.secret_std.to_bits() != params.secret_std.to_bits()
+        {
+            return Err(CheckpointError::ParamsMismatch(format!(
+                "snapshot n={} m={} vs store n={} m={}",
+                self.params.n, self.params.m, params.n, params.m
+            )));
+        }
+        if self.coefficients != coefficients {
+            return Err(CheckpointError::ParamsMismatch(format!(
+                "snapshot coefficients={} vs store {}",
+                self.coefficients, coefficients
+            )));
+        }
+        // `ShardedAccumulator::new` keeps at least one shard.
+        if self.shards != shards.max(1) {
+            return Err(CheckpointError::ParamsMismatch(format!(
+                "snapshot shards={} vs store {}",
+                self.shards,
+                shards.max(1)
+            )));
+        }
         let mut acc = ShardedAccumulator::new(
             self.params,
             self.coefficients,
@@ -108,7 +148,7 @@ impl Snapshot {
         for (key, state) in &self.victims {
             acc.restore_victim(*key, state.clone());
         }
-        acc
+        Ok(acc)
     }
 
     /// Serializes to the v1 text format.
@@ -378,48 +418,6 @@ impl Snapshot {
             .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
         Self::decode(&text)
     }
-
-    /// Validates that this snapshot can resume a store configured with
-    /// `params`, `coefficients` and `shards`. Run it before
-    /// [`Snapshot::restore`]: a crafted shard count would otherwise size
-    /// the restored store.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::ParamsMismatch`] when they differ.
-    pub fn check_compatible(
-        &self,
-        params: &LweParameters,
-        coefficients: usize,
-        shards: usize,
-    ) -> Result<(), CheckpointError> {
-        if self.params.n != params.n
-            || self.params.m != params.m
-            || self.params.q.to_bits() != params.q.to_bits()
-            || self.params.error_std.to_bits() != params.error_std.to_bits()
-            || self.params.secret_std.to_bits() != params.secret_std.to_bits()
-        {
-            return Err(CheckpointError::ParamsMismatch(format!(
-                "snapshot n={} m={} vs store n={} m={}",
-                self.params.n, self.params.m, params.n, params.m
-            )));
-        }
-        if self.coefficients != coefficients {
-            return Err(CheckpointError::ParamsMismatch(format!(
-                "snapshot coefficients={} vs store {}",
-                self.coefficients, coefficients
-            )));
-        }
-        // `ShardedAccumulator::new` keeps at least one shard.
-        if self.shards != shards.max(1) {
-            return Err(CheckpointError::ParamsMismatch(format!(
-                "snapshot shards={} vs store {}",
-                self.shards,
-                shards.max(1)
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -482,10 +480,10 @@ mod tests {
     fn restored_store_folds_bit_identically() {
         let acc = populated();
         let snap = Snapshot::capture(&acc, 3);
-        let mut restored = snap.restore();
+        let mut restored = snap.restore(&params(), 16, 4).unwrap();
         // Applying the same new trace to original and restored stores
         // yields bit-identical estimates.
-        let mut original = snap.restore();
+        let mut original = snap.restore(&params(), 16, 4).unwrap();
         let next = RobustAttackResult {
             coefficients: vec![
                 RobustCoefficient {
@@ -616,10 +614,144 @@ mod tests {
     #[test]
     fn compatibility_check_catches_mismatches() {
         let snap = Snapshot::capture(&populated(), 3);
-        assert!(snap.check_compatible(&params(), 16, 4).is_ok());
-        assert!(snap.check_compatible(&params(), 8, 4).is_err());
-        assert!(snap.check_compatible(&params(), 16, 8).is_err());
+        let mismatch = |r: Result<ShardedAccumulator, CheckpointError>| {
+            matches!(r, Err(CheckpointError::ParamsMismatch(_)))
+        };
+        let restored = snap.restore(&params(), 16, 4).unwrap();
+        assert_eq!(Snapshot::capture(&restored, 3).encode(), snap.encode());
+        assert!(mismatch(snap.restore(&params(), 8, 4)));
+        assert!(mismatch(snap.restore(&params(), 16, 8)));
         let other = LweParameters::seal_like(32, 3329.0, 2.0);
-        assert!(snap.check_compatible(&other, 16, 4).is_err());
+        assert!(mismatch(snap.restore(&other, 16, 4)));
+    }
+
+    #[test]
+    fn crafted_dimensions_and_shards_fail_restore_typed() {
+        // Each of these decodes, and sizing a store from it would abort the
+        // process (a 2^64-dimensional DBDD instance, 10^11 shards); restore
+        // must refuse it against the configured store first.
+        let good = Snapshot::capture(&populated(), 3).encode();
+        let line = |prefix: &str| good.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let (params_line, shape_line) = (line("params "), line("coefficients "));
+        let with_token = |line: &str, index: usize, token: &str| {
+            let mut tokens: Vec<&str> = line.split(' ').collect();
+            tokens[index] = token;
+            good.replace(line, &tokens.join(" "))
+        };
+        for huge in ["18446744073709551615", "100000000000"] {
+            for crafted in [
+                with_token(params_line, 1, huge),
+                with_token(params_line, 2, huge),
+                with_token(shape_line, 3, huge),
+            ] {
+                let snap = Snapshot::decode(&crafted).unwrap();
+                assert!(matches!(
+                    snap.restore(&params(), 16, 4),
+                    Err(CheckpointError::ParamsMismatch(_))
+                ));
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Tokens the mutations insert: huge, negative and NaN-bit numbers,
+        /// and the format's own keywords and decision shapes.
+        const HOSTILE: [&str; 16] = [
+            "18446744073709551615",
+            "100000000000",
+            "340282366920938463463374607431768211456",
+            "-1",
+            "-9223372036854775808",
+            "7ff8000000000000",
+            "fff0000000000000",
+            "victim",
+            "decisions",
+            "end",
+            "params",
+            "status",
+            "rails",
+            "quarantined:4294967296",
+            "A:1:7ff8000000000000",
+            "P:-9223372036854775808",
+        ];
+
+        /// The line and index of token `pick` (modulo the token count).
+        fn token_at(lines: &[Vec<String>], pick: u64) -> Option<(usize, usize)> {
+            let total: usize = lines.iter().map(Vec::len).sum();
+            let mut k = usize::try_from(pick % total.max(1) as u64).ok()?;
+            for (l, line) in lines.iter().enumerate() {
+                if k < line.len() {
+                    return Some((l, k));
+                }
+                k -= line.len();
+            }
+            None
+        }
+
+        /// Applies the mutation `bits` encodes: swap two tokens, delete
+        /// one, insert or overwrite a hostile token, or delete or duplicate
+        /// a whole line.
+        fn mutate(lines: &mut Vec<Vec<String>>, bits: u64) {
+            let hostile = HOSTILE[(bits >> 8) as usize % HOSTILE.len()].to_string();
+            let (a, b) = (bits >> 16, bits >> 40);
+            let line = (a % lines.len().max(1) as u64) as usize;
+            match (bits % 6, token_at(lines, a), token_at(lines, b)) {
+                (0, Some(x), Some(y)) => {
+                    let token = lines[x.0][x.1].clone();
+                    lines[x.0][x.1] = std::mem::replace(&mut lines[y.0][y.1], token);
+                }
+                (1, Some((l, i)), _) => {
+                    lines[l].remove(i);
+                }
+                (2, Some((l, i)), _) => lines[l].insert(i, hostile),
+                (3, Some((l, i)), _) => lines[l][i] = hostile,
+                (4, ..) if !lines.is_empty() => {
+                    lines.remove(line);
+                }
+                (5, ..) if !lines.is_empty() => {
+                    let copy = lines[line].clone();
+                    lines.insert(line, copy);
+                }
+                _ => {}
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// A mutated checkpoint either fails to decode, typed, or
+            /// decodes to a snapshot whose encoding is a fixed point of
+            /// decode ∘ encode; restoring it against the configured store
+            /// returns that store's shape or a typed mismatch, never a
+            /// panic or an abort.
+            #[test]
+            fn mutated_checkpoints_decode_typed_and_restore_safely(
+                script in proptest::collection::vec(any::<u64>(), 1..6),
+            ) {
+                let good = Snapshot::capture(&populated(), 3).encode();
+                let mut lines: Vec<Vec<String>> = good
+                    .lines()
+                    .map(|l| l.split(' ').map(str::to_string).collect())
+                    .collect();
+                for bits in script {
+                    mutate(&mut lines, bits);
+                }
+                let text: String = lines.iter().map(|l| l.join(" ") + "\n").collect();
+                if let Ok(snap) = Snapshot::decode(&text) {
+                    let encoded = snap.encode();
+                    let again = Snapshot::decode(&encoded).map(|s| s.encode());
+                    prop_assert_eq!(again, Ok(encoded));
+                    match snap.restore(&params(), 16, 4) {
+                        Ok(store) => {
+                            prop_assert_eq!((store.coefficients(), store.shards()), (16, 4));
+                        }
+                        Err(e) => prop_assert!(matches!(e, CheckpointError::ParamsMismatch(_))),
+                    }
+                }
+            }
+        }
     }
 }

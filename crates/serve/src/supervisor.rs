@@ -546,8 +546,8 @@ impl Supervisor {
         config: ServeConfig,
         snapshot: &Snapshot,
     ) -> Result<Self, ServeError> {
-        snapshot.check_compatible(&config.params, config.coefficients, config.shards)?;
-        Ok(Self::launch(trained, config, snapshot.restore()))
+        let accumulator = snapshot.restore(&config.params, config.coefficients, config.shards)?;
+        Ok(Self::launch(trained, config, accumulator))
     }
 
     fn launch(
