@@ -1,6 +1,5 @@
 //! Attack configuration knobs shared by the profiling and attack stages.
 
-use reveal_template::CovarianceMode;
 use reveal_trace::{PoiMethod, SegmentConfig};
 
 /// Tunables of the single-trace attack pipeline.
@@ -15,8 +14,6 @@ pub struct AttackConfig {
     pub poi_min_spacing: usize,
     /// POI selection statistic (the paper uses SOSD).
     pub poi_method: PoiMethod,
-    /// Covariance strategy for the Gaussian templates.
-    pub covariance: CovarianceMode,
     /// Ridge regularization added to covariance diagonals.
     pub ridge: f64,
     /// Fraction of the ladder window treated as the *negation region* for
@@ -38,7 +35,6 @@ impl Default for AttackConfig {
             poi_count: 10,
             poi_min_spacing: 2,
             poi_method: PoiMethod::Sosd,
-            covariance: CovarianceMode::Pooled,
             ridge: 1e-6,
             early_fraction: 0.45,
             segment: SegmentConfig::default(),

@@ -8,9 +8,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use reveal_rv32::kernel::KernelError;
 use reveal_rv32::PowerCapture;
-use reveal_template::{
-    CovarianceMode, LearnedClassifier, LearnedConfig, LearnedError, TemplateError, TemplateSet,
-};
+use reveal_template::{LearnedClassifier, LearnedConfig, LearnedError, TemplateError, TemplateSet};
 use reveal_trace::poi::{select_pois, PoiError};
 use reveal_trace::segment::{refined_bursts_into, SegmentError, SegmentScratch};
 use reveal_trace::{Trace, TraceSet};
@@ -567,7 +565,7 @@ impl TrainedAttack {
             config.poi_count,
             config.poi_min_spacing,
         )?;
-        let sign_templates = fit_set(&sign_set, &sign_pois, config.covariance, config.ridge)?;
+        let sign_templates = TemplateSet::fit_trace_set(&sign_set, &sign_pois, config.ridge)?;
 
         let pos_pois = select_pois(
             &pos_set,
@@ -575,7 +573,7 @@ impl TrainedAttack {
             config.poi_count,
             config.poi_min_spacing,
         )?;
-        let pos_templates = fit_set(&pos_set, &pos_pois, config.covariance, config.ridge)?;
+        let pos_templates = TemplateSet::fit_trace_set(&pos_set, &pos_pois, config.ridge)?;
 
         // Negatives: separate POI sets for the negation region (early part of
         // the ladder) and the store region (late part), fused at attack time.
@@ -602,9 +600,9 @@ impl TrainedAttack {
             config.poi_min_spacing,
         );
         let neg_early_templates =
-            fit_set(&neg_set, &neg_early_pois, config.covariance, config.ridge)?;
+            TemplateSet::fit_trace_set(&neg_set, &neg_early_pois, config.ridge)?;
         let neg_late_templates =
-            fit_set(&neg_set, &neg_late_pois, config.covariance, config.ridge)?;
+            TemplateSet::fit_trace_set(&neg_set, &neg_late_pois, config.ridge)?;
 
         Ok(Self {
             config,
@@ -945,15 +943,6 @@ fn pc_of_sample(capture: &PowerCapture, sample: usize) -> Option<u32> {
     let idx = capture.spans.partition_point(|s| s.end <= sample);
     let span = capture.spans.get(idx)?;
     (span.start <= sample && sample < span.end).then_some(span.pc)
-}
-
-fn fit_set(
-    set: &TraceSet,
-    pois: &[usize],
-    covariance: CovarianceMode,
-    ridge: f64,
-) -> Result<TemplateSet, TemplateError> {
-    TemplateSet::fit_trace_set(set, pois, covariance, ridge)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use reveal_attack::{extract_ladder_windows, AttackConfig, Device};
 use reveal_bench::{write_artifact, Scale, PAPER_Q};
 use reveal_rv32::power::PowerModelConfig;
-use reveal_template::{CovarianceMode, LdaProjection, TemplateSet};
+use reveal_template::{LdaProjection, TemplateSet};
 use reveal_trace::{select_pois, PoiMethod, Trace, TraceSet};
 
 /// Gathers labelled ladder windows from chosen-value captures.
@@ -55,8 +55,7 @@ fn accuracy_poi(train: &[(i64, Vec<f64>)], test: &[(i64, Vec<f64>)], pois: usize
     let Ok(poi_idx) = select_pois(&set, PoiMethod::Sosd, pois, 2) else {
         return 0.0;
     };
-    let Ok(templates) = TemplateSet::fit_trace_set(&set, &poi_idx, CovarianceMode::Pooled, 1e-6)
-    else {
+    let Ok(templates) = TemplateSet::fit_trace_set(&set, &poi_idx, 1e-6) else {
         return 0.0;
     };
     let hits = test
@@ -74,7 +73,7 @@ fn accuracy_lda(train: &[(i64, Vec<f64>)], test: &[(i64, Vec<f64>)], components:
         return 0.0;
     };
     let projected: Vec<(i64, Vec<f64>)> = train.iter().map(|(l, w)| (*l, lda.project(w))).collect();
-    let Ok(templates) = TemplateSet::fit(&projected, CovarianceMode::Pooled, 1e-9) else {
+    let Ok(templates) = TemplateSet::fit(&projected, 1e-9) else {
         return 0.0;
     };
     let hits = test

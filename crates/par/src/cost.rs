@@ -9,6 +9,12 @@
 //! average, and the next call's worker count and claim granularity are sized
 //! from the measurement.
 //!
+//! The estimate is of *serial* work: [`CostModel::record`] books a call that
+//! ran `workers` workers for `elapsed` wall time as `elapsed × workers` of
+//! work, divided over its units. Booking the wall time alone would make a
+//! w-worker call look w× cheaper than it was, and the next plan, sized from
+//! that total, would drop workers a serial call would then add back.
+//!
 //! ## What the model decides — and what it cannot affect
 //!
 //! A [`Plan`] fixes two scheduling knobs:
@@ -216,13 +222,15 @@ impl CostModel {
         plan
     }
 
-    /// Feeds one observed call back into the EWMA.
-    pub fn record(&self, count: usize, units_per_item: u64, elapsed: Duration) {
+    /// Feeds one observed call back into the EWMA: `count` items of
+    /// `units_per_item` units that took `elapsed` wall time on `workers`
+    /// workers, booked as `elapsed × workers` of serial work.
+    pub fn record(&self, count: usize, units_per_item: u64, workers: usize, elapsed: Duration) {
         let units = count as f64 * units_per_item.max(1) as f64;
         if units <= 0.0 {
             return;
         }
-        let observed = elapsed.as_secs_f64() * 1e9 / units;
+        let observed = elapsed.as_secs_f64() * 1e9 * workers.max(1) as f64 / units;
         if !observed.is_finite() || observed <= 0.0 {
             return;
         }
@@ -347,13 +355,48 @@ mod tests {
     #[test]
     fn record_feeds_the_estimate() {
         static LEARNED: CostModel = CostModel::new("cost.learned", 1.0);
-        LEARNED.record(1_000, 1, Duration::from_millis(1));
+        LEARNED.record(1_000, 1, 1, Duration::from_millis(1));
         // 1ms / 1000 units = 1µs per unit.
         assert!((LEARNED.ns_per_unit() - 1_000.0).abs() < 1.0);
         // Second observation blends.
-        LEARNED.record(1_000, 1, Duration::from_millis(3));
+        LEARNED.record(1_000, 1, 1, Duration::from_millis(3));
         assert!((LEARNED.ns_per_unit() - 2_000.0).abs() < 1.0);
         assert_eq!(LEARNED.snapshot().calls, 2);
+    }
+
+    #[test]
+    fn parallel_calls_book_their_serial_cost() {
+        static PAIRED: CostModel = CostModel::new("cost.paired", 1.0);
+        // 1ms of wall time on 2 workers is 2ms of work: 2µs per unit.
+        PAIRED.record(1_000, 1, 2, Duration::from_millis(1));
+        assert!((PAIRED.ns_per_unit() - 2_000.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn plan_record_plan_keeps_its_workers_at_the_boundary() {
+        static BOUNDARY: CostModel = CostModel::new("cost.boundary", 1.0);
+        // Serial work of 2.2 spawn budgets affords two workers; a 2-worker
+        // call of it takes 0.7 of the serial time (an imperfect speed-up).
+        // Booked as wall time, that call would read as 0.7 × 2.2 budgets and
+        // the next plan would fall back to one worker.
+        let count = 1_000;
+        let serial = 2.2 * SPAWN_AMORTIZATION * spawn_cost_ns();
+        BOUNDARY.record(count, 1, 1, Duration::from_secs_f64(serial * 1e-9));
+        let first = with_threads(2, || BOUNDARY.plan(count, 1));
+        assert_eq!(first.workers, 2.min(hardware_threads()));
+        let wall = if first.workers > 1 {
+            0.7 * serial
+        } else {
+            serial
+        };
+        BOUNDARY.record(
+            count,
+            1,
+            first.workers,
+            Duration::from_secs_f64(wall * 1e-9),
+        );
+        let second = with_threads(2, || BOUNDARY.plan(count, 1));
+        assert_eq!(second.workers, first.workers);
     }
 
     #[test]

@@ -233,9 +233,9 @@ fn run_indexed_stateful<St: Send, R: Send>(
 /// scheduled by a measured [`CostModel`]: the model sizes the worker count
 /// and the claim chunk from `count`, `units_per_item` (the caller's relative
 /// work estimate per item — e.g. `dim²` for a matrix row) and its observed
-/// nanoseconds-per-unit; the call's own wall time is fed back afterwards.
-/// Output is bit-identical to the serial loop for any thread count, plan,
-/// or timing noise.
+/// nanoseconds-per-unit; the call's wall time times its workers is fed back
+/// afterwards. Output is bit-identical to the serial loop for any thread
+/// count, plan, or timing noise.
 pub fn par_map_index_modeled<R: Send>(
     count: usize,
     model: &'static CostModel,
@@ -268,7 +268,7 @@ pub fn par_map_index_with_scratch<St: Send, R: Send>(
     let start = Instant::now();
     let (results, _scratches) =
         run_indexed_stateful(count, plan.workers, plan.claim_chunk, &init, &task);
-    model.record(count, units_per_item, start.elapsed());
+    model.record(count, units_per_item, plan.workers, start.elapsed());
     results
 }
 

@@ -119,6 +119,7 @@ pub fn frame_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_stream_round_trips() {
@@ -149,5 +150,42 @@ mod tests {
         );
         frame.samples = vec![0.0; 8];
         assert_eq!(frame.validate(8), Ok(()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `validate` never panics on any payload, and its verdict is
+        /// exact: `Oversized` iff the payload exceeds the bound, otherwise
+        /// `NonFinite` at the first NaN or infinity, otherwise `Ok`.
+        #[test]
+        fn validate_verdict_is_exact_and_never_panics(
+            max in 0usize..64,
+            offset in 0usize..9,
+            poison in proptest::collection::vec(any::<u64>(), 0..4),
+        ) {
+            // Lengths from four below the bound to four above it.
+            let len = (max + offset).saturating_sub(4);
+            // Finite extremes and subnormals, so only the poison offends.
+            let finite = [f64::MAX, -f64::MAX, f64::MIN_POSITIVE / 4.0, -0.0, 1.5];
+            let mut samples: Vec<f64> = (0..len).map(|i| finite[i % finite.len()]).collect();
+            let mut first = None;
+            if len > 0 {
+                for p in &poison {
+                    let at = (p % len as u64) as usize;
+                    samples[at] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(p >> 32) as usize % 3];
+                    first = Some(first.map_or(at, |f: usize| f.min(at)));
+                }
+            }
+            let expected = if len > max {
+                Err(FrameError::Oversized { len, max })
+            } else if let Some(index) = first {
+                Err(FrameError::NonFinite { index })
+            } else {
+                Ok(())
+            };
+            let frame = TraceFrame { key: 1, trace_seq: 0, frame_seq: 0, last: true, samples };
+            prop_assert_eq!(frame.validate(max), expected);
+        }
     }
 }

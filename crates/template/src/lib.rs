@@ -7,7 +7,7 @@
 //! # reveal-template
 //!
 //! The template-attack engine of the RevEAL reproduction: multivariate
-//! Gaussian templates (Chari et al.) with per-class or pooled covariance,
+//! Gaussian templates (Chari et al.) with a pooled covariance,
 //! Cholesky-based likelihood evaluation, per-class probability score tables
 //! with the value/negation fusion the paper uses to prune false positives,
 //! and Table-I-style confusion matrices.
@@ -15,7 +15,7 @@
 //! ## Example
 //!
 //! ```
-//! use reveal_template::{CovarianceMode, TemplateSet};
+//! use reveal_template::TemplateSet;
 //!
 //! // Profile two candidate secrets whose POI means differ.
 //! let mut observations = Vec::new();
@@ -24,7 +24,7 @@
 //!     observations.push((2i64, vec![2.0 + j, 0.5 - j]));
 //!     observations.push((3i64, vec![3.0 - j, 1.5 + j]));
 //! }
-//! let templates = TemplateSet::fit(&observations, CovarianceMode::Pooled, 1e-9)?;
+//! let templates = TemplateSet::fit(&observations, 1e-9)?;
 //!
 //! // Attack: classify a single observed POI vector.
 //! let scores = templates.classify(&[2.9, 1.4])?;
@@ -44,4 +44,4 @@ pub use lda::{LdaError, LdaProjection};
 pub use learned::{LearnedClassifier, LearnedConfig, LearnedError};
 pub use matrix::{Cholesky, MatrixError};
 pub use scores::ScoreTable;
-pub use template::{CovarianceMode, TemplateError, TemplateSet};
+pub use template::{TemplateError, TemplateSet};

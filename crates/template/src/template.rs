@@ -1,11 +1,11 @@
 //! Multivariate Gaussian templates in the style of Chari et al. \[28\].
 //!
 //! A template per candidate secret (here: per sampled coefficient value)
-//! captures the mean and covariance of the POI-projected traces. The attack
-//! evaluates the log-likelihood of a single observed trace under every
-//! template and picks the maximizer; soft probabilities (needed by the
-//! LWE-with-hints export, Table II) come from a softmax over the
-//! log-likelihoods.
+//! captures the mean of the POI-projected traces; one covariance, pooled
+//! over all classes, captures the noise. The attack evaluates the
+//! log-likelihood of a single observed trace under every template and picks
+//! the maximizer; soft probabilities (needed by the LWE-with-hints export,
+//! Table II) come from a softmax over the log-likelihoods.
 
 use crate::matrix::{regularize, Cholesky, MatrixError};
 use crate::scores::ScoreTable;
@@ -15,10 +15,13 @@ use reveal_trace::TraceSet;
 use std::fmt;
 use std::ops::Range;
 
-/// Classes the scoring kernel advances in lockstep. Each class's
-/// Mahalanobis solve is a chain of dependent divides; walking a group's
-/// rows together lets the group's chains overlap in the pipeline.
-const GROUP: usize = 4;
+/// Classes the scoring kernel solves at once, one per lane of its work
+/// space. Every step of the solve is the same operation on each lane, so the
+/// compiler turns it into packed arithmetic across classes.
+const LANES: usize = 8;
+
+/// One value per class of a lane group.
+type Lanes = [f64; LANES];
 
 /// Largest template dimension whose kernel work space lives on the stack;
 /// larger templates take one heap buffer per classification.
@@ -27,12 +30,6 @@ const STACK_DIM: usize = 32;
 /// Errors from template construction or classification.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TemplateError {
-    /// A class had fewer traces than dimensions (covariance singular).
-    NotEnoughTraces {
-        label: i64,
-        count: usize,
-        dim: usize,
-    },
     /// The profiling set was empty or unlabelled.
     NoClasses,
     /// Factorization failed even after regularization.
@@ -44,10 +41,6 @@ pub enum TemplateError {
 impl fmt::Display for TemplateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TemplateError::NotEnoughTraces { label, count, dim } => write!(
-                f,
-                "class {label} has {count} traces for {dim} dimensions — covariance would be singular"
-            ),
             TemplateError::NoClasses => write!(f, "profiling set has no labelled traces"),
             TemplateError::Matrix(e) => write!(f, "covariance factorization failed: {e}"),
             TemplateError::DimensionMismatch { expected, got } => {
@@ -65,31 +58,21 @@ impl From<MatrixError> for TemplateError {
     }
 }
 
-/// Covariance strategy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CovarianceMode {
-    /// One covariance per class (classic template attack).
-    PerClass,
-    /// A single covariance pooled over all classes (more robust with few
-    /// traces per class; standard practice since Choudary & Kuhn).
-    Pooled,
-}
-
-/// One class template: mean vector plus (shared or own) covariance factor.
+/// One class template: its label and mean vector.
 #[derive(Debug, Clone)]
 struct ClassTemplate {
     label: i64,
     mean: Vec<f64>,
-    /// Index into the factor table (pooled mode shares index 0).
-    factor: usize,
 }
 
-/// A trained set of Gaussian templates over POI vectors.
+/// A trained set of Gaussian templates over POI vectors, sharing one
+/// covariance pooled over the centred observations of every class (robust
+/// with few traces per class; standard practice since Choudary & Kuhn).
 ///
 /// # Examples
 ///
 /// ```
-/// use reveal_template::{TemplateSet, CovarianceMode};
+/// use reveal_template::TemplateSet;
 /// // Two 1-D classes at -1 and +1 with small jitter.
 /// let obs: Vec<(i64, Vec<f64>)> = (0..20)
 ///     .flat_map(|i| {
@@ -97,7 +80,7 @@ struct ClassTemplate {
 ///         [(-1i64, vec![-1.0 + j]), (1i64, vec![1.0 - j])]
 ///     })
 ///     .collect();
-/// let set = TemplateSet::fit(&obs, CovarianceMode::Pooled, 1e-9)?;
+/// let set = TemplateSet::fit(&obs, 1e-9)?;
 /// assert_eq!(set.classify(&[0.9])?.best_label(), 1);
 /// assert_eq!(set.classify(&[-0.8])?.best_label(), -1);
 /// # Ok::<(), reveal_template::TemplateError>(())
@@ -107,25 +90,23 @@ pub struct TemplateSet {
     dim: usize,
     /// Ascending by label.
     classes: Vec<ClassTemplate>,
-    factors: Vec<(Cholesky, f64)>, // (factor, log_det)
-    mode: CovarianceMode,
+    /// The factor of the pooled covariance.
+    factor: Cholesky,
+    /// `ln det` of the pooled covariance.
+    log_det: f64,
 }
 
 impl TemplateSet {
     /// Fits templates from `(label, poi_vector)` observations.
     ///
-    /// `ridge` is added to covariance diagonals before factorization; pass a
-    /// small value like `1e-6` for numerical robustness.
+    /// `ridge` is added to the covariance diagonal before factorization;
+    /// pass a small value like `1e-6` for numerical robustness.
     ///
     /// # Errors
     ///
-    /// Fails when there are no observations, a class is too small in
-    /// per-class mode, or the covariance cannot be factorized.
-    pub fn fit(
-        observations: &[(i64, Vec<f64>)],
-        mode: CovarianceMode,
-        ridge: f64,
-    ) -> Result<Self, TemplateError> {
+    /// Fails when there are no observations, when they differ in dimension,
+    /// or when the covariance cannot be factorized.
+    pub fn fit(observations: &[(i64, Vec<f64>)], ridge: f64) -> Result<Self, TemplateError> {
         let dim = observations
             .first()
             .map(|(_, v)| v.len())
@@ -138,7 +119,7 @@ impl TemplateSet {
         }
         let observations = observations.iter().map(|(l, v)| (*l, v.as_slice()));
         let rows = ClassRows::gather(dim, observations, |v, row| row.copy_from_slice(v));
-        Self::fit_rows(&rows, mode, ridge)
+        Self::fit_rows(&rows, ridge)
     }
 
     /// Convenience: fits from a labelled [`TraceSet`] projected onto POIs.
@@ -151,7 +132,6 @@ impl TemplateSet {
     pub fn fit_trace_set(
         set: &TraceSet,
         pois: &[usize],
-        mode: CovarianceMode,
         ridge: f64,
     ) -> Result<Self, TemplateError> {
         let labelled = set
@@ -162,87 +142,60 @@ impl TemplateSet {
                 *r = samples[p];
             }
         });
-        Self::fit_rows(&rows, mode, ridge)
+        Self::fit_rows(&rows, ridge)
     }
 
     /// The fit body behind [`fit`](Self::fit) and
     /// [`fit_trace_set`](Self::fit_trace_set). Each class's Welford pass,
-    /// and in pooled mode the pass over the centred observations (classes
+    /// and the pooled pass over the centred observations (classes
     /// ascending, input order within a class), pushes the same vectors in
     /// the same order as a per-class grouping of the input would, so every
     /// mean, covariance and factor is bit-identical to it.
-    fn fit_rows(rows: &ClassRows, mode: CovarianceMode, ridge: f64) -> Result<Self, TemplateError> {
+    fn fit_rows(rows: &ClassRows, ridge: f64) -> Result<Self, TemplateError> {
         if rows.classes.is_empty() {
             return Err(TemplateError::NoClasses);
         }
         let dim = rows.dim;
-        let accumulate = |range: &Range<usize>| {
-            let mut acc = Covariance::new(dim);
+        let classes: Vec<ClassTemplate> = rows
+            .classes
+            .iter()
+            .map(|(label, range)| {
+                let mut acc = Covariance::new(dim);
+                for v in rows.rows(range) {
+                    acc.push(v);
+                }
+                ClassTemplate {
+                    label: *label,
+                    mean: acc.mean().to_vec(),
+                }
+            })
+            .collect();
+        // Pool the *centered* observations across classes.
+        let mut pooled = Covariance::new(dim);
+        let mut centered = vec![0.0; dim];
+        for ((_, range), class) in rows.classes.iter().zip(&classes) {
             for v in rows.rows(range) {
-                acc.push(v);
-            }
-            acc
-        };
-        let mut classes = Vec::with_capacity(rows.classes.len());
-        let mut factors = Vec::new();
-        match mode {
-            CovarianceMode::Pooled => {
-                for (label, range) in &rows.classes {
-                    classes.push(ClassTemplate {
-                        label: *label,
-                        mean: accumulate(range).mean().to_vec(),
-                        factor: 0,
-                    });
+                for ((c, a), b) in centered.iter_mut().zip(v).zip(&class.mean) {
+                    *c = a - b;
                 }
-                // Pool the *centered* observations across classes.
-                let mut pooled = Covariance::new(dim);
-                let mut centered = vec![0.0; dim];
-                for ((_, range), class) in rows.classes.iter().zip(&classes) {
-                    for v in rows.rows(range) {
-                        for ((c, a), b) in centered.iter_mut().zip(v).zip(&class.mean) {
-                            *c = a - b;
-                        }
-                        pooled.push(&centered);
-                    }
-                }
-                factors.push(factor(&pooled, ridge)?);
-            }
-            CovarianceMode::PerClass => {
-                for (label, range) in &rows.classes {
-                    if range.len() <= dim {
-                        return Err(TemplateError::NotEnoughTraces {
-                            label: *label,
-                            count: range.len(),
-                            dim,
-                        });
-                    }
-                    let acc = accumulate(range);
-                    let class_factor = factor(&acc, ridge)?;
-                    classes.push(ClassTemplate {
-                        label: *label,
-                        mean: acc.mean().to_vec(),
-                        factor: factors.len(),
-                    });
-                    factors.push(class_factor);
-                }
+                pooled.push(&centered);
             }
         }
+        let mut cov = pooled.sample_covariance();
+        regularize(&mut cov, dim, ridge);
+        let factor = Cholesky::new(&cov, dim)?;
+        let log_det = factor.log_determinant();
         Ok(Self {
             dim,
             classes,
-            factors,
-            mode,
+            factor,
+            log_det,
         })
     }
 
     /// POI-vector dimension.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The covariance strategy used.
-    pub fn mode(&self) -> CovarianceMode {
-        self.mode
     }
 
     /// The class labels, ascending.
@@ -308,75 +261,89 @@ impl TemplateSet {
     /// Scores every class against the observation `x(0..dim)`: the
     /// log-likelihood `-(d² + ln det Σ) / 2`, with each class's `d²`
     /// computed in exactly [`Cholesky::mahalanobis_squared`]'s operation
-    /// order — the same difference vector, the same [`simd::dot`] per
-    /// forward row, the same backward loop and divides, the same final
-    /// dot — so every score is bit-identical to the per-class solve. What
-    /// differs is the schedule: [`GROUP`] classes walk their rows
-    /// together, so their divide chains overlap, and the solves run in one
-    /// work space reused across groups (on the stack up to [`STACK_DIM`]
-    /// dimensions).
+    /// order — the same difference vector, the same [`simd::dot`]
+    /// recurrence per forward row, the same backward loop and divides, the
+    /// same final dot — so every score is bit-identical to the per-class
+    /// solve. What differs is the layout: [`LANES`] classes (in label order,
+    /// the last group padded with zero differences) share one work space
+    /// `[dim][LANES]`, and each step runs on all lanes at once against the
+    /// one pooled factor, whose entries every lane reads alike. The work
+    /// space lives on the stack up to [`STACK_DIM`] dimensions.
     fn score(&self, x: impl Fn(usize) -> f64) -> ScoreTable {
         let dim = self.dim;
-        let mut stack = [0.0; 2 * GROUP * STACK_DIM];
+        let l = self.factor.lower();
+        let mut stack = [[0.0; LANES]; 2 * STACK_DIM];
         let mut heap = Vec::new();
         let work = if dim <= STACK_DIM {
-            &mut stack[..2 * GROUP * dim]
+            &mut stack[..2 * dim]
         } else {
-            heap.resize(2 * GROUP * dim, 0.0);
+            heap.resize(2 * dim, [0.0; LANES]);
             heap.as_mut_slice()
         };
-        let (diffs, solved) = work.split_at_mut(GROUP * dim);
+        let (diffs, solved) = work.split_at_mut(dim);
         let mut scores = Vec::with_capacity(self.classes.len());
-        for group in self.classes.chunks(GROUP) {
-            let factor = |c: usize| &self.factors[group[c].factor];
-            for (c, class) in group.iter().enumerate() {
-                for (i, d) in diffs[c * dim..(c + 1) * dim].iter_mut().enumerate() {
-                    *d = x(i) - class.mean[i];
+        for group in self.classes.chunks(LANES) {
+            for (i, d) in diffs.iter_mut().enumerate() {
+                let xi = x(i);
+                for (d, class) in d.iter_mut().zip(group) {
+                    *d = xi - class.mean[i];
                 }
+                d[group.len()..].fill(0.0);
             }
-            // Forward substitution `L·y = diff`, one row of every class at
-            // a time.
+            // Forward substitution `L·y = diff`: row `i` subtracts the dot
+            // of its prefix with the solved `y[..i]`.
             for i in 0..dim {
-                for c in 0..group.len() {
-                    let l = factor(c).0.lower();
-                    let y = &mut solved[c * dim..(c + 1) * dim];
-                    let sum = diffs[c * dim + i] - simd::dot(&l[i * dim..i * dim + i], &y[..i]);
-                    y[i] = sum / l[i * dim + i];
-                }
+                let row = &l[i * dim..i * dim + i];
+                let dot = lane_dot(i, |k| solved[k].map(|y| row[k] * y));
+                let pivot = l[i * dim + i];
+                solved[i] = std::array::from_fn(|c| (diffs[i][c] - dot[c]) / pivot);
             }
             // Backward substitution `Lᵀ·x = y` in place: `x[k]` overwrites
-            // `y[k]` once row `k` is solved, and row `i` reads only
-            // `y[i]` and the solved `x[i + 1..]`.
+            // `y[k]` once row `k` is solved, and row `i` reads only `y[i]`
+            // and the solved `x[i + 1..]`.
             for i in (0..dim).rev() {
-                for c in 0..group.len() {
-                    let l = factor(c).0.lower();
-                    let y = &mut solved[c * dim..(c + 1) * dim];
-                    let mut sum = y[i];
-                    for k in i + 1..dim {
-                        sum -= l[k * dim + i] * y[k];
+                let mut sum = solved[i];
+                for k in i + 1..dim {
+                    let lki = l[k * dim + i];
+                    for (s, x) in sum.iter_mut().zip(&solved[k]) {
+                        *s -= lki * x;
                     }
-                    y[i] = sum / l[i * dim + i];
                 }
+                let pivot = l[i * dim + i];
+                solved[i] = sum.map(|s| s / pivot);
             }
-            for (c, class) in group.iter().enumerate() {
-                let range = c * dim..(c + 1) * dim;
-                let d2 = simd::dot(&diffs[range.clone()], &solved[range]);
-                scores.push((class.label, -0.5 * (d2 + factor(c).1)));
+            let d2 = lane_dot(dim, |k| std::array::from_fn(|c| diffs[k][c] * solved[k][c]));
+            for (class, d2) in group.iter().zip(d2) {
+                scores.push((class.label, -0.5 * (d2 + self.log_det)));
             }
         }
         ScoreTable::from_log_likelihoods(scores)
     }
 }
 
-/// The factor of `acc`'s sample covariance with `ridge` on the diagonal,
-/// and its log-determinant.
-fn factor(acc: &Covariance, ridge: f64) -> Result<(Cholesky, f64), TemplateError> {
-    let dim = acc.dim();
-    let mut cov = acc.sample_covariance();
-    regularize(&mut cov, dim, ridge);
-    let ch = Cholesky::new(&cov, dim)?;
-    let log_det = ch.log_determinant();
-    Ok((ch, log_det))
+/// [`simd::dot`]'s recurrence run on every lane: the sum of `term(k)` over
+/// `k < len`, with term `k` of the chunked prefix added into accumulator
+/// `k % simd::LANES`, the accumulators combined as `(a0 + a1) + (a2 + a3)`,
+/// and the remainder added on in order.
+#[inline]
+fn lane_dot(len: usize, term: impl Fn(usize) -> Lanes) -> Lanes {
+    let split = len - len % simd::LANES;
+    let mut acc = [[0.0; LANES]; simd::LANES];
+    for k in (0..split).step_by(simd::LANES) {
+        for (j, acc) in acc.iter_mut().enumerate() {
+            for (a, t) in acc.iter_mut().zip(term(k + j)) {
+                *a += t;
+            }
+        }
+    }
+    let mut total: Lanes =
+        std::array::from_fn(|c| (acc[0][c] + acc[1][c]) + (acc[2][c] + acc[3][c]));
+    for k in split..len {
+        for (s, t) in total.iter_mut().zip(term(k)) {
+            *s += t;
+        }
+    }
+    total
 }
 
 /// Fit observations grouped by class in one flat row-major buffer: labels
@@ -436,12 +403,12 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use reveal_trace::Trace;
     use std::collections::BTreeMap;
+    use std::time::{Duration, Instant};
 
     /// The reference fit: a `BTreeMap` of per-class observation lists,
     /// and a fresh centred `Vec` per pooled observation.
     fn fit_reference(
         observations: &[(i64, Vec<f64>)],
-        mode: CovarianceMode,
         ridge: f64,
     ) -> Result<TemplateSet, TemplateError> {
         let dim = observations
@@ -458,73 +425,34 @@ mod tests {
             }
             by_label.entry(*label).or_default().push(v);
         }
-        let mut classes = Vec::with_capacity(by_label.len());
-        let mut factors = Vec::new();
-        match mode {
-            CovarianceMode::Pooled => {
-                let mut pooled = Covariance::new(dim);
-                let mut means: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
-                for (&label, vecs) in &by_label {
-                    let mut acc = Covariance::new(dim);
-                    for v in vecs {
-                        acc.push(v);
-                    }
-                    means.insert(label, acc.mean().to_vec());
-                }
-                for (&label, vecs) in &by_label {
-                    let mean = &means[&label];
-                    for v in vecs {
-                        let centered: Vec<f64> = v.iter().zip(mean).map(|(a, b)| a - b).collect();
-                        pooled.push(&centered);
-                    }
-                }
-                let mut cov = pooled.sample_covariance();
-                regularize(&mut cov, dim, ridge);
-                let ch = Cholesky::new(&cov, dim)?;
-                let log_det = ch.log_determinant();
-                factors.push((ch, log_det));
-                for (label, mean) in means {
-                    classes.push(ClassTemplate {
-                        label,
-                        mean,
-                        factor: 0,
-                    });
-                }
+        let mut pooled = Covariance::new(dim);
+        let mut means: BTreeMap<i64, Vec<f64>> = BTreeMap::new();
+        for (&label, vecs) in &by_label {
+            let mut acc = Covariance::new(dim);
+            for v in vecs {
+                acc.push(v);
             }
-            CovarianceMode::PerClass => {
-                for (&label, vecs) in &by_label {
-                    if vecs.len() <= dim {
-                        return Err(TemplateError::NotEnoughTraces {
-                            label,
-                            count: vecs.len(),
-                            dim,
-                        });
-                    }
-                    let mut acc = Covariance::new(dim);
-                    for v in vecs {
-                        acc.push(v);
-                    }
-                    let mut cov = acc.sample_covariance();
-                    regularize(&mut cov, dim, ridge);
-                    let ch = Cholesky::new(&cov, dim)?;
-                    let log_det = ch.log_determinant();
-                    classes.push(ClassTemplate {
-                        label,
-                        mean: acc.mean().to_vec(),
-                        factor: factors.len(),
-                    });
-                    factors.push((ch, log_det));
-                }
+            means.insert(label, acc.mean().to_vec());
+        }
+        for (&label, vecs) in &by_label {
+            let mean = &means[&label];
+            for v in vecs {
+                let centered: Vec<f64> = v.iter().zip(mean).map(|(a, b)| a - b).collect();
+                pooled.push(&centered);
             }
         }
-        if classes.is_empty() {
-            return Err(TemplateError::NoClasses);
-        }
+        let mut cov = pooled.sample_covariance();
+        regularize(&mut cov, dim, ridge);
+        let factor = Cholesky::new(&cov, dim)?;
+        let log_det = factor.log_determinant();
         Ok(TemplateSet {
             dim,
-            classes,
-            factors,
-            mode,
+            classes: means
+                .into_iter()
+                .map(|(label, mean)| ClassTemplate { label, mean })
+                .collect(),
+            factor,
+            log_det,
         })
     }
 
@@ -532,23 +460,44 @@ mod tests {
     fn fit_trace_set_reference(
         set: &TraceSet,
         pois: &[usize],
-        mode: CovarianceMode,
         ridge: f64,
     ) -> Result<TemplateSet, TemplateError> {
         let observations: Vec<(i64, Vec<f64>)> = set
             .iter()
             .filter_map(|t| t.label().map(|l| (l, t.project(pois))))
             .collect();
-        fit_reference(&observations, mode, ridge)
+        fit_reference(&observations, ridge)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The scores of `table` as `(label, bits)`.
+    fn score_bits(table: &ScoreTable) -> Vec<(i64, u64)> {
+        table
+            .log_likelihoods()
+            .iter()
+            .map(|(l, s)| (*l, s.to_bits()))
+            .collect()
+    }
+
+    /// The oracle the scoring kernel reproduces: one
+    /// [`Cholesky::mahalanobis_squared`] per class.
+    fn per_class_scores(set: &TemplateSet, x: &[f64]) -> ScoreTable {
+        ScoreTable::from_log_likelihoods(
+            set.classes
+                .iter()
+                .map(|class| {
+                    let d2 = set.factor.mahalanobis_squared(x, &class.mean).unwrap();
+                    (class.label, -0.5 * (d2 + set.log_det))
+                })
+                .collect(),
+        )
+    }
+
     /// Two fits agree bit for bit: the same error, or the same labels,
-    /// means, factors and log-determinants, and the same scores on
-    /// `probes`.
+    /// means, factor and log-determinant, and the same scores on `probes`.
     fn assert_same_fit(
         got: &Result<TemplateSet, TemplateError>,
         want: &Result<TemplateSet, TemplateError>,
@@ -562,31 +511,15 @@ mod tests {
             }
         };
         prop_assert_eq!(got.dim, want.dim);
-        prop_assert_eq!(got.mode, want.mode);
         prop_assert_eq!(got.labels(), want.labels());
         for label in want.labels() {
             let mean = |set: &TemplateSet| set.class_mean(label).map(bits);
             prop_assert_eq!(mean(got), mean(want));
         }
-        let factors = |set: &TemplateSet| -> Vec<(Vec<u64>, u64)> {
-            set.factors
-                .iter()
-                .map(|(ch, log_det)| (bits(ch.lower()), log_det.to_bits()))
-                .collect()
-        };
-        prop_assert_eq!(factors(got), factors(want));
-        let class_factors =
-            |set: &TemplateSet| -> Vec<usize> { set.classes.iter().map(|c| c.factor).collect() };
-        prop_assert_eq!(class_factors(got), class_factors(want));
+        prop_assert_eq!(bits(got.factor.lower()), bits(want.factor.lower()));
+        prop_assert_eq!(got.log_det.to_bits(), want.log_det.to_bits());
         for x in probes {
-            let scores = |set: &TemplateSet| -> Vec<(i64, u64)> {
-                let table = set.classify(x).unwrap();
-                table
-                    .log_likelihoods()
-                    .iter()
-                    .map(|(l, s)| (*l, s.to_bits()))
-                    .collect()
-            };
+            let scores = |set: &TemplateSet| score_bits(&set.classify(x).unwrap());
             prop_assert_eq!(scores(got), scores(want));
         }
         Ok(())
@@ -632,13 +565,11 @@ mod tests {
         ) {
             let observations = random_observations(seed, count, dim, labels);
             let probes = probes(&observations[0].1);
-            for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
-                assert_same_fit(
-                    &TemplateSet::fit(&observations, mode, 1e-9),
-                    &fit_reference(&observations, mode, 1e-9),
-                    &probes,
-                )?;
-            }
+            assert_same_fit(
+                &TemplateSet::fit(&observations, 1e-9),
+                &fit_reference(&observations, 1e-9),
+                &probes,
+            )?;
         }
 
         #[test]
@@ -662,13 +593,11 @@ mod tests {
                 .collect();
             let pois: Vec<usize> = (0..dim).map(|_| rng.gen_range(0..len)).collect();
             let probes = probes(&set.traces()[0].project(&pois));
-            for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
-                assert_same_fit(
-                    &TemplateSet::fit_trace_set(&set, &pois, mode, 1e-9),
-                    &fit_trace_set_reference(&set, &pois, mode, 1e-9),
-                    &probes,
-                )?;
-            }
+            assert_same_fit(
+                &TemplateSet::fit_trace_set(&set, &pois, 1e-9),
+                &fit_trace_set_reference(&set, &pois, 1e-9),
+                &probes,
+            )?;
         }
     }
 
@@ -705,21 +634,18 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_per_class_classify_separable_data() {
-        let obs = three_class_data();
-        for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
-            let set = TemplateSet::fit(&obs, mode, 1e-9).unwrap();
-            assert_eq!(set.labels(), vec![-1, 0, 1]);
-            assert_eq!(set.classify(&[-2.0, 0.1]).unwrap().best_label(), -1);
-            assert_eq!(set.classify(&[0.1, 1.9]).unwrap().best_label(), 0);
-            assert_eq!(set.classify(&[1.8, -0.1]).unwrap().best_label(), 1);
-        }
+    fn pooled_templates_classify_separable_data() {
+        let set = TemplateSet::fit(&three_class_data(), 1e-9).unwrap();
+        assert_eq!(set.labels(), vec![-1, 0, 1]);
+        assert_eq!(set.classify(&[-2.0, 0.1]).unwrap().best_label(), -1);
+        assert_eq!(set.classify(&[0.1, 1.9]).unwrap().best_label(), 0);
+        assert_eq!(set.classify(&[1.8, -0.1]).unwrap().best_label(), 1);
     }
 
     #[test]
     fn probabilities_are_normalized_and_confident() {
         let obs = three_class_data();
-        let set = TemplateSet::fit(&obs, CovarianceMode::Pooled, 1e-9).unwrap();
+        let set = TemplateSet::fit(&obs, 1e-9).unwrap();
         let scores = set.classify(&[2.0, 0.0]).unwrap();
         let probs = scores.probabilities();
         let total: f64 = probs.iter().map(|(_, p)| p).sum();
@@ -729,37 +655,34 @@ mod tests {
     }
 
     #[test]
-    fn per_class_rejects_tiny_classes() {
+    fn pooled_fit_accepts_classes_smaller_than_the_dimension() {
+        // Two traces per class in two dimensions: each class alone has a
+        // singular covariance, the pooled one does not.
         let obs = vec![
             (0i64, vec![0.0, 0.0]),
             (0, vec![0.1, 0.1]),
             (1, vec![1.0, 1.0]),
             (1, vec![1.1, 0.9]),
         ];
-        assert!(matches!(
-            TemplateSet::fit(&obs, CovarianceMode::PerClass, 1e-9),
-            Err(TemplateError::NotEnoughTraces { .. })
-        ));
-        // Pooled mode copes.
-        assert!(TemplateSet::fit(&obs, CovarianceMode::Pooled, 1e-6).is_ok());
+        assert!(TemplateSet::fit(&obs, 1e-6).is_ok());
     }
 
     #[test]
     fn empty_and_mismatched_inputs() {
         assert!(matches!(
-            TemplateSet::fit(&[], CovarianceMode::Pooled, 0.0),
+            TemplateSet::fit(&[], 0.0),
             Err(TemplateError::NoClasses)
         ));
         let obs = vec![(0i64, vec![1.0, 2.0]), (1, vec![1.0])];
         assert!(matches!(
-            TemplateSet::fit(&obs, CovarianceMode::Pooled, 0.0),
+            TemplateSet::fit(&obs, 0.0),
             Err(TemplateError::DimensionMismatch {
                 expected: 2,
                 got: 1
             })
         ));
         let good = three_class_data();
-        let set = TemplateSet::fit(&good, CovarianceMode::Pooled, 1e-9).unwrap();
+        let set = TemplateSet::fit(&good, 1e-9).unwrap();
         assert!(matches!(
             set.classify(&[1.0]),
             Err(TemplateError::DimensionMismatch {
@@ -784,19 +707,16 @@ mod tests {
                 -1,
             ));
         }
-        let set = TemplateSet::fit_trace_set(&ts, &[2, 5], CovarianceMode::Pooled, 1e-9).unwrap();
+        let set = TemplateSet::fit_trace_set(&ts, &[2, 5], 1e-9).unwrap();
         assert_eq!(set.dim(), 2);
         assert_eq!(set.classify(&[3.0, 0.0]).unwrap().best_label(), 1);
         assert_eq!(set.classify(&[0.0, 3.0]).unwrap().best_label(), -1);
     }
 
-    /// A fitted set of `classes` classes in `dim` dimensions, plus a few
-    /// observations to score (off-center, and one far outlier).
-    fn lockstep_case(
-        dim: usize,
-        classes: usize,
-        mode: CovarianceMode,
-    ) -> (TemplateSet, Vec<Vec<f64>>) {
+    /// A fitted set of `classes` classes in `dim` dimensions, plus
+    /// observations to score: off-center, far outliers of both signs, and
+    /// subnormal.
+    fn lane_case(dim: usize, classes: usize) -> (TemplateSet, Vec<Vec<f64>>) {
         let mut obs = Vec::new();
         for c in 0..classes {
             let center: Vec<f64> = (0..dim)
@@ -806,65 +726,113 @@ mod tests {
                 obs.push((c as i64 - 14, v));
             }
         }
-        let set = TemplateSet::fit(&obs, mode, 1e-6).unwrap();
+        let set = TemplateSet::fit(&obs, 1e-6).unwrap();
+        let subnormal: Vec<f64> = (0..dim)
+            .map(|d| f64::MIN_POSITIVE * (d as f64 - 2.5) / 8.0)
+            .collect();
         let probes = vec![
             obs[0].1.clone(),
             gaussian_cloud(&vec![0.3; dim], 1, 2.0, dim as u64).remove(0),
             vec![1e3; dim],
+            vec![1e300; dim],
+            vec![-1e300; dim],
+            subnormal,
         ];
         (set, probes)
     }
 
-    /// The lockstep kernel against the per-class solve it schedules.
-    fn assert_lockstep_matches_per_class(set: &TemplateSet, probes: &[Vec<f64>]) {
+    /// The lane kernel against the per-class solve, bit for bit.
+    fn assert_lanes_match_per_class(set: &TemplateSet, probes: &[Vec<f64>]) {
         for x in probes {
             let scores = set.classify(x).unwrap();
-            assert_eq!(scores.len(), set.classes.len());
-            for ((label, score), class) in scores.log_likelihoods().iter().zip(&set.classes) {
-                let (factor, log_det) = &set.factors[class.factor];
-                let d2 = factor.mahalanobis_squared(x, &class.mean).unwrap();
-                assert_eq!(*label, class.label);
-                assert_eq!(
-                    score.to_bits(),
-                    (-0.5 * (d2 + log_det)).to_bits(),
-                    "dim {} classes {} mode {:?}",
-                    set.dim,
-                    set.classes.len(),
-                    set.mode
-                );
-            }
+            assert_eq!(
+                score_bits(&scores),
+                score_bits(&per_class_scores(set, x)),
+                "dim {} classes {} probe {x:?}",
+                set.dim,
+                set.classes.len()
+            );
             // Reading the observation through a POI map changes nothing.
             let pois: Vec<usize> = (0..set.dim).map(|i| 2 * i + 1).collect();
             let mut window = vec![f64::NAN; 2 * set.dim + 1];
             for (&p, &v) in pois.iter().zip(x) {
                 window[p] = v;
             }
-            assert_eq!(set.classify_projected(&window, &pois).unwrap(), scores);
+            let projected = set.classify_projected(&window, &pois).unwrap();
+            assert_eq!(score_bits(&projected), score_bits(&scores));
         }
     }
 
     #[test]
-    fn lockstep_scores_match_per_class_mahalanobis_bit_for_bit() {
-        for mode in [CovarianceMode::Pooled, CovarianceMode::PerClass] {
-            // Every dimension up to the stack limit and past it (the heap
-            // work space), 24 being the largest the POI ablation uses, each
-            // with a class count that is not a multiple of the group width
-            // whenever the cycle allows.
-            for dim in (1..=STACK_DIM + 1).chain([40]) {
-                let (set, probes) = lockstep_case(dim, 1 + (dim * 7) % 29, mode);
-                assert_lockstep_matches_per_class(&set, &probes);
-            }
-            // Every class count from one to the paper's 29 labels.
-            for classes in 1..=29 {
-                let (set, probes) = lockstep_case(24, classes, mode);
-                assert_lockstep_matches_per_class(&set, &probes);
-            }
+    fn lane_scores_match_per_class_mahalanobis_bit_for_bit() {
+        // Every dimension up to the stack limit and past it (the heap work
+        // space), 24 being the largest the POI ablation uses, each with a
+        // class count that leaves a partial lane group whenever the cycle
+        // allows.
+        for dim in (1..=STACK_DIM + 1).chain([40]) {
+            let (set, probes) = lane_case(dim, 1 + (dim * 7) % 29);
+            assert_lanes_match_per_class(&set, &probes);
         }
+        // Every class count from one to the paper's 29 labels: every
+        // remainder of the lane width.
+        for classes in 1..=29 {
+            let (set, probes) = lane_case(24, classes);
+            assert_lanes_match_per_class(&set, &probes);
+        }
+    }
+
+    #[test]
+    fn lane_scoring_outpaces_the_per_class_solve() {
+        // The paper's sets at dim 10 (one POI per dimension): 3 sign
+        // classes, then 14 positive and twice 14 negative value classes,
+        // each window scored against all four, serially.
+        let sets: Vec<TemplateSet> = [3, 14, 14, 14]
+            .iter()
+            .map(|&classes| lane_case(10, classes).0)
+            .collect();
+        let windows: Vec<Vec<f64>> = (0..1024)
+            .map(|w| gaussian_cloud(&[0.5; 10], 1, 3.0, w).remove(0))
+            .collect();
+        let timed = |score: &dyn Fn(&TemplateSet, &[f64]) -> ScoreTable| {
+            let start = Instant::now();
+            let mut tables = Vec::with_capacity(windows.len() * sets.len());
+            for x in &windows {
+                for set in &sets {
+                    tables.push(score(set, x));
+                }
+            }
+            (start.elapsed(), tables)
+        };
+        // Interleaved reps, best of three per side, every rep bit-identical.
+        let (mut lanes, mut oracle) = (Duration::MAX, Duration::MAX);
+        for _ in 0..3 {
+            let (t_lanes, fast) = timed(&|set, x| set.classify(x).unwrap());
+            let (t_oracle, slow) = timed(&per_class_scores);
+            assert!(fast
+                .iter()
+                .zip(&slow)
+                .all(|(a, b)| score_bits(a) == score_bits(b)));
+            lanes = lanes.min(t_lanes);
+            oracle = oracle.min(t_oracle);
+        }
+        let ratio = oracle.as_secs_f64() / lanes.as_secs_f64();
+        println!(
+            "lanes {:.2} ms, per-class oracle {:.2} ms: {ratio:.2}x",
+            lanes.as_secs_f64() * 1e3,
+            oracle.as_secs_f64() * 1e3
+        );
+        // Optimized builds vectorize the lanes; unoptimized ones only have
+        // to stay bit-identical.
+        let floor = if cfg!(debug_assertions) { 0.0 } else { 3.5 };
+        assert!(
+            ratio >= floor,
+            "lane scoring is only {ratio:.2}x the per-class solve (floor {floor}x)"
+        );
     }
 
     #[test]
     fn projected_classification_rejects_short_samples() {
-        let set = TemplateSet::fit(&three_class_data(), CovarianceMode::Pooled, 1e-9).unwrap();
+        let set = TemplateSet::fit(&three_class_data(), 1e-9).unwrap();
         assert_eq!(
             set.classify_projected(&[1.0; 4], &[0, 7]),
             Err(TemplateError::DimensionMismatch {
@@ -884,7 +852,7 @@ mod tests {
     #[test]
     fn class_means_recovered() {
         let obs = three_class_data();
-        let set = TemplateSet::fit(&obs, CovarianceMode::Pooled, 1e-9).unwrap();
+        let set = TemplateSet::fit(&obs, 1e-9).unwrap();
         let m = set.class_mean(1).unwrap();
         assert!((m[0] - 2.0).abs() < 0.2);
         assert!(m[1].abs() < 0.2);
