@@ -59,10 +59,11 @@ pub use report::{
     ReportError,
 };
 pub use robust::{
-    calibrate, integrate_decision, relaxation_schedule, report_robust, Calibration, Diagnostics,
-    HintDecision, Rail, RailDiagnostics, RobustAttack, RobustAttackResult, RobustCoefficient,
-    RobustConfig, Suspicion,
+    calibrate, relaxation_schedule, report_robust, Calibration, Diagnostics, Rail, RailDiagnostics,
+    RobustAttack, RobustAttackResult, RobustCoefficient, RobustConfig, Suspicion,
 };
+// `RobustCoefficient::decision` is a ladder decision.
+pub use reveal_hints::HintDecision;
 // The learned rail's knobs and typed failures, so two-rail consumers need
 // only this crate.
 pub use reveal_template::{LearnedConfig, LearnedError};

@@ -4,8 +4,8 @@
 
 use crate::profile::SingleTraceAttack;
 use reveal_hints::{
-    integrate_posteriors, DbddInstance, HintError, HintPolicy, HintSummary, LweParameters,
-    Posterior, SecurityEstimate,
+    fold_decisions, DbddInstance, FoldError, HintDecision, HintError, HintPolicy, HintSummary,
+    LweParameters, Posterior, SecurityEstimate,
 };
 use std::fmt;
 
@@ -37,6 +37,12 @@ impl std::error::Error for ReportError {}
 impl From<HintError> for ReportError {
     fn from(e: HintError) -> Self {
         ReportError::Hint(e)
+    }
+}
+
+impl From<FoldError> for ReportError {
+    fn from(e: FoldError) -> Self {
+        ReportError::Hint(e.error)
     }
 }
 
@@ -132,7 +138,8 @@ pub fn report_sign_only(
     report_posteriors(&posteriors?, params, policy)
 }
 
-/// Core report builder from explicit posteriors.
+/// Builds the report from explicit posteriors: each posterior's mode is
+/// decided at its variance by `policy`.
 ///
 /// # Errors
 ///
@@ -142,21 +149,36 @@ pub fn report_posteriors(
     params: &LweParameters,
     policy: &HintPolicy,
 ) -> Result<AttackReport, ReportError> {
-    if posteriors.len() > params.m {
+    let decisions = posteriors
+        .iter()
+        .map(|p| policy.decide(p.mode(), p.variance()));
+    report_decisions(decisions, params)
+}
+
+/// The report all the `report_*` functions end in: one decision per error
+/// coordinate, folded in order by [`fold_decisions`].
+///
+/// # Errors
+///
+/// Fails when decisions outnumber error coordinates or hint integration
+/// fails.
+pub(crate) fn report_decisions(
+    decisions: impl ExactSizeIterator<Item = HintDecision>,
+    params: &LweParameters,
+) -> Result<AttackReport, ReportError> {
+    let coefficients = decisions.len();
+    if coefficients > params.m {
         return Err(ReportError::TooManyCoefficients {
-            estimates: posteriors.len(),
+            estimates: coefficients,
             coords: params.m,
         });
     }
-    let baseline = DbddInstance::from_lwe(params).estimate();
-    let mut hinted = DbddInstance::from_lwe(params);
-    let coords: Vec<usize> = (0..posteriors.len()).collect();
-    let hints = integrate_posteriors(&mut hinted, &coords, posteriors, policy)?;
+    let (with_hints, hints) = fold_decisions(params, decisions)?;
     Ok(AttackReport {
-        baseline,
-        with_hints: hinted.estimate(),
+        baseline: DbddInstance::from_lwe(params).estimate(),
+        with_hints,
         hints,
-        coefficients: posteriors.len(),
+        coefficients,
     })
 }
 

@@ -25,7 +25,7 @@
 //!    only where a bound cannot decide.
 //! 3. **Gate** — per-coefficient posteriors are classified onto the
 //!    perfect / approximate / skipped ladder by the *shared*
-//!    [`HintPolicy::classify_variance`] decision, with the posterior
+//!    [`HintPolicy::decide`] rule, with the posterior
 //!    variance inflated when the trace's robust noise estimate exceeds the
 //!    calibrated clean level, suspect windows demoted to at most an
 //!    approximate hint, and healed windows skipped outright.
@@ -40,14 +40,15 @@
 
 use crate::config::AttackConfig;
 use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack, ATTACK_WINDOW_COST};
-use crate::report::{AttackReport, ReportError};
-use reveal_hints::{DbddInstance, HintClass, HintPolicy, HintSummary, LweParameters, Posterior};
+use crate::report::{report_decisions, AttackReport, ReportError};
+use reveal_hints::{HintDecision, HintPolicy, HintSummary, LweParameters, Posterior};
 use reveal_trace::order::last_not_exceeding;
 use reveal_trace::sanity::{
     finite_min_max, mad_in_place, mad_outlier_flags, median, median_in_place, robust_noise_sigma,
     MAD_TO_SIGMA,
 };
 use reveal_trace::segment::{refined_bursts_into, SegmentConfig, SegmentError, SegmentScratch};
+use std::cmp::Ordering;
 
 /// Knobs of the robust driver. Defaults are deliberately conservative: on a
 /// clean capture none of the screens may fire (the zero-fault bit-identity
@@ -78,13 +79,6 @@ pub struct RobustConfig {
     /// Posterior-variance floor assigned when a suspect window's hint is
     /// demoted from perfect to approximate.
     pub demoted_variance_floor: f64,
-    /// Enables per-burst rail arbitration when the attacker carries a
-    /// learned rail ([`TrainedAttack::learned_rail`]). Arbitration arms
-    /// only on *degraded* evidence (noise inflation, relaxed segmentation,
-    /// healing, or a soft-suspect window), so a clean capture never
-    /// consults the learned rail and stays bit-identical to the plain
-    /// pipeline whether this is on or off.
-    pub arbitration: bool,
 }
 
 impl Default for RobustConfig {
@@ -97,7 +91,6 @@ impl Default for RobustConfig {
             length_z: 8.0,
             inflation_knee: 1.5,
             demoted_variance_floor: 0.25,
-            arbitration: true,
         }
     }
 }
@@ -191,17 +184,6 @@ impl Suspicion {
     }
 }
 
-/// The degradation-ladder decision for one coefficient.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HintDecision {
-    /// Exact value, integrated via `integrate_perfect_hint`.
-    Perfect { value: i64 },
-    /// Approximate value, integrated via `integrate_approximate_hint`.
-    Approximate { value: i64, eps_squared: f64 },
-    /// Unrecoverable: nothing is integrated for this coordinate.
-    Skipped,
-}
-
 /// Which classification rail produced a coefficient's decision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Rail {
@@ -260,11 +242,10 @@ pub struct Diagnostics {
 /// template-only attacker or a clean capture).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RailDiagnostics {
-    /// The attacker carried a trained learned rail.
+    /// The attacker carried a trained learned rail, so arbitration was on
+    /// (a failed/NaN training run leaves this false — the recorded
+    /// LDA-only fallback).
     pub attached: bool,
-    /// Arbitration was enabled *and* a rail was attached (a failed/NaN
-    /// training run leaves this false — the recorded LDA-only fallback).
-    pub arbitrated: bool,
     /// Windows where degradation armed the arbiter and both rails scored.
     pub armed_windows: usize,
     /// Armed windows the learned rail won on calibrated margin.
@@ -299,17 +280,9 @@ impl RobustAttackResult {
             .collect()
     }
 
-    /// Counts of (perfect, approximate, skipped) decisions.
-    pub fn decision_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for c in &self.coefficients {
-            match c.decision {
-                HintDecision::Perfect { .. } => counts.0 += 1,
-                HintDecision::Approximate { .. } => counts.1 += 1,
-                HintDecision::Skipped => counts.2 += 1,
-            }
-        }
-        counts
+    /// The decisions counted by rung.
+    pub fn decision_counts(&self) -> HintSummary {
+        HintSummary::of(self.coefficients.iter().map(|c| &c.decision))
     }
 }
 
@@ -462,13 +435,8 @@ impl<'a> RobustAttack<'a> {
         // clean capture nothing below fires, the learned rail is never
         // consulted, and the template path runs verbatim — that is how
         // arbitration coexists with the zero-fault bit-identity contract.
-        diagnostics.rail.attached = self.attack.learned_rail().is_some();
-        let learned_rail = if self.config.arbitration {
-            self.attack.learned_rail()
-        } else {
-            None
-        };
-        diagnostics.rail.arbitrated = learned_rail.is_some();
+        let learned_rail = self.attack.learned_rail();
+        diagnostics.rail.attached = learned_rail.is_some();
         let trace_degraded = diagnostics.variance_inflation > 1.0
             || diagnostics.noise_variance_floor > 0.0
             || diagnostics.relaxation_rung > 0
@@ -820,16 +788,8 @@ impl<'a> RobustAttack<'a> {
         // Noise floor (0.0 on clean captures): a sharp posterior measured
         // through heavy noise is not actually sharp evidence.
         let variance = variance.max(noise_floor);
-        let mut decision = match policy.classify_variance(variance) {
-            HintClass::Perfect => HintDecision::Perfect {
-                value: estimate.predicted,
-            },
-            HintClass::Approximate { eps_squared } => HintDecision::Approximate {
-                value: estimate.predicted,
-                eps_squared,
-            },
-            HintClass::Skipped => HintDecision::Skipped,
-        };
+        let mut decision = policy.decide(estimate.predicted, variance);
+        let floor = self.config.demoted_variance_floor;
         let mut confidence = estimate.confidence() * derate;
         if suspicion.soft() {
             confidence *= 0.5;
@@ -837,17 +797,7 @@ impl<'a> RobustAttack<'a> {
             // approximate hint whose variance is floored at the demotion
             // level (still conservative, still informative).
             if let HintDecision::Perfect { value } = decision {
-                let floored = variance.max(self.config.demoted_variance_floor);
-                decision = match policy.classify_variance(floored) {
-                    HintClass::Perfect | HintClass::Approximate { .. } => {
-                        let prior = policy.prior_variance;
-                        HintDecision::Approximate {
-                            value,
-                            eps_squared: floored * prior / (prior - floored).max(1e-9),
-                        }
-                    }
-                    HintClass::Skipped => HintDecision::Skipped,
-                };
+                decision = at_most_approximate(policy, value, variance.max(floor));
             }
         }
 
@@ -857,17 +807,11 @@ impl<'a> RobustAttack<'a> {
             let learned_variance = Posterior::new(learned_estimate.probabilities.clone())
                 .ok()
                 .map_or(f64::INFINITY, |p| p.variance());
-            let floored = learned_variance.max(self.config.demoted_variance_floor);
-            let learned_decision = match base_policy.classify_variance(floored) {
-                HintClass::Perfect | HintClass::Approximate { .. } => {
-                    let prior = base_policy.prior_variance;
-                    HintDecision::Approximate {
-                        value: learned_estimate.predicted,
-                        eps_squared: floored * prior / (prior - floored).max(1e-9),
-                    }
-                }
-                HintClass::Skipped => HintDecision::Skipped,
-            };
+            let learned_decision = at_most_approximate(
+                base_policy,
+                learned_estimate.predicted,
+                learned_variance.max(floor),
+            );
             let mut learned_confidence = learned_estimate.confidence();
             if suspicion.soft() {
                 learned_confidence *= 0.5;
@@ -880,22 +824,10 @@ impl<'a> RobustAttack<'a> {
             // any learned approximate dominates. Per-window dominance makes
             // the arbitrated hint set at least as strong as LDA-only's, so
             // the resulting bikz can only improve.
-            let ladder_rank = |d: &HintDecision| match d {
-                HintDecision::Perfect { .. } => 2u8,
-                HintDecision::Approximate { .. } => 1,
-                HintDecision::Skipped => 0,
-            };
-            let dominates = match (&learned_decision, &decision) {
-                (
-                    HintDecision::Approximate {
-                        eps_squared: le, ..
-                    },
-                    HintDecision::Approximate {
-                        eps_squared: de, ..
-                    },
-                ) => le <= de,
-                (l, d) => ladder_rank(l) >= ladder_rank(d),
-            };
+            let dominates = matches!(
+                learned_decision.cmp_strength(&decision),
+                Some(Ordering::Greater | Ordering::Equal)
+            );
             if learned_confidence > confidence && dominates {
                 return RobustCoefficient {
                     estimate: Some(learned_estimate),
@@ -913,6 +845,23 @@ impl<'a> RobustAttack<'a> {
             suspicion,
             decision,
             rail: Rail::Lda,
+        }
+    }
+}
+
+/// `policy`'s rung for `variance`, capped at an approximate hint: a perfect
+/// rung becomes an approximate hint at `variance` itself, with
+/// ε² = vσ² / max(σ² − v, 10⁻⁹). The rung is decided on `policy`'s
+/// inflated variance, the ε² on the uninflated one.
+fn at_most_approximate(policy: &HintPolicy, value: i64, variance: f64) -> HintDecision {
+    match policy.decide(value, variance) {
+        HintDecision::Skipped => HintDecision::Skipped,
+        HintDecision::Perfect { .. } | HintDecision::Approximate { .. } => {
+            let prior = policy.prior_variance;
+            HintDecision::Approximate {
+                value,
+                eps_squared: variance * prior / (prior - variance).max(1e-9),
+            }
         }
     }
 }
@@ -993,42 +942,9 @@ fn gain_flagged(
     (level / reference - 1.0).abs() > tolerance
 }
 
-/// Integrates one ladder decision into `instance` at `coord`, updating the
-/// running summary: perfect hints via `integrate_perfect_hint`, approximate
-/// ones via `integrate_approximate_hint` with the gated ε², skipped ones
-/// only counted. This is the single integration point shared by
-/// [`report_robust`] and `reveal-serve`'s incremental per-key accumulator,
-/// so a served stream folds decisions through exactly the same arithmetic
-/// (and in the same order) as the one-shot report — bit-identity between
-/// the two paths is by construction, not by parallel maintenance.
-///
-/// # Errors
-///
-/// Propagates hint-integration failures (out-of-range or already-eliminated
-/// coordinate, non-positive ε²).
-pub fn integrate_decision(
-    instance: &mut DbddInstance,
-    coord: usize,
-    decision: &HintDecision,
-    summary: &mut HintSummary,
-) -> Result<(), reveal_hints::HintError> {
-    match decision {
-        HintDecision::Perfect { .. } => {
-            instance.integrate_perfect_hint(coord)?;
-            summary.perfect += 1;
-        }
-        HintDecision::Approximate { eps_squared, .. } => {
-            instance.integrate_approximate_hint(coord, *eps_squared)?;
-            summary.approximate += 1;
-        }
-        HintDecision::Skipped => summary.skipped += 1,
-    }
-    Ok(())
-}
-
 /// Builds the security report from robust decisions, mirroring
-/// [`report_full_attack`](crate::report::report_full_attack): coordinates
-/// are integrated in ascending order via [`integrate_decision`].
+/// [`report_full_attack`](crate::report::report_full_attack): the decisions
+/// are folded in coefficient order.
 ///
 /// # Errors
 ///
@@ -1038,24 +954,7 @@ pub fn report_robust(
     result: &RobustAttackResult,
     params: &LweParameters,
 ) -> Result<AttackReport, ReportError> {
-    if result.coefficients.len() > params.m {
-        return Err(ReportError::TooManyCoefficients {
-            estimates: result.coefficients.len(),
-            coords: params.m,
-        });
-    }
-    let baseline = DbddInstance::from_lwe(params).estimate();
-    let mut hinted = DbddInstance::from_lwe(params);
-    let mut hints = HintSummary::default();
-    for (coord, coefficient) in result.coefficients.iter().enumerate() {
-        integrate_decision(&mut hinted, coord, &coefficient.decision, &mut hints)?;
-    }
-    Ok(AttackReport {
-        baseline,
-        with_hints: hinted.estimate(),
-        hints,
-        coefficients: result.coefficients.len(),
-    })
+    report_decisions(result.coefficients.iter().map(|c| c.decision), params)
 }
 
 #[cfg(test)]
@@ -1648,7 +1547,6 @@ mod tests {
         // On a clean capture arbitration never arms, so the outcome is the
         // template rail's, bit for bit.
         assert!(arbitrated.diagnostics.rail.attached);
-        assert!(arbitrated.diagnostics.rail.arbitrated);
         if arbitrated.coefficients.iter().all(|c| c.suspicion.clean()) {
             assert_eq!(arbitrated.diagnostics.rail.armed_windows, 0);
         }
@@ -1706,29 +1604,25 @@ mod tests {
             .filter(|c| c.rail == Rail::Learned)
             .all(|c| !matches!(c.decision, HintDecision::Perfect { .. })));
         // Graceful degradation: strictly more usable hints than LDA-only.
-        let (_, ref_approx, ref_skipped) = reference.decision_counts();
-        let (_, arb_approx, arb_skipped) = arbitrated.decision_counts();
+        let lda = reference.decision_counts();
+        let arb = arbitrated.decision_counts();
         assert!(
-            arb_approx > ref_approx && arb_skipped < ref_skipped,
-            "arbitrated approx {arb_approx} (lda {ref_approx}), skipped {arb_skipped} (lda {ref_skipped})"
+            arb.approximate > lda.approximate && arb.skipped < lda.skipped,
+            "arbitrated {arb:?}, lda-only {lda:?}"
         );
     }
 
     #[test]
     fn disabled_arbitration_stays_on_the_template_rail() {
+        // Arbitration is disabled by dropping the learned rail.
         let (device, attack) = trained_two_rail(16, 0xD15AB);
         let mut rng = StdRng::seed_from_u64(4);
         let capture = device.capture_fresh(&mut rng).unwrap();
-        let config = RobustConfig {
-            arbitration: false,
-            ..RobustConfig::default()
-        };
-        let result = RobustAttack::new(&attack)
-            .with_config(config)
+        let lda_only = attack.without_learned_rail();
+        let result = RobustAttack::new(&lda_only)
             .attack_trace(&capture.run.capture.samples, 16, &HintPolicy::seal_paper())
             .unwrap();
-        assert!(result.diagnostics.rail.attached);
-        assert!(!result.diagnostics.rail.arbitrated);
+        assert!(!result.diagnostics.rail.attached);
         assert_eq!(result.diagnostics.rail.armed_windows, 0);
         assert!(result.coefficients.iter().all(|c| c.rail == Rail::Lda));
     }
@@ -1758,7 +1652,6 @@ mod tests {
             .attack_trace(&capture.run.capture.samples, 16, &HintPolicy::seal_paper())
             .unwrap();
         assert!(!result.diagnostics.rail.attached);
-        assert!(!result.diagnostics.rail.arbitrated);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use reveal_attack::{
 };
 use reveal_bench::{paper_device, write_artifact, Scale};
 use reveal_chaos::ChaosPlan;
-use reveal_hints::{HintPolicy, LweParameters};
+use reveal_hints::{HintPolicy, HintSummary, LweParameters};
 
 const MASTER_SEED: u64 = 0xC4A0_5BE9;
 const CHAOS_SEED: u64 = 41;
@@ -79,7 +79,11 @@ fn main() {
             .expect("the robust driver must yield a structured result at every intensity");
         assert_eq!(result.coefficients.len(), degree);
 
-        let (perfect, approximate, skipped) = result.decision_counts();
+        let HintSummary {
+            perfect,
+            approximate,
+            skipped,
+        } = result.decision_counts();
         let wrong_perfect_on_corrupted = result
             .coefficients
             .iter()

@@ -38,7 +38,7 @@ use reveal_attack::{
 };
 use reveal_bench::{paper_device, write_artifact, Scale};
 use reveal_chaos::ChaosPlan;
-use reveal_hints::{HintPolicy, LweParameters};
+use reveal_hints::{HintPolicy, HintSummary, LweParameters};
 
 /// The seed of every pinned artifact: at standard scale the zero-fault
 /// report reproduces the pinned with-hints bikz (242.02) bit for bit, the
@@ -97,7 +97,11 @@ fn outcome(
     corrupted: &dyn Fn(usize) -> bool,
     reference_sigma: f64,
 ) -> RailOutcome {
-    let (perfect, approximate, skipped) = result.decision_counts();
+    let HintSummary {
+        perfect,
+        approximate,
+        skipped,
+    } = result.decision_counts();
     let wrong_perfect_on_corrupted = result
         .coefficients
         .iter()
@@ -242,12 +246,9 @@ fn main() {
         .expect("arbitrated clean attack");
     let arbitrated_clean_report =
         report_robust(&arbitrated_clean, &params).expect("arbitrated clean report");
-    let lda_only_cfg = RobustConfig {
-        arbitration: false,
-        ..clean_robust_cfg
-    };
-    let lda_clean = RobustAttack::new(&attack)
-        .with_config(lda_only_cfg)
+    let lda_only = attack.clone().without_learned_rail();
+    let lda_clean = RobustAttack::new(&lda_only)
+        .with_config(clean_robust_cfg)
         .with_calibration(calibration)
         .attack_trace(&victim.run.capture.samples, degree, &policy)
         .expect("lda-only clean attack");
@@ -270,12 +271,7 @@ fn main() {
 
     // Phase 2: the degradation sweep, full screens on (the driver as
     // deployed), LDA-only vs arbitrated on identical corrupted captures.
-    let lda_sweep = RobustAttack::new(&attack)
-        .with_config(RobustConfig {
-            arbitration: false,
-            ..RobustConfig::default()
-        })
-        .with_calibration(calibration);
+    let lda_sweep = RobustAttack::new(&lda_only).with_calibration(calibration);
     let arb_sweep = RobustAttack::new(&attack).with_calibration(calibration);
 
     let plans: Vec<(&'static str, f64, ChaosPlan)> = NOISE_RATIOS

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reveal_bench::{paper_device, train_attacker, Scale};
-use reveal_hints::Posterior;
+use reveal_hints::{HintDecision, HintPolicy, Posterior};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -91,7 +91,16 @@ fn main() {
     // the well-separated secrets (0, negatives), so the framework selects
     // them as perfect hints.
     let zeros = per_secret.get(&0).map(Vec::as_slice).unwrap_or(&[]);
-    let perfect_zero = zeros.iter().filter(|p| p.is_perfect(1e-9)).count();
+    let policy = HintPolicy::seal_paper();
+    let perfect_zero = zeros
+        .iter()
+        .filter(|p| {
+            matches!(
+                policy.decide(p.mode(), p.variance()),
+                HintDecision::Perfect { .. }
+            )
+        })
+        .count();
     println!(
         "\nzero-secret posteriors flagged perfect: {perfect_zero}/{} (paper: all)",
         zeros.len()

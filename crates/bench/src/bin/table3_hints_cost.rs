@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reveal_attack::rounded_gaussian_prior;
 use reveal_bench::{paper_device, train_attacker, Scale, PAPER_N};
-use reveal_hints::{integrate_posteriors, DbddInstance, HintPolicy, LweParameters, Posterior};
+use reveal_hints::{
+    fold_decisions, DbddInstance, HintDecision, HintPolicy, LweParameters, Posterior,
+};
 use std::collections::BTreeMap;
 
 /// Collects measured posteriors bucketed by the true secret value.
@@ -69,8 +71,7 @@ fn main() {
     let mut perfect_total = 0usize;
     let mut approx_total = 0usize;
     for _ in 0..trials {
-        let mut hinted = DbddInstance::from_lwe(&params);
-        let mut posteriors = Vec::with_capacity(PAPER_N);
+        let mut decisions = Vec::with_capacity(PAPER_N);
         for _ in 0..PAPER_N {
             // Generate a secret value from the sampler's distribution.
             let u: f64 = rng.gen();
@@ -98,14 +99,12 @@ fn main() {
                     Posterior::new(restricted).expect("valid prior slice")
                 }
             };
-            posteriors.push(posterior);
+            decisions.push(policy.decide(posterior.mode(), posterior.variance()));
         }
-        let coords: Vec<usize> = (0..PAPER_N).collect();
-        let summary =
-            integrate_posteriors(&mut hinted, &coords, &posteriors, &policy).expect("hints");
+        let (estimate, summary) = fold_decisions(&params, decisions).expect("hints");
         perfect_total += summary.perfect;
         approx_total += summary.approximate;
-        bikz_trials.push(hinted.estimate().bikz);
+        bikz_trials.push(estimate.bikz);
     }
     let with_hints = bikz_trials.iter().sum::<f64>() / bikz_trials.len() as f64;
     let with_hints_bits = reveal_hints::bikz_to_bits(with_hints);
@@ -117,11 +116,8 @@ fn main() {
     // more conservative for positive coefficients (their Hamming weights
     // collide; see Table I in both the paper and our reproduction), so we
     // report both.
-    let mut perfect_inst = DbddInstance::from_lwe(&params);
-    for i in 0..PAPER_N {
-        perfect_inst.integrate_perfect_hint(i).expect("fresh");
-    }
-    let table_ii_grade = perfect_inst.estimate();
+    let (table_ii_grade, _) =
+        fold_decisions(&params, [HintDecision::Perfect { value: 0 }; PAPER_N]).expect("fresh");
 
     println!("\n+--------------------------------------------+-----------+");
     println!("|                                            |  SEAL-128 |");

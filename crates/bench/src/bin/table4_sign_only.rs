@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reveal_attack::rounded_gaussian_prior;
 use reveal_bench::{paper_device, train_attacker, Scale, PAPER_N};
-use reveal_hints::{integrate_posteriors, DbddInstance, HintPolicy, LweParameters, Posterior};
+use reveal_hints::{fold_decisions, DbddInstance, HintPolicy, LweParameters, Posterior};
 
 fn main() {
     let scale = Scale::from_env();
@@ -72,6 +72,7 @@ fn main() {
             }
             secrets.push(secret);
         }
+        let decide = |p: Posterior| policy.decide(p.mode(), p.variance());
         let sign_posterior = |s: i64| -> Posterior {
             if s == 0 {
                 Posterior::certain(0)
@@ -86,36 +87,30 @@ fn main() {
         };
 
         // Row 2: sign hints only.
-        let mut hinted = DbddInstance::from_lwe(&params);
-        let posteriors: Vec<Posterior> = secrets.iter().map(|&s| sign_posterior(s)).collect();
-        let coords: Vec<usize> = (0..PAPER_N).collect();
-        integrate_posteriors(&mut hinted, &coords, &posteriors, &policy).expect("hints");
-        sign_only_trials.push(hinted.estimate().bikz);
+        let decisions = secrets.iter().map(|&s| decide(sign_posterior(s)));
+        let (sign_only, _) = fold_decisions(&params, decisions).expect("hints");
+        sign_only_trials.push(sign_only.bikz);
 
         // Row 3: plus ONE guess — commit to the most likely value for the
         // first nonzero coefficient's sign.
-        let mut hinted_g = DbddInstance::from_lwe(&params);
         let mut guessed = false;
-        let posteriors_g: Vec<Posterior> = secrets
-            .iter()
-            .map(|&s| {
-                if s != 0 && !guessed {
-                    guessed = true;
-                    let best = prior
-                        .iter()
-                        .filter(|(v, _)| v.signum() == s.signum())
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                        .map(|(v, _)| *v)
-                        .unwrap_or(s.signum());
-                    guess_hits += (best == s) as usize;
-                    Posterior::certain(best)
-                } else {
-                    sign_posterior(s)
-                }
-            })
-            .collect();
-        integrate_posteriors(&mut hinted_g, &coords, &posteriors_g, &policy).expect("hints");
-        with_guess_trials.push(hinted_g.estimate().bikz);
+        let decisions_g = secrets.iter().map(|&s| {
+            if s != 0 && !guessed {
+                guessed = true;
+                let best = prior
+                    .iter()
+                    .filter(|(v, _)| v.signum() == s.signum())
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(v, _)| *v)
+                    .unwrap_or(s.signum());
+                guess_hits += (best == s) as usize;
+                decide(Posterior::certain(best))
+            } else {
+                decide(sign_posterior(s))
+            }
+        });
+        let (with_guess, _) = fold_decisions(&params, decisions_g).expect("hints");
+        with_guess_trials.push(with_guess.bikz);
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let sign_only = avg(&sign_only_trials);

@@ -55,7 +55,6 @@ pub mod keys;
 pub mod params;
 pub mod sampler;
 pub mod serialization;
-pub mod variants;
 
 pub use context::{BfvContext, Ciphertext, Plaintext};
 pub use decryptor::Decryptor;

@@ -116,11 +116,6 @@ pub struct DbddInstance {
     /// Per-coordinate variances: `m` error coords then `n` secret coords.
     /// `None` once eliminated by a perfect hint.
     variances: Vec<Option<f64>>,
-    /// Counts for reporting.
-    perfect_hints: usize,
-    approximate_hints: usize,
-    modular_hints: usize,
-    short_vector_hints: usize,
 }
 
 impl DbddInstance {
@@ -140,10 +135,6 @@ impl DbddInstance {
             dim: params.m + params.n + 1,
             ln_volume: params.m as f64 * params.q.ln(),
             variances,
-            perfect_hints: 0,
-            approximate_hints: 0,
-            modular_hints: 0,
-            short_vector_hints: 0,
         }
     }
 
@@ -168,16 +159,6 @@ impl DbddInstance {
         self.variances.iter().flatten().count()
     }
 
-    /// `(perfect, approximate, modular, short-vector)` hint counts.
-    pub fn hint_counts(&self) -> (usize, usize, usize, usize) {
-        (
-            self.perfect_hints,
-            self.approximate_hints,
-            self.modular_hints,
-            self.short_vector_hints,
-        )
-    }
-
     fn check_coord(&self, index: usize) -> Result<f64, HintError> {
         match self.variances.get(index) {
             None => Err(HintError::BadCoordinate {
@@ -200,7 +181,6 @@ impl DbddInstance {
         self.check_coord(index)?;
         self.variances[index] = None;
         self.dim -= 1;
-        self.perfect_hints += 1;
         Ok(())
     }
 
@@ -222,7 +202,6 @@ impl DbddInstance {
         let current = self.check_coord(index)?;
         let posterior = current * hint_variance / (current + hint_variance);
         self.variances[index] = Some(posterior);
-        self.approximate_hints += 1;
         Ok(())
     }
 
@@ -239,7 +218,6 @@ impl DbddInstance {
         }
         self.check_coord(index)?;
         self.ln_volume += k.ln();
-        self.modular_hints += 1;
         Ok(())
     }
 
@@ -259,7 +237,6 @@ impl DbddInstance {
         }
         self.dim -= 1;
         self.ln_volume -= norm.ln();
-        self.short_vector_hints += 1;
         Ok(())
     }
 
@@ -311,7 +288,7 @@ mod tests {
         let est = inst.estimate();
         assert!(est.bikz < 40.0, "hinted bikz {:.2} must collapse", est.bikz);
         assert!(est.bits < 14.0);
-        assert_eq!(inst.hint_counts().0, 1024);
+        assert_eq!(inst.active_coordinates(), 1024);
         assert_eq!(inst.dim(), 1025);
     }
 

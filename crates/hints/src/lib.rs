@@ -40,5 +40,5 @@ pub use dbdd::{
 };
 pub use delta::{delta_bkz, ln_delta_bkz, solve_beta, success_margin};
 pub use posterior::{
-    integrate_posteriors, HintClass, HintPolicy, HintSummary, Posterior, PosteriorError,
+    fold_decisions, FoldError, HintDecision, HintPolicy, HintSummary, Posterior, PosteriorError,
 };

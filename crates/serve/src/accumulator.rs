@@ -6,13 +6,14 @@
 //! ## Bit-identity by construction
 //!
 //! The service folds a victim's merged [`HintDecision`]s through
-//! [`reveal_attack::integrate_decision`] in ascending coordinate order —
+//! [`reveal_hints::fold_decisions`] in ascending coordinate order —
 //! exactly what [`reveal_attack::report_robust`] does — so after a single
 //! zero-fault trace the emitted estimate equals the one-shot report
-//! bit-for-bit. Across traces, decisions only *upgrade* (skipped →
-//! approximate → perfect; approximate keeps the smallest ε²), and the
-//! merge is a left fold over trace order, so an interrupted-and-restored
-//! run reproduces an uninterrupted one exactly.
+//! bit-for-bit. Across traces, decisions only *upgrade* along
+//! [`HintDecision::cmp_strength`] (skipped → approximate → perfect;
+//! approximate keeps the smallest ε²), and the merge is a left fold over
+//! trace order, so an interrupted-and-restored run reproduces an
+//! uninterrupted one exactly.
 //!
 //! ## Sharding
 //!
@@ -22,8 +23,9 @@
 //! iteration order and bound any per-shard scan.
 
 use crate::{KeyId, ServeError};
-use reveal_attack::{integrate_decision, HintDecision, Rail, RobustAttackResult};
-use reveal_hints::{DbddInstance, HintSummary, LweParameters, SecurityEstimate};
+use reveal_attack::{HintDecision, Rail, RobustAttackResult};
+use reveal_hints::{fold_decisions, DbddInstance, HintSummary, LweParameters, SecurityEstimate};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -126,36 +128,15 @@ pub struct VictimUpdate {
     pub learned_coefficients: u64,
 }
 
-/// Decision rank for the monotone merge.
-fn rank(decision: &HintDecision) -> u8 {
-    match decision {
-        HintDecision::Perfect { .. } => 2,
-        HintDecision::Approximate { .. } => 1,
-        HintDecision::Skipped => 0,
-    }
-}
-
-/// The monotone per-coordinate merge: higher rank wins; equal-rank
-/// approximate hints keep the smaller ε² (ties keep the incumbent, so the
-/// merge is deterministic and order-stable).
+/// The monotone per-coordinate merge: only a strictly stronger decision
+/// replaces the incumbent; equal and unordered ones (a NaN ε²) keep it, so
+/// the merge is deterministic and order-stable.
 fn merge_decision(current: &HintDecision, incoming: &HintDecision) -> HintDecision {
-    if rank(incoming) > rank(current) {
-        return *incoming;
+    if incoming.cmp_strength(current) == Some(Ordering::Greater) {
+        *incoming
+    } else {
+        *current
     }
-    if let (
-        HintDecision::Approximate {
-            eps_squared: cur, ..
-        },
-        HintDecision::Approximate {
-            eps_squared: new, ..
-        },
-    ) = (current, incoming)
-    {
-        if new < cur {
-            return *incoming;
-        }
-    }
-    *current
 }
 
 /// The per-key sharded hint store.
@@ -246,22 +227,6 @@ impl ShardedAccumulator {
             .or_insert_with(|| VictimState::new(coefficients))
     }
 
-    /// Folds the merged decision vector of `key` into a fresh DBDD
-    /// instance — the same arithmetic and order as
-    /// [`reveal_attack::report_robust`].
-    fn fold(
-        &self,
-        decisions: &[HintDecision],
-    ) -> Result<(SecurityEstimate, HintSummary), ServeError> {
-        let mut instance = DbddInstance::from_lwe(&self.params);
-        let mut summary = HintSummary::default();
-        for (coord, decision) in decisions.iter().enumerate() {
-            integrate_decision(&mut instance, coord, decision, &mut summary)
-                .map_err(|e| ServeError::Accumulator(format!("coordinate {coord}: {e}")))?;
-        }
-        Ok((instance.estimate(), summary))
-    }
-
     /// Consumes a successful analysis of `key`'s trace `trace_seq`.
     ///
     /// # Errors
@@ -296,7 +261,8 @@ impl ShardedAccumulator {
             .filter(|c| c.rail == Rail::Lda)
             .count() as u64;
         let learned = result.coefficients.len() as u64 - lda;
-        let (estimate, summary) = self.fold(&merged)?;
+        let (estimate, summary) = fold_decisions(&self.params, merged.iter().copied())
+            .map_err(|e| ServeError::Accumulator(e.to_string()))?;
         let state = self.entry(key);
         state.decisions = merged;
         state.traces_processed = state.traces_processed.max(trace_seq.saturating_add(1));
@@ -396,6 +362,18 @@ mod tests {
         assert_eq!(merge_decision(&a2, &a1), a2);
         assert_eq!(merge_decision(&a2, &p), p);
         assert_eq!(merge_decision(&p, &a2), p);
+        // A NaN ε² (a crafted checkpoint can restore one) is unordered
+        // against any other approximate hint: the incumbent stays, on
+        // either side, while the rungs still order it.
+        let nan = HintDecision::Approximate {
+            value: 0,
+            eps_squared: f64::NAN,
+        };
+        let kept = |d: HintDecision| matches!(d, HintDecision::Approximate { eps_squared, .. } if eps_squared.is_nan());
+        assert!(kept(merge_decision(&nan, &a2)));
+        assert_eq!(merge_decision(&a2, &nan), a2);
+        assert_eq!(merge_decision(&nan, &p), p);
+        assert!(kept(merge_decision(&nan, &s)));
     }
 
     #[test]

@@ -353,14 +353,7 @@ impl Snapshot {
             // The fold-derived fields are recomputed lazily on the next
             // apply; summaries are re-derived here so restored state is
             // self-consistent without storing redundant floats.
-            let mut summary = HintSummary::default();
-            for d in &decisions {
-                match d {
-                    HintDecision::Perfect { .. } => summary.perfect += 1,
-                    HintDecision::Approximate { .. } => summary.approximate += 1,
-                    HintDecision::Skipped => summary.skipped += 1,
-                }
-            }
+            let summary = HintSummary::of(&decisions);
             victims.push((
                 key,
                 VictimState {

@@ -32,11 +32,12 @@
 //! ## Bit-identity contract
 //!
 //! A zero-fault served stream reproduces the one-shot pipeline exactly:
-//! the fold passes each trace's [`reveal_attack::HintDecision`]s through
-//! [`reveal_attack::integrate_decision`] — the same helper, in the same
-//! coordinate order, as [`reveal_attack::report_robust`] — so the emitted
-//! bikz matches `report_full_attack` bit-for-bit (`f64::to_bits`
-//! equality), at any worker count, across a kill + restore.
+//! the fold passes each victim's merged [`reveal_hints::HintDecision`]s
+//! through [`reveal_hints::fold_decisions`] — the same fold, in the same
+//! coordinate order, as [`reveal_attack::report_robust`] and
+//! `report_full_attack` — so the emitted bikz matches `report_full_attack`
+//! bit-for-bit (`f64::to_bits` equality), at any worker count, across a
+//! kill + restore.
 
 pub mod accumulator;
 pub mod checkpoint;

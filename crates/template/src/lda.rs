@@ -184,8 +184,7 @@ impl LdaProjection {
         // Solve the generalized eigenproblem S_b w = λ S_w w by whitening:
         // S_w = L Lᵀ, then eigen-decompose M = L⁻¹ S_b L⁻ᵀ (symmetric) and
         // back-transform the eigenvectors with w = L⁻ᵀ u.
-        let _ = Cholesky::new(&sw, dim)?; // surfaces non-SPD scatter early
-        let l = lower_factor(&sw, dim);
+        let factor = Cholesky::new(&sw, dim)?;
         // Invert L once (column-wise forward substitution, parallel over
         // columns), then form M with the two cache-friendly products: B =
         // L⁻¹·S_b walks rows contiguously in i-k-j order, and B·L⁻ᵀ scans
@@ -196,7 +195,7 @@ impl LdaProjection {
         let linv_columns = reveal_par::par_map_index_modeled(dim, &LINV_COLUMN_COST, units, |j| {
             let mut unit = vec![0.0; dim];
             unit[j] = 1.0;
-            forward_substitute(&l, dim, &unit)
+            factor.solve_lower(&unit)
         });
         let mut linv = vec![0.0; dim * dim];
         for (j, column) in linv_columns.iter().enumerate() {
@@ -220,7 +219,7 @@ impl LdaProjection {
         let components_vec: Vec<Vec<f64>> = vectors
             .into_iter()
             .take(components)
-            .map(|u| backward_substitute(&l, dim, &u))
+            .map(|u| factor.solve_upper(&u))
             .collect();
         Ok(Self {
             dim,
@@ -278,45 +277,6 @@ impl LdaProjection {
             .map(|w| simd::dot(w, observation))
             .collect()
     }
-}
-
-/// Solves `L y = b` by forward substitution (row-major lower factor).
-fn forward_substitute(l: &[f64], d: usize, b: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0; d];
-    for i in 0..d {
-        let sum = b[i] - simd::dot(&l[i * d..i * d + i], &y[..i]);
-        y[i] = sum / l[i * d + i];
-    }
-    y
-}
-
-/// Solves `Lᵀ y = b` by backward substitution.
-fn backward_substitute(l: &[f64], d: usize, b: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0; d];
-    for i in (0..d).rev() {
-        let mut sum = b[i];
-        for k in i + 1..d {
-            sum -= l[k * d + i] * y[k];
-        }
-        y[i] = sum / l[i * d + i];
-    }
-    y
-}
-
-/// Plain Cholesky lower factor of an SPD matrix (row-major dense output).
-fn lower_factor(a: &[f64], d: usize) -> Vec<f64> {
-    let mut l = vec![0.0; d * d];
-    for i in 0..d {
-        for j in 0..=i {
-            let sum = a[i * d + j] - simd::dot(&l[i * d..i * d + j], &l[j * d..j * d + j]);
-            if i == j {
-                l[i * d + j] = sum.max(1e-30).sqrt();
-            } else {
-                l[i * d + j] = sum / l[j * d + j];
-            }
-        }
-    }
-    l
 }
 
 #[cfg(test)]

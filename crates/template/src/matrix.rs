@@ -95,7 +95,8 @@ impl Cholesky {
             * 2.0
     }
 
-    /// Solves `A·x = b`.
+    /// Solves `A·x = b`: the forward half `L·y = b`, then the backward
+    /// half `Lᵀ·x = y`.
     ///
     /// # Errors
     ///
@@ -107,14 +108,30 @@ impl Cholesky {
                 got: b.len(),
             });
         }
-        // Forward: L·y = b. Row i of L and the solved prefix of y are both
-        // contiguous, so the inner product vectorizes.
+        Ok(self.solve_upper(&self.solve_lower(b)))
+    }
+
+    /// Solves `L·y = b` by forward substitution. Row i of L and the solved
+    /// prefix of y are both contiguous, so the inner product vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is shorter than the dimension.
+    pub(crate) fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.dim];
         for i in 0..self.dim {
             let sum = b[i] - simd::dot(&self.l[i * self.dim..i * self.dim + i], &y[..i]);
             y[i] = sum / self.l[i * self.dim + i];
         }
-        // Backward: Lᵀ·x = y.
+        y
+    }
+
+    /// Solves `Lᵀ·x = y` by backward substitution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is shorter than the dimension.
+    pub(crate) fn solve_upper(&self, y: &[f64]) -> Vec<f64> {
         let mut x = vec![0.0; self.dim];
         for i in (0..self.dim).rev() {
             let mut sum = y[i];
@@ -123,7 +140,7 @@ impl Cholesky {
             }
             x[i] = sum / self.l[i * self.dim + i];
         }
-        Ok(x)
+        x
     }
 
     /// The Mahalanobis quadratic form `(x−μ)ᵀ A⁻¹ (x−μ)`.

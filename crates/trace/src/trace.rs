@@ -57,19 +57,6 @@ impl Trace {
         self.label
     }
 
-    /// Returns a sub-trace over `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or inverted.
-    pub fn window(&self, start: usize, end: usize) -> Trace {
-        assert!(start <= end && end <= self.samples.len(), "bad window");
-        Trace {
-            samples: self.samples[start..end].to_vec(),
-            label: self.label,
-        }
-    }
-
     /// Linearly resamples to `target_len` samples (used to normalize
     /// variable-duration segments before template matching).
     ///
@@ -79,23 +66,6 @@ impl Trace {
     pub fn resample(&self, target_len: usize) -> Trace {
         Trace {
             samples: resample_linear(&self.samples, target_len),
-            label: self.label,
-        }
-    }
-
-    /// Standardizes to zero mean / unit variance (no-op for constant traces).
-    pub fn standardize(&self) -> Trace {
-        let n = self.samples.len().max(1) as f64;
-        let mean = self.samples.iter().sum::<f64>() / n;
-        let var = self.samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-        let sd = var.sqrt();
-        let samples = if sd > 0.0 {
-            self.samples.iter().map(|s| (s - mean) / sd).collect()
-        } else {
-            vec![0.0; self.samples.len()]
-        };
-        Trace {
-            samples,
             label: self.label,
         }
     }
@@ -294,15 +264,9 @@ mod tests {
         let t = Trace::labelled(vec![1.0, 2.0, 3.0, 4.0], -3);
         assert_eq!(t.len(), 4);
         assert_eq!(t.label(), Some(-3));
-        let w = t.window(1, 3);
-        assert_eq!(w.samples(), &[2.0, 3.0]);
-        assert_eq!(w.label(), Some(-3));
-    }
-
-    #[test]
-    #[should_panic(expected = "bad window")]
-    fn window_out_of_bounds() {
-        Trace::new(vec![1.0]).window(0, 5);
+        assert_eq!(&t.samples()[1..3], &[2.0, 3.0]);
+        assert_eq!(t.resample(2).label(), Some(-3));
+        assert!(Trace::new(vec![]).is_empty());
     }
 
     #[test]
@@ -314,18 +278,6 @@ mod tests {
         assert!((up.samples()[1] - 0.5).abs() < 1e-12);
         let down = t.resample(2);
         assert_eq!(down.samples(), &[0.0, 3.0]);
-    }
-
-    #[test]
-    fn standardize_properties() {
-        let t = Trace::new(vec![1.0, 2.0, 3.0, 4.0, 5.0]).standardize();
-        let mean: f64 = t.samples().iter().sum::<f64>() / 5.0;
-        let var: f64 = t.samples().iter().map(|s| (s - mean).powi(2)).sum::<f64>() / 5.0;
-        assert!(mean.abs() < 1e-12);
-        assert!((var - 1.0).abs() < 1e-12);
-        // Constant trace maps to zeros, not NaN.
-        let c = Trace::new(vec![7.0; 4]).standardize();
-        assert!(c.samples().iter().all(|&s| s == 0.0));
     }
 
     #[test]

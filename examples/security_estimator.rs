@@ -6,15 +6,12 @@
 //! Run with `cargo run --release --example security_estimator`.
 
 use reveal_hints::{
-    bikz_to_bits, integrate_posteriors, DbddInstance, HintPolicy, LweParameters, Posterior,
+    bikz_to_bits, fold_decisions, DbddInstance, HintDecision, HintPolicy, LweParameters, Posterior,
 };
 
 fn estimate_with_confidence(params: &LweParameters, confidence: f64, sigma: f64) -> f64 {
-    let mut inst = DbddInstance::from_lwe(params);
-    if confidence >= 1.0 {
-        for i in 0..params.m {
-            inst.integrate_perfect_hint(i).expect("fresh coordinate");
-        }
+    let decision = if confidence >= 1.0 {
+        HintDecision::Perfect { value: 1 }
     } else {
         let policy = HintPolicy {
             prior_variance: sigma * sigma,
@@ -22,16 +19,13 @@ fn estimate_with_confidence(params: &LweParameters, confidence: f64, sigma: f64)
         };
         // A two-candidate posterior at the given confidence for every
         // coefficient (adjacent values, the common confusion).
-        let posteriors: Vec<Posterior> = (0..params.m)
-            .map(|_| {
-                Posterior::new(vec![(1, confidence), (2, 1.0 - confidence)])
-                    .expect("valid posterior")
-            })
-            .collect();
-        let coords: Vec<usize> = (0..params.m).collect();
-        integrate_posteriors(&mut inst, &coords, &posteriors, &policy).expect("hints apply");
-    }
-    inst.estimate().bikz
+        let posterior =
+            Posterior::new(vec![(1, confidence), (2, 1.0 - confidence)]).expect("valid posterior");
+        policy.decide(posterior.mode(), posterior.variance())
+    };
+    let decisions = std::iter::repeat_n(decision, params.m);
+    let (estimate, _) = fold_decisions(params, decisions).expect("hints apply");
+    estimate.bikz
 }
 
 fn main() {

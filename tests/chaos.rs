@@ -129,7 +129,7 @@ fn high_intensity_degrades_hints_without_false_perfects() {
     let samples = &capture.run.capture.samples;
 
     let clean_result = robust(sh).attack_trace(samples, DEGREE, &policy).unwrap();
-    let (clean_perfect, ..) = clean_result.decision_counts();
+    let clean_perfect = clean_result.decision_counts().perfect;
 
     for intensity in [0.5, 1.0] {
         let plan = ChaosPlan::standard_sweep(41, intensity);
@@ -143,11 +143,10 @@ fn high_intensity_degrades_hints_without_false_perfects() {
             "partial result stays full-length"
         );
 
-        let (perfect, approximate, skipped) = result.decision_counts();
+        let hints = result.decision_counts();
         assert!(
-            perfect < clean_perfect && approximate + skipped > 0,
-            "intensity {intensity}: expected degradation, got \
-             {perfect} perfect / {approximate} approximate / {skipped} skipped \
+            hints.perfect < clean_perfect && hints.approximate + hints.skipped > 0,
+            "intensity {intensity}: expected degradation, got {hints:?} \
              (clean had {clean_perfect} perfect)"
         );
 

@@ -2,7 +2,7 @@
 //! SEAL-128 parameters — estimator only, no trace simulation needed).
 
 use reveal_attack::rounded_gaussian_prior;
-use reveal_hints::{integrate_posteriors, DbddInstance, HintPolicy, LweParameters, Posterior};
+use reveal_hints::{fold_decisions, DbddInstance, HintPolicy, LweParameters, Posterior};
 
 #[test]
 fn table_iii_shape_at_full_scale() {
@@ -36,7 +36,6 @@ fn table_iv_sign_only_at_full_scale() {
 
     // Sample 1024 coefficients from the prior deterministically (inverse
     // CDF over a low-discrepancy sequence), then apply sign-only knowledge.
-    let mut hinted = DbddInstance::from_lwe(&params);
     let mut posteriors = Vec::with_capacity(1024);
     for k in 0..1024 {
         let target = (k as f64 + 0.5) / 1024.0;
@@ -61,9 +60,10 @@ fn table_iv_sign_only_at_full_scale() {
         };
         posteriors.push(posterior);
     }
-    let coords: Vec<usize> = (0..1024).collect();
-    let summary = integrate_posteriors(&mut hinted, &coords, &posteriors, &policy).unwrap();
-    let estimate = hinted.estimate();
+    let decisions = posteriors
+        .iter()
+        .map(|p| policy.decide(p.mode(), p.variance()));
+    let (estimate, summary) = fold_decisions(&params, decisions).unwrap();
     let baseline = DbddInstance::from_lwe(&params).estimate();
 
     // Zero coefficients became perfect hints (≈ 12.5% of 1024).
