@@ -111,14 +111,22 @@ impl Device {
     }
 
     /// Captures one execution with *fresh* noise sampled exactly as SEAL's
-    /// encryptor would (attack mode): [`Device::capture_fresh_into`] on a
-    /// fresh scratch.
+    /// encryptor would (attack mode).
     ///
     /// # Errors
     ///
     /// Propagates kernel failures.
     pub fn capture_fresh<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Capture, KernelError> {
-        self.capture_fresh_into(rng, &mut SamplerScratch::new())
+        let (values, iterations): (Vec<i64>, Vec<u32>) =
+            self.distribution_calls(rng).take(self.degree()).unzip();
+        let run = self.kernel.run_into(
+            &values,
+            &iterations,
+            &self.power,
+            rng,
+            &mut SamplerScratch::new(),
+        )?;
+        Ok(Capture { values, run })
     }
 
     /// Captures one execution with *chosen* coefficient values (profiling
@@ -138,31 +146,13 @@ impl Device {
         self.capture_chosen_into(values, rng, &mut SamplerScratch::new())
     }
 
-    /// [`Device::capture_fresh`] with a caller-owned scratch: the trace
+    /// [`Device::capture_chosen`] with a caller-owned scratch: the trace
     /// renders into `scratch`'s reusable buffer and distribution bursts
     /// replay from its sub-trace memo. Bit-identical output for the same
-    /// RNG seed, whatever the scratch held before.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel failures.
-    pub fn capture_fresh_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        scratch: &mut SamplerScratch,
-    ) -> Result<Capture, KernelError> {
-        let (values, iterations): (Vec<i64>, Vec<u32>) =
-            self.distribution_calls(rng).take(self.degree()).unzip();
-        let run = self
-            .kernel
-            .run_into(&values, &iterations, &self.power, rng, scratch)?;
-        Ok(Capture { values, run })
-    }
-
-    /// [`Device::capture_chosen`] with a caller-owned scratch (see
-    /// [`Device::capture_fresh_into`]). This is what the profiling stage
-    /// uses: back-to-back chosen-value captures on one device hit the memo
-    /// constantly, since burst lengths concentrate on a few even values.
+    /// RNG seed, whatever the scratch held before. This is what the
+    /// profiling stage uses: back-to-back chosen-value captures on one
+    /// device hit the memo constantly, since burst lengths concentrate on a
+    /// few even values.
     ///
     /// # Errors
     ///
@@ -262,10 +252,14 @@ mod tests {
         let device = Device::new(16, &[Q], PowerModelConfig::default()).unwrap();
         let mut scratch = SamplerScratch::new();
 
+        // A chosen capture of a fresh capture's values draws the same
+        // timing and noise, so it must render the same trace.
         let mut rng = StdRng::seed_from_u64(9);
         let direct = device.capture_fresh(&mut rng).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let fast = device.capture_fresh_into(&mut rng, &mut scratch).unwrap();
+        let fast = device
+            .capture_chosen_into(&direct.values, &mut rng, &mut scratch)
+            .unwrap();
         assert_eq!(fast.values, direct.values);
         assert_eq!(fast.run.capture, direct.run.capture);
         assert_eq!(fast.run.poly, direct.run.poly);

@@ -55,8 +55,8 @@ pub use recover::{
     recover_secret_key, recover_secret_key_adaptive, recover_u, residual_instance, RecoverError,
 };
 pub use report::{
-    report_full_attack, report_posteriors, report_sign_only, rounded_gaussian_prior, AttackReport,
-    ReportError,
+    report_full_attack, report_posteriors, report_sign_only, rounded_gaussian_prior,
+    sign_only_posterior, AttackReport, ReportError,
 };
 pub use robust::{
     calibrate, relaxation_schedule, report_robust, Calibration, Diagnostics, Rail, RailDiagnostics,

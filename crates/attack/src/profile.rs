@@ -10,7 +10,9 @@ use reveal_rv32::kernel::KernelError;
 use reveal_rv32::PowerCapture;
 use reveal_template::{LearnedClassifier, LearnedConfig, LearnedError, TemplateError, TemplateSet};
 use reveal_trace::poi::{select_pois, PoiError};
-use reveal_trace::segment::{refined_bursts_into, SegmentError, SegmentScratch};
+use reveal_trace::segment::{
+    find_bursts, refine_burst_ends, refined_bursts_into, SegmentError, SegmentScratch,
+};
 use reveal_trace::{Trace, TraceSet};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -108,9 +110,10 @@ pub fn extract_ladder_windows_into(
     Ok(ladder_windows(samples, &bursts, config))
 }
 
-/// [`extract_ladder_windows`] through the pre-fast-path segmenters (full
-/// percentile sorts per trace). Identical windows; kept for
-/// [`collect_profiling_baseline`], the fast path's oracle and yardstick.
+/// [`extract_ladder_windows`] through the segmentation oracle
+/// ([`find_bursts`] then [`refine_burst_ends`], full percentile sorts per
+/// trace). Identical windows; kept for [`collect_profiling_baseline`], the
+/// fast path's oracle and yardstick.
 ///
 /// # Errors
 ///
@@ -119,9 +122,8 @@ pub fn extract_ladder_windows_reference(
     samples: &[f64],
     config: &AttackConfig,
 ) -> Result<Vec<Vec<f64>>, SegmentError> {
-    let bursts = reveal_trace::segment::find_bursts_reference(samples, &config.segment)?;
-    let bursts =
-        reveal_trace::segment::refine_burst_ends_reference(samples, &bursts, &config.segment);
+    let bursts = find_bursts(samples, &config.segment)?;
+    let bursts = refine_burst_ends(samples, &bursts, &config.segment);
     Ok(ladder_windows(samples, &bursts, config))
 }
 
@@ -133,26 +135,27 @@ fn ladder_windows(
 ) -> Vec<Vec<f64>> {
     let mut windows = Vec::with_capacity(bursts.len());
     windows.extend(
-        full_window_starts(samples.len(), bursts, config)
+        bursts
+            .iter()
+            .filter_map(|&burst| full_window_start(samples.len(), burst, config))
             .map(|start| samples[start..start + config.ladder_window].to_vec()),
     );
     windows
 }
 
-/// Where the ladder window after each burst starts, for the bursts whose
+/// Where the ladder window after `burst` starts (the burst's end), if the
 /// full window fits in a trace of `len` samples. Only full windows qualify:
 /// the device's epilogue burst (the encryption work following the sampler)
 /// guarantees one for every real coefficient, while the epilogue burst
-/// itself — with nothing after it — is dropped here.
-fn full_window_starts<'a>(
+/// itself — with nothing after it — is dropped. The one window-fit rule of
+/// the plain attack, profiling and [`RobustAttack`](crate::RobustAttack).
+pub(crate) fn full_window_start(
     len: usize,
-    bursts: &'a [(usize, usize)],
-    config: &'a AttackConfig,
-) -> impl Iterator<Item = usize> + 'a {
-    bursts
-        .iter()
-        .map(|&(_, end)| end)
-        .filter(move |end| end + config.ladder_window <= len)
+    burst: (usize, usize),
+    config: &AttackConfig,
+) -> Option<usize> {
+    let (_, end) = burst;
+    (end + config.ladder_window <= len).then_some(end)
 }
 
 /// The trained single-trace attacker: sign templates plus sign-conditional
@@ -281,11 +284,6 @@ pub struct SingleTraceAttack {
 }
 
 impl SingleTraceAttack {
-    /// The predicted coefficient vector.
-    pub fn predicted_values(&self) -> Vec<i64> {
-        self.coefficients.iter().map(|c| c.predicted).collect()
-    }
-
     /// Fraction of coefficients whose *sign* matches the given ground truth.
     ///
     /// # Panics
@@ -701,13 +699,6 @@ impl TrainedAttack {
         })
     }
 
-    /// Attaches (or replaces) the learned rail.
-    #[must_use]
-    pub fn with_learned_rail(mut self, rail: LearnedRail) -> Self {
-        self.learned = Some(rail);
-        self
-    }
-
     /// Drops the learned rail (template-only attacker).
     #[must_use]
     pub fn without_learned_rail(mut self) -> Self {
@@ -932,7 +923,10 @@ pub fn ladder_window_starts(
     config: &AttackConfig,
 ) -> Result<Vec<usize>, SegmentError> {
     let bursts = refined_bursts_into(samples, &config.segment, &mut SegmentScratch::new())?;
-    Ok(full_window_starts(samples.len(), &bursts, config).collect())
+    Ok(bursts
+        .iter()
+        .filter_map(|&burst| full_window_start(samples.len(), burst, config))
+        .collect())
 }
 
 /// The PC whose instruction produced `sample`, via the capture's span

@@ -144,33 +144,108 @@ pub fn residual_instance(
     ct: &Ciphertext,
     known: &[(usize, i64)],
 ) -> Result<LweInstance, RecoverError> {
-    let moduli = ctx.parms().coeff_modulus();
-    if moduli.len() != 1 {
-        return Err(RecoverError::UnsupportedParameters);
-    }
-    let q = moduli[0].value();
-    let q_i = i64::try_from(q).map_err(|_| RecoverError::UnsupportedParameters)?;
+    p1_relations(ctx, pk, ct.c1().residues()[0].coeffs(), known)
+}
+
+/// Exact relations `(p1 ⊛ x)_i = rhs_i − k_i (mod q)` for the `known`
+/// `(i, k_i)` pairs, against the short secret `x`: `u` with `rhs = c1`
+/// (message recovery), `s` with `rhs = −p0` (key recovery; `p1` is key
+/// generation's `a`).
+///
+/// # Errors
+///
+/// Fails for multi-prime or oversized moduli.
+fn p1_relations(
+    ctx: &BfvContext,
+    pk: &PublicKey,
+    rhs: &[u64],
+    known: &[(usize, i64)],
+) -> Result<LweInstance, RecoverError> {
+    let q = single_modulus(ctx)?;
     let n = ctx.degree();
     let p1 = pk.p1().residues()[0].coeffs();
-    let c1 = ct.c1().residues()[0].coeffs();
     let mut a = Vec::with_capacity(known.len());
     let mut b = Vec::with_capacity(known.len());
-    for &(i, e2_i) in known {
+    for &(i, k) in known {
         // Row i of the negacyclic convolution matrix of p1:
-        // (p1 ⊛ u)_i = Σ_{j<=i} p1[i-j]·u_j − Σ_{j>i} p1[n+i-j]·u_j.
+        // (p1 ⊛ x)_i = Σ_{j<=i} p1[i-j]·x_j − Σ_{j>i} p1[n+i-j]·x_j.
         let row: Vec<i64> = (0..n)
             .map(|j| {
                 if j <= i {
                     p1[i - j] as i64
                 } else {
-                    (q_i - p1[n + i - j] as i64) % q_i
+                    (q - p1[n + i - j] as i64) % q
                 }
             })
             .collect();
         a.push(row);
-        b.push((c1[i] as i64 - e2_i).rem_euclid(q_i));
+        b.push((rhs[i] as i64 - k).rem_euclid(q));
     }
-    Ok(LweInstance { q: q_i, a, b })
+    Ok(LweInstance { q, a, b })
+}
+
+/// The single coefficient modulus residual solving supports, as `i64`.
+fn single_modulus(ctx: &BfvContext) -> Result<i64, RecoverError> {
+    match ctx.parms().coeff_modulus() {
+        [q] => i64::try_from(q.value()).map_err(|_| RecoverError::UnsupportedParameters),
+        _ => Err(RecoverError::UnsupportedParameters),
+    }
+}
+
+/// The finishers' solver settings: every relation is exact and the secret
+/// is ternary.
+fn exact_relations() -> SolverConfig {
+    SolverConfig {
+        error_bound: 0,
+        secret_bound: 1,
+        ..SolverConfig::default()
+    }
+}
+
+/// The trusted-set schedule both adaptive finishers run: the coordinates
+/// whose estimate reaches `min_confidence`, most confident first, become
+/// exact relations `(p1 ⊛ x)_i = rhs_i − value_i` ([`p1_relations`]) and
+/// the ternary `x` is solved for. A failed solve, or a solution `accept`
+/// rejects, drops another tenth of the set and retries: six rounds at
+/// most, never trusting fewer than a third of the coordinates. Returns
+/// what `accept` made of the first accepted solution and how many
+/// coordinates were trusted.
+fn solve_trusted<T>(
+    ctx: &BfvContext,
+    pk: &PublicKey,
+    rhs: &[u64],
+    estimates: &[(i64, f64)],
+    min_confidence: f64,
+    mut accept: impl FnMut(Vec<i64>) -> Result<T, RecoverError>,
+) -> Result<(T, usize), RecoverError> {
+    let n = estimates.len();
+    // Coordinates ordered by descending confidence, filtered by the floor.
+    let mut order: Vec<usize> = (0..n)
+        .filter(|&i| estimates[i].1 >= min_confidence)
+        .collect();
+    order.sort_by(|&a, &b| {
+        estimates[b]
+            .1
+            .partial_cmp(&estimates[a].1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let config = exact_relations();
+    let mut last_err = RecoverError::Lattice(SolveError::NoCandidateFound);
+    for shrink in 0..6 {
+        let keep = order.len().saturating_sub(shrink * order.len() / 10);
+        if keep < n / 3 {
+            break;
+        }
+        let known: Vec<(usize, i64)> = order[..keep].iter().map(|&i| (i, estimates[i].0)).collect();
+        match solve_lwe(&p1_relations(ctx, pk, rhs, &known)?, &config) {
+            Ok(solution) => match accept(solution.secret) {
+                Ok(found) => return Ok((found, keep)),
+                Err(e) => last_err = e,
+            },
+            Err(e) => last_err = RecoverError::Lattice(e),
+        }
+    }
+    Err(last_err)
 }
 
 /// Finishes the attack with the BKZ solver when only part of `e2` is known:
@@ -190,12 +265,7 @@ pub fn recover_message_partial(
     known_e2: &[(usize, i64)],
 ) -> Result<(Plaintext, Vec<i64>), RecoverError> {
     let instance = residual_instance(ctx, pk, ct, known_e2)?;
-    let config = SolverConfig {
-        error_bound: 0, // the known relations are exact
-        secret_bound: 1,
-        ..SolverConfig::default()
-    };
-    let solution = solve_lwe(&instance, &config)?;
+    let solution = solve_lwe(&instance, &exact_relations())?;
     // Re-derive the full e2 = c1 − p1·u.
     let u = ctx.basis().from_signed(&solution.secret);
     let e2_poly = ct.c1().sub(&pk.p1().mul(&u));
@@ -250,42 +320,12 @@ pub fn recover_adaptive(
             got: e2_estimates.len(),
         });
     }
-    // Coordinates ordered by descending confidence, filtered by the floor.
-    let mut order: Vec<usize> = (0..n)
-        .filter(|&i| e2_estimates[i].1 >= min_confidence)
-        .collect();
-    order.sort_by(|&a, &b| {
-        e2_estimates[b]
-            .1
-            .partial_cmp(&e2_estimates[a].1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let config = SolverConfig {
-        error_bound: 0,
-        secret_bound: 1,
-        ..SolverConfig::default()
-    };
-    let mut last_err = RecoverError::Lattice(SolveError::NoCandidateFound);
-    for shrink in 0..6 {
-        let keep = order.len().saturating_sub(shrink * order.len() / 10);
-        if keep < n / 3 {
-            break;
-        }
-        let known: Vec<(usize, i64)> = order[..keep]
-            .iter()
-            .map(|&i| (i, e2_estimates[i].0))
-            .collect();
-        let instance = residual_instance(ctx, pk, ct, &known)?;
-        match solve_lwe(&instance, &config) {
-            Ok(solution) => {
-                let u_rns = ctx.basis().from_signed(&solution.secret);
-                let plain = recover_message_from_u(ctx, pk, ct, &u_rns);
-                return Ok((plain, solution.secret, keep));
-            }
-            Err(e) => last_err = RecoverError::Lattice(e),
-        }
-    }
-    Err(last_err)
+    let rhs = ct.c1().residues()[0].coeffs();
+    let ((plain, u), trusted) = solve_trusted(ctx, pk, rhs, e2_estimates, min_confidence, |u| {
+        let u_rns = ctx.basis().from_signed(&u);
+        Ok((recover_message_from_u(ctx, pk, ct, &u_rns), u))
+    })?;
+    Ok((plain, u, trusted))
 }
 
 /// Recovers the **secret key** from the public key and the key-generation
@@ -350,69 +390,20 @@ pub fn recover_secret_key_adaptive(
             got: e_estimates.len(),
         });
     }
-    let moduli = ctx.parms().coeff_modulus();
-    if moduli.len() != 1 {
-        return Err(RecoverError::UnsupportedParameters);
-    }
-    let q_i = i64::try_from(moduli[0].value()).map_err(|_| RecoverError::UnsupportedParameters)?;
-    let a_coeffs = pk.p1().residues()[0].coeffs();
+    // Unlike message recovery, reject unsupported moduli before solving.
+    single_modulus(ctx)?;
     let neg_p0 = pk.p0().neg();
-    let rhs_full = neg_p0.residues()[0].coeffs();
-
-    let mut order: Vec<usize> = (0..n)
-        .filter(|&i| e_estimates[i].1 >= min_confidence)
-        .collect();
-    order.sort_by(|&x, &y| {
-        e_estimates[y]
-            .1
-            .partial_cmp(&e_estimates[x].1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let config = SolverConfig {
-        error_bound: 0,
-        secret_bound: 1,
-        ..SolverConfig::default()
-    };
-    let mut last_err = RecoverError::Lattice(SolveError::NoCandidateFound);
-    for shrink in 0..6 {
-        let keep = order.len().saturating_sub(shrink * order.len() / 10);
-        if keep < n / 3 {
-            break;
+    let rhs = neg_p0.residues()[0].coeffs();
+    solve_trusted(ctx, pk, rhs, e_estimates, min_confidence, |s| {
+        // Verify against the full key relation.
+        let s_rns = ctx.basis().from_signed(&s);
+        let e_full = neg_p0.sub(&pk.p1().mul(&s_rns)).residues()[0].to_signed();
+        if e_full.iter().all(|&x| x.abs() <= 48) {
+            Ok(s)
+        } else {
+            Err(RecoverError::InconsistentErrors { coefficient: 0 })
         }
-        let a: Vec<Vec<i64>> = order[..keep]
-            .iter()
-            .map(|&i| {
-                (0..n)
-                    .map(|j| {
-                        if j <= i {
-                            a_coeffs[i - j] as i64
-                        } else {
-                            (q_i - a_coeffs[n + i - j] as i64) % q_i
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let b: Vec<i64> = order[..keep]
-            .iter()
-            .map(|&i| (rhs_full[i] as i64 - e_estimates[i].0).rem_euclid(q_i))
-            .collect();
-        match solve_lwe(&LweInstance { q: q_i, a, b }, &config) {
-            Ok(solution) => {
-                // Verify against the full key relation.
-                let e_full: Vec<i64> = {
-                    let s_rns = ctx.basis().from_signed(&solution.secret);
-                    neg_p0.sub(&pk.p1().mul(&s_rns)).residues()[0].to_signed()
-                };
-                if e_full.iter().all(|&x| x.abs() <= 48) {
-                    return Ok((solution.secret, keep));
-                }
-                last_err = RecoverError::InconsistentErrors { coefficient: 0 };
-            }
-            Err(e) => last_err = RecoverError::Lattice(e),
-        }
-    }
-    Err(last_err)
+    })
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use crate::profile::SingleTraceAttack;
 use reveal_hints::{
     fold_decisions, DbddInstance, FoldError, HintDecision, HintError, HintPolicy, HintSummary,
-    LweParameters, Posterior, SecurityEstimate,
+    LweParameters, Posterior, PosteriorError, SecurityEstimate,
 };
 use std::fmt;
 
@@ -15,7 +15,7 @@ pub enum ReportError {
     /// Hint integration failed.
     Hint(HintError),
     /// A posterior could not be built from the estimates.
-    Posterior(reveal_hints::PosteriorError),
+    Posterior(PosteriorError),
     /// More coefficient estimates than error coordinates.
     TooManyCoefficients { estimates: usize, coords: usize },
 }
@@ -46,8 +46,8 @@ impl From<FoldError> for ReportError {
     }
 }
 
-impl From<reveal_hints::PosteriorError> for ReportError {
-    fn from(e: reveal_hints::PosteriorError) -> Self {
+impl From<PosteriorError> for ReportError {
+    fn from(e: PosteriorError) -> Self {
         ReportError::Posterior(e)
     }
 }
@@ -123,19 +123,29 @@ pub fn report_sign_only(
     let posteriors: Result<Vec<Posterior>, _> = attack
         .coefficients
         .iter()
-        .map(|c| match c.sign {
-            0 => Ok(Posterior::certain(0)),
-            s => {
-                let restricted: Vec<(i64, f64)> = prior
-                    .iter()
-                    .filter(|(v, _)| v.signum() == s)
-                    .copied()
-                    .collect();
-                Posterior::new(restricted)
-            }
-        })
+        .map(|c| sign_only_posterior(&prior, c.sign))
         .collect();
     report_posteriors(&posteriors?, params, policy)
+}
+
+/// What knowing only a coefficient's sign leaves of `prior`: the prior
+/// restricted to the values of sign `sign.signum()` and renormalized, or
+/// the certain zero for sign 0.
+///
+/// # Errors
+///
+/// Fails when `prior` holds no valid mass of that sign.
+pub fn sign_only_posterior(prior: &[(i64, f64)], sign: i64) -> Result<Posterior, PosteriorError> {
+    if sign == 0 {
+        return Ok(Posterior::certain(0));
+    }
+    Posterior::new(
+        prior
+            .iter()
+            .filter(|(v, _)| v.signum() == sign.signum())
+            .copied()
+            .collect(),
+    )
 }
 
 /// Builds the report from explicit posteriors: each posterior's mode is

@@ -39,7 +39,9 @@
 //! `tests/chaos.rs` suite pins exactly that.
 
 use crate::config::AttackConfig;
-use crate::profile::{AttackError, CoefficientEstimate, TrainedAttack, ATTACK_WINDOW_COST};
+use crate::profile::{
+    full_window_start, AttackError, CoefficientEstimate, TrainedAttack, ATTACK_WINDOW_COST,
+};
 use crate::report::{report_decisions, AttackReport, ReportError};
 use reveal_hints::{HintDecision, HintPolicy, HintSummary, LweParameters, Posterior};
 use reveal_trace::order::last_not_exceeding;
@@ -503,8 +505,8 @@ impl<'a> RobustAttack<'a> {
         n: usize,
         diagnostics: &mut Diagnostics,
     ) -> Result<Vec<SegmentedWindow>, AttackError> {
-        let ladder = self.attack.config().ladder_window;
-        let schedule = relaxation_schedule(&self.attack.config().segment);
+        let config = self.attack.config();
+        let schedule = relaxation_schedule(&config.segment);
         let mut scratch = SegmentScratch::new();
         let mut best: Option<(usize, Vec<(usize, usize)>)> = None;
         let mut last_error = None;
@@ -520,7 +522,7 @@ impl<'a> RobustAttack<'a> {
             // window fits count as coefficients (drops the epilogue burst).
             let usable: Vec<(usize, usize)> = bursts
                 .into_iter()
-                .filter(|&(_, end)| end + ladder <= samples.len())
+                .filter(|&burst| full_window_start(samples.len(), burst, config).is_some())
                 .collect();
             if usable.len() == n {
                 diagnostics.relaxation_rung = rung;
@@ -564,7 +566,6 @@ impl<'a> RobustAttack<'a> {
         n: usize,
         diagnostics: &mut Diagnostics,
     ) -> Result<Vec<SegmentedWindow>, AttackError> {
-        let ladder = self.attack.config().ladder_window;
         let mut healed: Vec<((usize, usize), bool)> =
             bursts.into_iter().map(|b| (b, false)).collect();
 
@@ -609,7 +610,7 @@ impl<'a> RobustAttack<'a> {
         let mut windows: Vec<SegmentedWindow> = healed
             .into_iter()
             .map(|(burst, was_healed)| {
-                let start = (burst.1 + ladder <= samples.len()).then_some(burst.1);
+                let start = full_window_start(samples.len(), burst, self.attack.config());
                 let missing = start.is_none();
                 SegmentedWindow {
                     start,
@@ -966,6 +967,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use reveal_chaos::{ChaosPlan, Fault};
     use reveal_rv32::power::PowerModelConfig;
+    use reveal_trace::segment::{find_bursts, refine_burst_ends};
 
     const Q: u64 = 3329;
 
@@ -990,11 +992,19 @@ mod tests {
         assert!(schedule.iter().all(|c| c.merge_gap < 96));
     }
 
+    /// The segmentation oracle: the materialized two-stage composition.
+    fn oracle_bursts(
+        samples: &[f64],
+        cfg: &SegmentConfig,
+    ) -> Result<Vec<(usize, usize)>, SegmentError> {
+        find_bursts(samples, cfg).map(|bursts| refine_burst_ends(samples, &bursts, cfg))
+    }
+
     #[test]
     fn fused_segmenter_matches_two_stage_on_every_rung() {
         // The retry loop segments through the fused three-pass segmenter;
         // every rung (rungs 2 and 3 change the smoothing width to 24 and 8)
-        // must reproduce the two-stage composition, errors included.
+        // must reproduce the oracle's two-stage composition, errors included.
         let synthetic = |bursts: &[(usize, usize)], len: usize, floor: f64| {
             let mut t = vec![floor; len];
             for &(s, e) in bursts {
@@ -1039,13 +1049,55 @@ mod tests {
         let schedule = relaxation_schedule(&SegmentConfig::default());
         for (rung, cfg) in schedule.iter().enumerate() {
             for (t, samples) in traces.iter().enumerate() {
-                let two_stage = reveal_trace::segment::find_bursts(samples, cfg)
-                    .map(|b| reveal_trace::segment::refine_burst_ends(samples, &b, cfg));
                 assert_eq!(
                     refined_bursts_into(samples, cfg, &mut scratch),
-                    two_stage,
+                    oracle_bursts(samples, cfg),
                     "rung {rung}, trace {t}"
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+        #[test]
+        fn prop_fused_segmenter_matches_the_oracle_at_every_length(
+            period in 80usize..200,
+            burst in 20usize..70,
+            offset in 0usize..200,
+            floor in 0usize..3,
+            noise in 0usize..3,
+            seed in 0u64..1_000,
+        ) {
+            // Planted bursts over a floor of -0.0, 0.0 or 1.0, with no, weak
+            // or strong noise, cut to every length from 1 to 600: this
+            // crosses the fused path's short-trace switch (at 160, 320 and
+            // 480 samples for smoothing widths 8, 16 and 24) on every rung,
+            // and covers widths 0 and 1, which smooth nothing.
+            let floor = [-0.0, 0.0, 1.0][floor];
+            let noise = [0.0, 0.05, 0.3][noise];
+            let trace: Vec<f64> = (0..600)
+                .map(|i| {
+                    let level = if (i + offset) % period < burst { 4.0 } else { floor };
+                    let u = (reveal_par::derive_seed(seed, i as u64) % 1000) as f64 / 1000.0;
+                    level + noise * (u - 0.5)
+                })
+                .collect();
+            let base = SegmentConfig::default();
+            let mut configs = relaxation_schedule(&base);
+            configs.extend([0, 1].map(|w| SegmentConfig { smooth_window: w, ..base }));
+            let mut scratch = SegmentScratch::new();
+            for cfg in &configs {
+                for len in 1..=trace.len() {
+                    let samples = &trace[..len];
+                    prop_assert_eq!(
+                        refined_bursts_into(samples, cfg, &mut scratch),
+                        oracle_bursts(samples, cfg),
+                        "width {}, length {}",
+                        cfg.smooth_window,
+                        len
+                    );
+                }
             }
         }
     }

@@ -16,8 +16,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reveal_attack::rounded_gaussian_prior;
-use reveal_bench::{paper_device, train_attacker, Scale, PAPER_N};
+use reveal_attack::{rounded_gaussian_prior, sign_only_posterior};
+use reveal_bench::{draw_from_prior, paper_device, train_attacker, Scale, PAPER_N};
 use reveal_hints::{
     fold_decisions, DbddInstance, HintDecision, HintPolicy, LweParameters, Posterior,
 };
@@ -74,30 +74,14 @@ fn main() {
         let mut decisions = Vec::with_capacity(PAPER_N);
         for _ in 0..PAPER_N {
             // Generate a secret value from the sampler's distribution.
-            let u: f64 = rng.gen();
-            let mut acc = 0.0;
-            let mut secret = 0i64;
-            for &(v, p) in &prior {
-                acc += p;
-                if acc >= u {
-                    secret = v;
-                    break;
-                }
-            }
+            let secret = draw_from_prior(&prior, &mut rng);
             // Select a measurement for that value uniformly at random.
             let posterior = match buckets.get(&secret) {
                 Some(list) if !list.is_empty() => list[rng.gen_range(0..list.len())].clone(),
                 // Values never observed in the attack runs (|v| > 14-ish)
                 // would in practice be classified by their sign/extreme
                 // templates; treat them as the prior restricted to the sign.
-                _ => {
-                    let restricted: Vec<(i64, f64)> = prior
-                        .iter()
-                        .filter(|(v, _)| v.signum() == secret.signum())
-                        .copied()
-                        .collect();
-                    Posterior::new(restricted).expect("valid prior slice")
-                }
+                _ => sign_only_posterior(&prior, secret).expect("valid prior slice"),
             };
             decisions.push(policy.decide(posterior.mode(), posterior.variance()));
         }

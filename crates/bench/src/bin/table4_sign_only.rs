@@ -14,9 +14,9 @@
 //! Run with `cargo run --release -p reveal-bench --bin table4_sign_only`.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use reveal_attack::rounded_gaussian_prior;
-use reveal_bench::{paper_device, train_attacker, Scale, PAPER_N};
+use rand::SeedableRng;
+use reveal_attack::{rounded_gaussian_prior, sign_only_posterior};
+use reveal_bench::{draw_from_prior, paper_device, train_attacker, Scale, PAPER_N};
 use reveal_hints::{fold_decisions, DbddInstance, HintPolicy, LweParameters, Posterior};
 
 fn main() {
@@ -56,35 +56,12 @@ fn main() {
     };
     let mut sign_only_trials = Vec::new();
     let mut with_guess_trials = Vec::new();
-    let mut guess_hits = 0usize;
     for _ in 0..trials {
-        let mut secrets = Vec::with_capacity(PAPER_N);
-        for _ in 0..PAPER_N {
-            let u: f64 = rng.gen();
-            let mut acc = 0.0;
-            let mut secret = 0i64;
-            for &(v, p) in &prior {
-                acc += p;
-                if acc >= u {
-                    secret = v;
-                    break;
-                }
-            }
-            secrets.push(secret);
-        }
+        let secrets: Vec<i64> = (0..PAPER_N)
+            .map(|_| draw_from_prior(&prior, &mut rng))
+            .collect();
         let decide = |p: Posterior| policy.decide(p.mode(), p.variance());
-        let sign_posterior = |s: i64| -> Posterior {
-            if s == 0 {
-                Posterior::certain(0)
-            } else {
-                let restricted: Vec<(i64, f64)> = prior
-                    .iter()
-                    .filter(|(v, _)| v.signum() == s.signum())
-                    .copied()
-                    .collect();
-                Posterior::new(restricted).expect("valid")
-            }
-        };
+        let sign_posterior = |s: i64| sign_only_posterior(&prior, s).expect("valid");
 
         // Row 2: sign hints only.
         let decisions = secrets.iter().map(|&s| decide(sign_posterior(s)));
@@ -103,7 +80,6 @@ fn main() {
                     .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                     .map(|(v, _)| *v)
                     .unwrap_or(s.signum());
-                guess_hits += (best == s) as usize;
                 decide(Posterior::certain(best))
             } else {
                 decide(sign_posterior(s))
@@ -115,7 +91,6 @@ fn main() {
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let sign_only = avg(&sign_only_trials);
     let with_guess = avg(&with_guess_trials);
-    let _ = guess_hits;
     // The guess succeeds when the coefficient equals the most likely value
     // for its (known, nonzero) sign — analytically P(|s| = 1 | s != 0)/?,
     // i.e. the conditional mass of the modal value of the half-distribution.

@@ -17,7 +17,7 @@
 //!   25 000 attack windows).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use reveal_attack::{AttackConfig, Device, TrainedAttack};
 use reveal_rv32::power::PowerModelConfig;
 
@@ -86,6 +86,21 @@ pub fn train_attacker(device: &Device, runs: usize, seed: u64) -> TrainedAttack 
     let mut rng = StdRng::seed_from_u64(seed);
     TrainedAttack::profile(device, runs, &AttackConfig::default(), &mut rng)
         .expect("profiling succeeds at nominal settings")
+}
+
+/// Draws one secret from a `(value, probability)` prior by inverse CDF:
+/// the first value whose cumulative mass reaches one uniform draw (0 when
+/// rounding leaves the total mass short of it).
+pub fn draw_from_prior<R: Rng + ?Sized>(prior: &[(i64, f64)], rng: &mut R) -> i64 {
+    let u: f64 = rng.gen();
+    let mut acc = 0.0;
+    for &(v, p) in prior {
+        acc += p;
+        if acc >= u {
+            return v;
+        }
+    }
+    0
 }
 
 /// Writes a generator artefact under `target/reveal/` and reports the path.

@@ -19,11 +19,6 @@
 //! end
 //! ```
 //!
-//! The `rails <lda> <learned>` field (cumulative per-rail coefficient
-//! counts under two-rail arbitration) was added after v1 shipped; the
-//! decoder still accepts the original victim line without it, restoring
-//! zero counts, so pre-arbitration checkpoints remain loadable.
-//!
 //! Writes are atomic: the snapshot lands in `<path>.tmp` and is renamed
 //! over the target, so a crash mid-write leaves the previous checkpoint
 //! intact — exactly the property the kill/restore contract needs.
@@ -274,39 +269,28 @@ impl Snapshot {
                 .next()
                 .ok_or_else(|| CheckpointError::BadHeader("truncated victim block".into()))?;
             let w: Vec<&str> = victim_line.split_whitespace().collect();
-            // Two accepted shapes: the extended line with `rails <l> <n>`
-            // and the legacy line without it (restores zero rail counts).
-            let (has_rails, status_idx) = match w.len() {
-                13 if w[8] == "rails" && w[11] == "status" => (true, 12),
-                10 if w[8] == "status" => (false, 9),
-                _ => (false, 0),
-            };
-            if status_idx == 0
+            if w.len() != 13
                 || w[0] != "victim"
                 || w[2] != "traces"
                 || w[4] != "failed"
                 || w[6] != "run"
+                || w[8] != "rails"
+                || w[11] != "status"
             {
                 return Err(bad(
                     ln,
-                    "expected `victim <key> traces <p> failed <f> run <r> [rails <l> <n>] status <s>`",
+                    "expected `victim <key> traces <p> failed <f> run <r> rails <l> <n> status <s>`",
                 ));
             }
             let key: KeyId = w[1].parse().map_err(|_| bad(ln, "bad key"))?;
             let traces_processed: u64 = w[3].parse().map_err(|_| bad(ln, "bad traces"))?;
             let traces_failed: u64 = w[5].parse().map_err(|_| bad(ln, "bad failed"))?;
             let consecutive_failures: u32 = w[7].parse().map_err(|_| bad(ln, "bad run"))?;
-            let (lda_coefficients, learned_coefficients) = if has_rails {
-                (
-                    w[9].parse().map_err(|_| bad(ln, "bad lda rail count"))?,
-                    w[10]
-                        .parse()
-                        .map_err(|_| bad(ln, "bad learned rail count"))?,
-                )
-            } else {
-                (0, 0)
-            };
-            let status = match w[status_idx] {
+            let lda_coefficients = w[9].parse().map_err(|_| bad(ln, "bad lda rail count"))?;
+            let learned_coefficients = w[10]
+                .parse()
+                .map_err(|_| bad(ln, "bad learned rail count"))?;
+            let status = match w[12] {
                 "active" => VictimStatus::Active,
                 other => match other.strip_prefix("quarantined:") {
                     Some(nstr) => VictimStatus::Quarantined(QuarantineReason::ConsecutiveFailures(
@@ -579,12 +563,15 @@ mod tests {
             (restored.lda_coefficients, restored.learned_coefficients),
             (12, 4)
         );
-        // A pre-arbitration checkpoint (no `rails` field) still loads,
-        // with zeroed counts.
+        // A victim line without the `rails` field (the shape written before
+        // rail counts existed) fails typed.
+        let mut first_victim = None;
         let legacy: String = text
             .lines()
-            .map(|l| {
+            .enumerate()
+            .map(|(i, l)| {
                 if l.starts_with("victim ") {
+                    first_victim.get_or_insert(i + 1);
                     let w: Vec<&str> = l.split_whitespace().collect();
                     format!(
                         "{} {} {} {} {} {} {} {} {} {}\n",
@@ -595,13 +582,10 @@ mod tests {
                 }
             })
             .collect();
-        let old = Snapshot::decode(&legacy).unwrap();
-        let (_, restored) = old.victims.iter().find(|(k, _)| *k == 11).unwrap();
-        assert_eq!(
-            (restored.lda_coefficients, restored.learned_coefficients),
-            (0, 0)
-        );
-        assert_eq!(restored.traces_processed, 1);
+        assert!(matches!(
+            Snapshot::decode(&legacy),
+            Err(CheckpointError::BadLine { line, .. }) if Some(line) == first_victim
+        ));
     }
 
     #[test]

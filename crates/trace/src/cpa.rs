@@ -95,9 +95,8 @@ pub fn cpa_rank(traces: &[Vec<f64>], hypotheses: &[Vec<f64>]) -> Result<Vec<CpaS
     }
     // Column-major view of the traces for per-sample correlation; the
     // transpose is parallel over sample columns (each column is independent).
-    // Each column's mean and centered variance are hoisted here, once: the
-    // old per-candidate `pearson_correlation` recomputed them for every
-    // candidate — O(candidates · samples · traces) redundant passes.
+    // Each column's mean and centered variance are hoisted here, once,
+    // instead of once per candidate.
     let columns: Vec<CpaColumn> =
         reveal_par::par_map_index_modeled(len, &COLUMN_COST, traces.len() as u64, |s| {
             let values: Vec<f64> = traces.iter().map(|t| t[s]).collect();
@@ -122,8 +121,7 @@ pub fn cpa_rank(traces: &[Vec<f64>], hypotheses: &[Vec<f64>]) -> Result<Vec<CpaS
                 let sh = vh.sqrt();
                 for (s, col) in columns.iter().enumerate() {
                     if col.var == 0.0 {
-                        // A constant column correlates with nothing
-                        // (`pearson_correlation` convention: ρ = 0).
+                        // A constant column correlates with nothing (ρ = 0).
                         continue;
                     }
                     let cov = simd::centered_dot(&col.values, col.mean, hyp, mh);

@@ -17,7 +17,7 @@
 //! ## Example: segmenting a synthetic trace
 //!
 //! ```
-//! use reveal_trace::segment::{segment_windows, SegmentConfig};
+//! use reveal_trace::segment::{refined_bursts_into, SegmentConfig, SegmentScratch};
 //!
 //! let mut samples = vec![1.0; 400];
 //! for start in [40usize, 200] {
@@ -25,12 +25,14 @@
 //!         samples[i] = 4.0; // a distribution-call burst
 //!     }
 //! }
-//! let windows = segment_windows(&samples, &SegmentConfig::default())?;
-//! assert_eq!(windows.len(), 2);
+//! let mut scratch = SegmentScratch::new();
+//! let bursts = refined_bursts_into(&samples, &SegmentConfig::default(), &mut scratch)?;
+//! // Each burst's end is refined to the sample; a ladder window starts there.
+//! let ends: Vec<usize> = bursts.iter().map(|&(_, end)| end).collect();
+//! assert_eq!(ends, [90, 250]);
 //! # Ok::<(), reveal_trace::segment::SegmentError>(())
 //! ```
 
-pub mod align;
 pub mod cpa;
 pub mod export;
 pub mod order;
@@ -41,11 +43,10 @@ pub mod stats;
 pub mod trace;
 pub mod tvla;
 
-pub use align::{align_to_mean, best_shift, AlignError};
 pub use cpa::{cpa_rank, distinguishing_margin, CpaError, CpaScore};
 pub use poi::{select_pois, PoiError, PoiMethod};
 pub use sanity::{check_finite, mad_outlier_flags, median, robust_noise_sigma};
-pub use segment::{segment_windows, SegmentConfig, SegmentError};
-pub use stats::{pearson_correlation, Covariance, RunningStats};
-pub use trace::{resample_linear, Trace, TraceSet};
+pub use segment::{SegmentConfig, SegmentError};
+pub use stats::Covariance;
+pub use trace::{Trace, TraceSet};
 pub use tvla::{welch_t_test, TvlaError, TvlaResult, TVLA_THRESHOLD};

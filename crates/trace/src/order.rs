@@ -214,12 +214,107 @@ pub fn last_not_exceeding(start: f64, exceeds: impl Fn(f64) -> bool) -> Option<f
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::segment::percentile_ranks;
+    use proptest::prelude::*;
 
     /// Ties, both zeros, subnormals and extremes: the values a heavy-tie
     /// test case draws from.
     pub(crate) const PALETTE: [f64; 10] = [
         -0.0, 0.0, 5e-324, -5e-324, 2.2e-308, -1.0, 1.0, 2.5, 1e300, -1e300,
     ];
+
+    /// Two single-rank runs over one shared pivot sample and one counting
+    /// pass, the way the segmenter selects its raw-trace percentiles.
+    fn two_ranks(values: &[f64], ranks: [usize; 2]) -> [f64; 2] {
+        let len = values.len();
+        let item = |j: usize| values[j];
+        let (mut sample, mut g0, mut g1) = (Vec::new(), Vec::new(), Vec::new());
+        sample_keys(len, item, &mut sample);
+        let mut a = RankRun::new(ranks[0], ranks[0], len, &sample, &mut g0);
+        let mut b = RankRun::new(ranks[1], ranks[1], len, &sample, &mut g1);
+        for &v in values {
+            a.offer(v);
+            b.offer(v);
+        }
+        a.settle(len, item);
+        b.settle(len, item);
+        [a.select()[0], b.select()[0]]
+    }
+
+    /// The sorted oracle of the bracket selection: values at `ranks` after a
+    /// full sort in IEEE total order (the order the selection's keys encode,
+    /// `-0.0` below `+0.0`), compared by bit pattern.
+    fn assert_matches_sorted_oracle(values: &[f64], ranks: [usize; 2]) {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        for (g, &r) in two_ranks(values, ranks).iter().zip(&ranks) {
+            assert_eq!(
+                g.to_bits(),
+                sorted[r].to_bits(),
+                "rank {r} of {} items",
+                values.len()
+            );
+        }
+    }
+
+    #[test]
+    fn bracket_selection_matches_sorted_oracle_on_shaped_inputs() {
+        // Below, just above and well above the pivot-sample size, plus one
+        // paper-scale trace (n = 1024 captures run ~243k samples).
+        for len in [300usize, SAMPLE + 1, 3 * SAMPLE + 7, 243_000] {
+            let noise = |i: usize| (reveal_par::derive_seed(7, i as u64) % 10_000) as f64 * 1e-3;
+            let (lo_rank, hi_rank) = percentile_ranks(len);
+            let cases: Vec<Vec<f64>> = vec![
+                vec![1.5; len],
+                (0..len)
+                    .map(|i| if i % 3 == 0 { 4.0 } else { 1.0 })
+                    .collect(),
+                (0..len).map(|i| i as f64).collect(),
+                (0..len).rev().map(|i| i as f64 * -0.25).collect(),
+                // 40% of the items tie at the value straddling the 5th
+                // percentile rank; the rest are distinct around it.
+                (0..len)
+                    .map(|i| if i % 5 < 2 { 2.0 } else { noise(i) * 4.0 - 1.0 })
+                    .collect(),
+                (0..len).map(|i| PALETTE[i % PALETTE.len()]).collect(),
+                (0..len).map(|i| noise(i) * 1e-310).collect(),
+            ];
+            for values in &cases {
+                assert_matches_sorted_oracle(values, [lo_rank, hi_rank]);
+                assert_matches_sorted_oracle(values, [0, len - 1]);
+                assert_matches_sorted_oracle(values, [len / 2, len / 2]);
+            }
+        }
+    }
+
+    #[test]
+    fn missed_bracket_falls_back_to_exact_selection() {
+        // Every pivot-sample position holds a value above the rest of the
+        // trace, so the sampled 5th percentile lies far above the true one
+        // and the bracket cannot hold the rank.
+        let len = 3 * SAMPLE;
+        let mut values: Vec<f64> = (0..len).map(|i| (i % 97) as f64).collect();
+        for i in 0..SAMPLE {
+            values[sample_position(i, len)] = 1e6 + i as f64;
+        }
+        let (lo_rank, hi_rank) = percentile_ranks(len);
+        let item = |j: usize| values[j];
+        let mut sample = Vec::new();
+        let mut inside = Vec::new();
+        sample_keys(len, item, &mut sample);
+        let mut run = RankRun::new(lo_rank, lo_rank, len, &sample, &mut inside);
+        for &v in &values {
+            run.offer(v);
+        }
+        assert!(!run.hit(), "the planted sample must make the bracket miss");
+        run.settle(len, item);
+        assert!(run.hit());
+        assert_eq!(run.inside.len(), len, "the fallback gathers every item");
+        let mut sorted = values.clone();
+        sorted.sort_by(f64::total_cmp);
+        assert_eq!(run.select()[0].to_bits(), sorted[lo_rank].to_bits());
+        assert_matches_sorted_oracle(&values, [lo_rank, hi_rank]);
+    }
 
     #[test]
     fn ulp_walk_lands_on_the_exact_boundary() {
@@ -253,5 +348,24 @@ pub(crate) mod tests {
         // A start far from the boundary does not settle.
         assert_eq!(last_not_exceeding(1.0, |x| x > 2.0), None);
         assert_eq!(last_not_exceeding(1.0, |x| x > 1.0), Some(1.0));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_bracket_selection_matches_sorted_oracle(
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 1..300),
+            continuous in proptest::collection::vec(-1e3f64..1e3, 1..300),
+            r0 in 0usize..300,
+            r1 in 0usize..300,
+        ) {
+            // Heavy ties drawn from the palette, and distinct values.
+            let tied: Vec<f64> = picks.iter().map(|&k| PALETTE[k]).collect();
+            for values in [&tied, &continuous] {
+                let len = values.len();
+                let (lo_rank, hi_rank) = percentile_ranks(len);
+                assert_matches_sorted_oracle(values, [lo_rank, hi_rank]);
+                assert_matches_sorted_oracle(values, [r0 % len, r1 % len]);
+            }
+        }
     }
 }

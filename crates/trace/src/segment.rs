@@ -7,9 +7,15 @@
 //! coefficient window. Because the distribution call is time-variant, a fixed
 //! stride cannot work — the windows must be found from the trace itself.
 //!
-//! The detector smooths the trace with a moving average, thresholds it at
-//! `μ + k·σ`, merges the resulting bursts, and emits one window per burst
-//! (from the start of a burst to the start of the next).
+//! The detector smooths the trace with a moving average, thresholds it
+//! between its robust low and high levels, merges the resulting bursts, and
+//! refines each burst's end on the raw trace; a coefficient's ladder window
+//! starts at its burst's refined end.
+//!
+//! Two implementations return the same bursts: [`refined_bursts_into`], the
+//! fused three-pass fast path every production caller runs, and the
+//! materialized, sort-based oracle `refine_burst_ends(find_bursts(..))` it
+//! is tested against.
 
 use crate::order::{last_not_exceeding, sample_keys, total_order_key, RankRun};
 use std::fmt;
@@ -86,48 +92,15 @@ impl SegmentScratch {
 }
 
 /// The 5th and 95th percentile ranks of `len` items.
-fn percentile_ranks(len: usize) -> (usize, usize) {
+pub(crate) fn percentile_ranks(len: usize) -> (usize, usize) {
     ((len - 1) * 5 / 100, (len - 1) * 95 / 100)
 }
 
-/// The exact order statistics at `ranks` (each below `values.len()`) of a
-/// non-empty slice: one shared sample, one counting pass for both brackets.
-fn order_statistics(values: &[f64], ranks: [usize; 2], scratch: &mut SegmentScratch) -> [f64; 2] {
-    let len = values.len();
-    let item = |j: usize| values[j];
-    let SegmentScratch {
-        sample,
-        inside: [g0, g1, ..],
-        ..
-    } = scratch;
-    sample_keys(len, item, sample);
-    let mut a = RankRun::new(ranks[0], ranks[0], len, sample, g0);
-    let mut b = RankRun::new(ranks[1], ranks[1], len, sample, g1);
-    for &v in values {
-        a.offer(v);
-        b.offer(v);
-    }
-    a.settle(len, item);
-    b.settle(len, item);
-    [a.select()[0], b.select()[0]]
-}
-
-/// The 5th and 95th percentile values of a non-empty slice.
-fn percentiles(values: &[f64], scratch: &mut SegmentScratch) -> (f64, f64) {
-    let (lo_rank, hi_rank) = percentile_ranks(values.len());
-    let [lo, hi] = order_statistics(values, [lo_rank, hi_rank], scratch);
-    (lo, hi)
-}
-
-/// The pre-fast-path percentile computation — a full sort per trace — kept
-/// verbatim as the oracle of the equivalence tests and the benchmark
-/// baseline.
+/// The oracle's percentile computation — a full sort per trace.
 fn percentiles_5_95_sorted(scratch: &mut [f64]) -> (f64, f64) {
     scratch.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    (
-        scratch[(scratch.len() - 1) * 5 / 100],
-        scratch[(scratch.len() - 1) * 95 / 100],
-    )
+    let (lo_rank, hi_rank) = percentile_ranks(scratch.len());
+    (scratch[lo_rank], scratch[hi_rank])
 }
 
 /// Moving-average smoothing (centered, edge-clamped).
@@ -195,7 +168,10 @@ fn combined_statistic(cand_diffs: &[f64], denom: f64, edge_vals: &[f64], edges: 
     }
 }
 
-/// Finds the high-power bursts (distribution-call peaks).
+/// Finds the high-power bursts (distribution-call peaks) on the
+/// materialized smoothed trace, with sort-based percentiles: the oracle
+/// [`refined_bursts_into`] is checked against, together with
+/// [`refine_burst_ends`].
 ///
 /// # Errors
 ///
@@ -204,26 +180,38 @@ pub fn find_bursts(
     samples: &[f64],
     config: &SegmentConfig,
 ) -> Result<Vec<(usize, usize)>, SegmentError> {
-    find_bursts_into(samples, config, &mut SegmentScratch::new())
+    let smoothed = smooth(samples, config.smooth_window)?;
+    // Robust low/high levels: 5th and 95th percentiles of the smoothed trace.
+    let (lo, hi) = percentiles_5_95_sorted(&mut smoothed.clone());
+    if hi - lo < 1e-12 {
+        return Err(SegmentError::NoPeaksFound);
+    }
+    let threshold = lo + config.threshold_fraction * (hi - lo);
+    bursts_from_flags(smoothed.iter().map(|&s| s > threshold), config)
 }
 
-/// [`find_bursts`] with caller-provided scratch buffers: the selection and
-/// scans of [`refined_bursts_into`], without the end refinement.
-///
-/// # Errors
-///
-/// Same as [`find_bursts`].
-pub fn find_bursts_into(
+/// Refines burst boundaries to cycle accuracy using the *raw* trace: the
+/// moving-average edges of [`find_bursts`] jitter by a few samples with the
+/// noise, which smears sample-exact leakage across template dimensions. A
+/// burst's true end is the last run of `run_len` consecutive raw samples
+/// above a high threshold (single data-dependent spikes outside the burst
+/// cannot form such a run). The raw-trace percentiles come from a full
+/// sort: this is the second half of the oracle.
+pub fn refine_burst_ends(
     samples: &[f64],
+    bursts: &[(usize, usize)],
     config: &SegmentConfig,
-    scratch: &mut SegmentScratch,
-) -> Result<Vec<(usize, usize)>, SegmentError> {
-    bursts_and_raw_levels(samples, config, scratch).map(|(bursts, _)| bursts)
+) -> Vec<(usize, usize)> {
+    if samples.is_empty() {
+        return bursts.to_vec();
+    }
+    let (lo, hi) = percentiles_5_95_sorted(&mut samples.to_vec());
+    refine_with_levels(samples, bursts, config, lo, hi)
 }
 
 /// [`find_bursts`] followed by [`refine_burst_ends`], with every full-trace
-/// pass shared between the two stages. Returns exactly what the two-stage
-/// composition returns.
+/// pass shared between the two stages: the production segmenter. Returns
+/// exactly what the two-stage composition returns.
 ///
 /// # Errors
 ///
@@ -233,8 +221,30 @@ pub fn refined_bursts_into(
     config: &SegmentConfig,
     scratch: &mut SegmentScratch,
 ) -> Result<Vec<(usize, usize)>, SegmentError> {
+    if !diff_domain_fits(samples.len(), config.smooth_window) {
+        // Real captures are thousands of samples long and never get here.
+        return Ok(refine_burst_ends(
+            samples,
+            &find_bursts(samples, config)?,
+            config,
+        ));
+    }
     let (bursts, (lo, hi)) = bursts_and_raw_levels(samples, config, scratch)?;
     Ok(refine_with_levels(samples, &bursts, config, lo, hi))
+}
+
+/// Whether a trace of `n` samples is long enough for the diff-domain rank
+/// argument of [`bursts_and_raw_levels`] under `smooth_window`: it needs
+/// smoothing, and both percentile ranks `edges` deep inside the interior
+/// run with candidate runs that do not straddle each other. That takes
+/// more than 160, 320 and 480 samples at widths 8, 16 and 24.
+fn diff_domain_fits(n: usize, smooth_window: usize) -> bool {
+    if n == 0 || smooth_window <= 1 {
+        return false;
+    }
+    let (lo_rank, hi_rank) = percentile_ranks(n);
+    let edges = 2 * (smooth_window / 2);
+    n > edges && lo_rank >= edges && hi_rank + edges < n && hi_rank >= lo_rank + edges
 }
 
 /// Bursts plus the raw-trace `(5th, 95th)` percentile levels.
@@ -254,34 +264,17 @@ type BurstsAndLevels = (Vec<(usize, usize)>, (f64, f64));
 ///    an ulp-exact boundary ([`last_not_exceeding`]).
 ///
 /// The diff-to-value map is monotone and the boundary is exact, so every
-/// burst index is identical to [`find_bursts_reference`]'s.
+/// burst index is identical to [`find_bursts`]'s. The caller has checked
+/// [`diff_domain_fits`].
 fn bursts_and_raw_levels(
     samples: &[f64],
     config: &SegmentConfig,
     scratch: &mut SegmentScratch,
 ) -> Result<BurstsAndLevels, SegmentError> {
     let n = samples.len();
-    if n == 0 {
-        return Err(SegmentError::EmptyTrace);
-    }
     let (lo_rank, hi_rank) = percentile_ranks(n);
     let half = config.smooth_window / 2;
     let edges = 2 * half;
-    if config.smooth_window <= 1
-        || n <= edges
-        || lo_rank < edges
-        || hi_rank + edges >= n
-        || hi_rank < lo_rank + edges
-    {
-        // No smoothing, or a trace too short for the diff-domain rank
-        // argument (both percentile ranks must sit `edges` deep inside the
-        // interior run, and their candidate runs must not straddle each
-        // other): such traces are cheap to smooth outright.
-        let smoothed = smooth(samples, config.smooth_window)?;
-        let (lo, hi) = percentiles(&smoothed, scratch);
-        let bursts = threshold_bursts(&smoothed, lo, hi, config)?;
-        return Ok((bursts, percentiles(samples, scratch)));
-    }
     let interior = n - edges;
     let denom = (edges + 1) as f64;
 
@@ -364,38 +357,6 @@ fn bursts_and_raw_levels(
     Ok((bursts_from_flags(flags, config)?, raw_levels))
 }
 
-/// [`find_bursts`] with the pre-fast-path sort-based percentile pass, kept
-/// as the test oracle and benchmark baseline. Identical results.
-///
-/// # Errors
-///
-/// Same as [`find_bursts`].
-pub fn find_bursts_reference(
-    samples: &[f64],
-    config: &SegmentConfig,
-) -> Result<Vec<(usize, usize)>, SegmentError> {
-    let smoothed = smooth(samples, config.smooth_window)?;
-    // Robust low/high levels: 5th and 95th percentiles of the smoothed trace.
-    let (lo, hi) = percentiles_5_95_sorted(&mut smoothed.clone());
-    threshold_bursts(&smoothed, lo, hi, config)
-}
-
-/// The threshold / merge / minimum-length back half shared by the
-/// materialized-trace front ends (the levels `lo`/`hi` are what differ
-/// between them, never this scan).
-fn threshold_bursts(
-    smoothed: &[f64],
-    lo: f64,
-    hi: f64,
-    config: &SegmentConfig,
-) -> Result<Vec<(usize, usize)>, SegmentError> {
-    if hi - lo < 1e-12 {
-        return Err(SegmentError::NoPeaksFound);
-    }
-    let threshold = lo + config.threshold_fraction * (hi - lo);
-    bursts_from_flags(smoothed.iter().map(|&s| s > threshold), config)
-}
-
 /// Turns a per-sample above-threshold flag stream into merged,
 /// minimum-length bursts — the back half shared by the materialized-trace
 /// and diff-domain front ends.
@@ -439,52 +400,8 @@ fn bursts_from_flags(
     Ok(merged)
 }
 
-/// Refines burst boundaries to cycle accuracy using the *raw* trace: the
-/// moving-average edges of [`find_bursts`] jitter by a few samples with the
-/// noise, which smears sample-exact leakage across template dimensions. A
-/// burst's true end is the last run of `run_len` consecutive raw samples
-/// above a high threshold (single data-dependent spikes outside the burst
-/// cannot form such a run).
-pub fn refine_burst_ends(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &SegmentConfig,
-) -> Vec<(usize, usize)> {
-    refine_burst_ends_into(samples, bursts, config, &mut SegmentScratch::new())
-}
-
-/// [`refine_burst_ends`] with caller-provided scratch: the raw-trace
-/// percentiles come from a read-only bracket selection instead of a
-/// full-trace copy and sort. Identical results.
-pub fn refine_burst_ends_into(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &SegmentConfig,
-    scratch: &mut SegmentScratch,
-) -> Vec<(usize, usize)> {
-    if samples.is_empty() {
-        return bursts.to_vec();
-    }
-    let (lo, hi) = percentiles(samples, scratch);
-    refine_with_levels(samples, bursts, config, lo, hi)
-}
-
-/// [`refine_burst_ends`] with the pre-fast-path sort-based percentile pass,
-/// kept as the test oracle and benchmark baseline. Identical results.
-pub fn refine_burst_ends_reference(
-    samples: &[f64],
-    bursts: &[(usize, usize)],
-    config: &SegmentConfig,
-) -> Vec<(usize, usize)> {
-    if samples.is_empty() {
-        return bursts.to_vec();
-    }
-    let (lo, hi) = percentiles_5_95_sorted(&mut samples.to_vec());
-    refine_with_levels(samples, bursts, config, lo, hi)
-}
-
-/// The per-burst end-refinement scan shared by the scratch-based and
-/// reference front ends (only the `lo`/`hi` level computation differs).
+/// The per-burst end-refinement scan shared by the fused path and the
+/// oracle (only the `lo`/`hi` level computation differs).
 fn refine_with_levels(
     samples: &[f64],
     bursts: &[(usize, usize)],
@@ -518,70 +435,9 @@ fn refine_with_levels(
         .collect()
 }
 
-/// Segments a full trace into per-coefficient windows: each window runs from
-/// the start of one distribution-call burst to the start of the next (the
-/// last window extends to the end of the trace).
-///
-/// # Errors
-///
-/// Propagates burst-detection failures.
-///
-/// # Examples
-///
-/// ```
-/// use reveal_trace::segment::{segment_windows, SegmentConfig};
-/// // Three synthetic bursts of height 3 over a noise floor of 1.
-/// let mut samples = vec![1.0; 600];
-/// for start in [50usize, 250, 450] {
-///     for i in start..start + 60 {
-///         samples[i] = 3.0;
-///     }
-/// }
-/// let windows = segment_windows(&samples, &SegmentConfig::default())?;
-/// assert_eq!(windows.len(), 3);
-/// # Ok::<(), reveal_trace::segment::SegmentError>(())
-/// ```
-pub fn segment_windows(
-    samples: &[f64],
-    config: &SegmentConfig,
-) -> Result<Vec<(usize, usize)>, SegmentError> {
-    let bursts = find_bursts(samples, config)?;
-    let mut windows = Vec::with_capacity(bursts.len());
-    for (i, &(s, _)) in bursts.iter().enumerate() {
-        let end = if i + 1 < bursts.len() {
-            bursts[i + 1].0
-        } else {
-            samples.len()
-        };
-        windows.push((s, end));
-    }
-    Ok(windows)
-}
-
-/// Compares detected windows with ground truth: the fraction of true windows
-/// whose detected counterpart starts within `tolerance` samples.
-pub fn window_alignment_score(
-    detected: &[(usize, usize)],
-    truth: &[(usize, usize)],
-    tolerance: usize,
-) -> f64 {
-    if truth.is_empty() {
-        return 0.0;
-    }
-    let mut hits = 0usize;
-    for &(ts, _) in truth {
-        if detected.iter().any(|&(ds, _)| ds.abs_diff(ts) <= tolerance) {
-            hits += 1;
-        }
-    }
-    hits as f64 / truth.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::order::tests::PALETTE;
-    use crate::order::{sample_position, SAMPLE};
     use proptest::prelude::*;
 
     fn synthetic_trace(bursts: &[(usize, usize)], len: usize, floor: f64, peak: f64) -> Vec<f64> {
@@ -592,6 +448,14 @@ mod tests {
             }
         }
         t
+    }
+
+    /// The oracle composition the fused path must reproduce.
+    fn oracle(
+        samples: &[f64],
+        config: &SegmentConfig,
+    ) -> Result<Vec<(usize, usize)>, SegmentError> {
+        find_bursts(samples, config).map(|bursts| refine_burst_ends(samples, &bursts, config))
     }
 
     #[test]
@@ -638,17 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_tile_from_burst_starts() {
-        let truth = [(100, 180), (400, 470), (700, 790)];
-        let t = synthetic_trace(&truth, 1000, 1.0, 4.0);
-        let windows = segment_windows(&t, &SegmentConfig::default()).unwrap();
-        assert_eq!(windows.len(), 3);
-        assert_eq!(windows[0].1, windows[1].0);
-        assert_eq!(windows[1].1, windows[2].0);
-        assert_eq!(windows[2].1, 1000);
-    }
-
-    #[test]
     fn merges_chattering_bursts() {
         // One burst with a short dropout in the middle.
         let mut t = synthetic_trace(&[(100, 140), (150, 200)], 600, 1.0, 4.0);
@@ -683,15 +536,16 @@ mod tests {
         );
         t[250] = f64::NEG_INFINITY;
         assert_eq!(
-            segment_windows(&t, &SegmentConfig::default()),
+            refined_bursts_into(&t, &SegmentConfig::default(), &mut SegmentScratch::new()),
             Err(SegmentError::NonFiniteSample(250))
         );
     }
 
     #[test]
     fn selection_percentiles_match_sorted_reference() {
-        // Noisy trace with duplicates and plateaus: the linear-time selection
-        // must reproduce the sort-based order statistics exactly.
+        // Noisy trace with duplicates and plateaus: the fused path's bracket
+        // selections must reproduce the sort-based percentiles exactly, so
+        // its bursts are the oracle's.
         let traces: Vec<Vec<f64>> = (0..8)
             .map(|k| {
                 (0..3000)
@@ -705,102 +559,10 @@ mod tests {
         let config = SegmentConfig::default();
         let mut scratch = SegmentScratch::new();
         for t in &traces {
-            assert_eq!(
-                percentiles(t, &mut scratch),
-                percentiles_5_95_sorted(&mut t.clone())
-            );
-            let fast = find_bursts(t, &config).unwrap();
-            let reference = find_bursts_reference(t, &config).unwrap();
-            assert_eq!(fast, reference);
-            assert_eq!(
-                refine_burst_ends(t, &fast, &config),
-                refine_burst_ends_reference(t, &reference, &config)
-            );
+            let reference = oracle(t, &config);
+            assert!(reference.is_ok());
+            assert_eq!(refined_bursts_into(t, &config, &mut scratch), reference);
         }
-        // Degenerate lengths.
-        for len in 1..6 {
-            let v: Vec<f64> = (0..len).map(|i| (i * 37 % 5) as f64).collect();
-            assert_eq!(
-                percentiles(&v, &mut scratch),
-                percentiles_5_95_sorted(&mut v.clone())
-            );
-        }
-    }
-
-    /// The sorted oracle of the bracket selection: values at `ranks` after a
-    /// full sort in IEEE total order (the order the selection's keys encode,
-    /// `-0.0` below `+0.0`), compared by bit pattern.
-    fn assert_matches_sorted_oracle(values: &[f64], ranks: [usize; 2]) {
-        let mut sorted = values.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let got = order_statistics(values, ranks, &mut SegmentScratch::new());
-        for (g, &r) in got.iter().zip(&ranks) {
-            assert_eq!(
-                g.to_bits(),
-                sorted[r].to_bits(),
-                "rank {r} of {} items",
-                values.len()
-            );
-        }
-    }
-
-    #[test]
-    fn bracket_order_statistics_match_sorted_oracle_on_shaped_inputs() {
-        // Below, just above and well above the pivot-sample size, plus one
-        // paper-scale trace (n = 1024 captures run ~243k samples).
-        for len in [300usize, SAMPLE + 1, 3 * SAMPLE + 7, 243_000] {
-            let noise = |i: usize| (reveal_par::derive_seed(7, i as u64) % 10_000) as f64 * 1e-3;
-            let (lo_rank, hi_rank) = percentile_ranks(len);
-            let cases: Vec<Vec<f64>> = vec![
-                vec![1.5; len],
-                (0..len)
-                    .map(|i| if i % 3 == 0 { 4.0 } else { 1.0 })
-                    .collect(),
-                (0..len).map(|i| i as f64).collect(),
-                (0..len).rev().map(|i| i as f64 * -0.25).collect(),
-                // 40% of the items tie at the value straddling the 5th
-                // percentile rank; the rest are distinct around it.
-                (0..len)
-                    .map(|i| if i % 5 < 2 { 2.0 } else { noise(i) * 4.0 - 1.0 })
-                    .collect(),
-                (0..len).map(|i| PALETTE[i % PALETTE.len()]).collect(),
-                (0..len).map(|i| noise(i) * 1e-310).collect(),
-            ];
-            for values in &cases {
-                assert_matches_sorted_oracle(values, [lo_rank, hi_rank]);
-                assert_matches_sorted_oracle(values, [0, len - 1]);
-                assert_matches_sorted_oracle(values, [len / 2, len / 2]);
-            }
-        }
-    }
-
-    #[test]
-    fn missed_bracket_falls_back_to_exact_selection() {
-        // Every pivot-sample position holds a value above the rest of the
-        // trace, so the sampled 5th percentile lies far above the true one
-        // and the bracket cannot hold the rank.
-        let len = 3 * SAMPLE;
-        let mut values: Vec<f64> = (0..len).map(|i| (i % 97) as f64).collect();
-        for i in 0..SAMPLE {
-            values[sample_position(i, len)] = 1e6 + i as f64;
-        }
-        let (lo_rank, hi_rank) = percentile_ranks(len);
-        let item = |j: usize| values[j];
-        let mut sample = Vec::new();
-        let mut inside = Vec::new();
-        sample_keys(len, item, &mut sample);
-        let mut run = RankRun::new(lo_rank, lo_rank, len, &sample, &mut inside);
-        for &v in &values {
-            run.offer(v);
-        }
-        assert!(!run.hit(), "the planted sample must make the bracket miss");
-        run.settle(len, item);
-        assert!(run.hit());
-        assert_eq!(run.inside.len(), len, "the fallback gathers every item");
-        let mut sorted = values.clone();
-        sorted.sort_by(f64::total_cmp);
-        assert_eq!(run.select()[0].to_bits(), sorted[lo_rank].to_bits());
-        assert_matches_sorted_oracle(&values, [lo_rank, hi_rank]);
     }
 
     #[test]
@@ -814,20 +576,10 @@ mod tests {
                 1.0 + k as f64 * 0.01,
                 4.0,
             );
-            let fast = find_bursts_into(&t, &config, &mut scratch).unwrap();
-            let reference = find_bursts_reference(&t, &config).unwrap();
-            assert_eq!(fast, reference, "trace {k}");
-            let refined_ref = refine_burst_ends_reference(&t, &reference, &config);
             assert_eq!(
-                refine_burst_ends_into(&t, &fast, &config, &mut scratch),
-                refined_ref,
+                refined_bursts_into(&t, &config, &mut scratch),
+                oracle(&t, &config),
                 "trace {k}"
-            );
-            // The fused single-entry pipeline returns the same composition.
-            assert_eq!(
-                refined_bursts_into(&t, &config, &mut scratch).unwrap(),
-                refined_ref,
-                "fused trace {k}"
             );
         }
         // A noisy trace several pivot samples long: both domains select
@@ -843,86 +595,40 @@ mod tests {
         for (i, v) in long.iter_mut().enumerate() {
             *v += (reveal_par::derive_seed(3, i as u64) % 1000) as f64 * 2e-4;
         }
-        let reference = find_bursts_reference(&long, &config).unwrap();
+        let reference = oracle(&long, &config).unwrap();
         assert_eq!(reference.len(), 40);
         assert_eq!(
             refined_bursts_into(&long, &config, &mut scratch).unwrap(),
-            refine_burst_ends_reference(&long, &reference, &config)
+            reference
         );
         // Bursts touching the trace boundaries put extreme values into the
         // clamped-window head/tail, exercising the edge-merge of the
         // diff-domain percentile selection.
         let boundary = synthetic_trace(&[(0, 90), (500, 580), (1110, 1200)], 1200, 1.0, 4.0);
         assert_eq!(
-            find_bursts_into(&boundary, &config, &mut scratch).unwrap(),
-            find_bursts_reference(&boundary, &config).unwrap()
+            refined_bursts_into(&boundary, &config, &mut scratch),
+            oracle(&boundary, &config)
         );
-        assert_eq!(
-            refined_bursts_into(&boundary, &config, &mut scratch).unwrap(),
-            refine_burst_ends_reference(
-                &boundary,
-                &find_bursts_reference(&boundary, &config).unwrap(),
-                &config
-            )
-        );
-        // Short traces fall back to materialized smoothing; results still
-        // match the reference exactly.
+        // Short traces take the oracle's own result.
         let short = synthetic_trace(&[(30, 80)], 150, 1.0, 4.0);
         assert_eq!(
-            find_bursts_into(&short, &config, &mut scratch).unwrap(),
-            find_bursts_reference(&short, &config).unwrap()
-        );
-        assert_eq!(
-            refined_bursts_into(&short, &config, &mut scratch).unwrap(),
-            refine_burst_ends_reference(
-                &short,
-                &find_bursts_reference(&short, &config).unwrap(),
-                &config
-            )
+            refined_bursts_into(&short, &config, &mut scratch),
+            oracle(&short, &config)
         );
         // Error paths through the scratch front end.
         assert_eq!(
-            find_bursts_into(&[], &config, &mut scratch),
+            refined_bursts_into(&[], &config, &mut scratch),
             Err(SegmentError::EmptyTrace)
         );
         let mut bad = synthetic_trace(&[(100, 180)], 400, 1.0, 4.0);
         bad[33] = f64::NAN;
         assert_eq!(
-            find_bursts_into(&bad, &config, &mut scratch),
+            refined_bursts_into(&bad, &config, &mut scratch),
             Err(SegmentError::NonFiniteSample(33))
         );
     }
 
-    #[test]
-    fn alignment_score() {
-        let truth = [(100, 200), (300, 400)];
-        assert_eq!(
-            window_alignment_score(&[(102, 200), (299, 400)], &truth, 5),
-            1.0
-        );
-        assert_eq!(window_alignment_score(&[(102, 200)], &truth, 5), 0.5);
-        assert_eq!(window_alignment_score(&[], &truth, 5), 0.0);
-        assert_eq!(window_alignment_score(&[(0, 1)], &[], 5), 0.0);
-    }
-
     proptest! {
-        #[test]
-        fn prop_bracket_order_statistics_match_sorted_oracle(
-            picks in proptest::collection::vec(0usize..PALETTE.len(), 1..300),
-            continuous in proptest::collection::vec(-1e3f64..1e3, 1..300),
-            r0 in 0usize..300,
-            r1 in 0usize..300,
-        ) {
-            // Heavy ties drawn from the palette, and distinct values.
-            let tied: Vec<f64> = picks.iter().map(|&k| PALETTE[k]).collect();
-            for values in [&tied, &continuous] {
-                let len = values.len();
-                let (lo_rank, hi_rank) = percentile_ranks(len);
-                assert_matches_sorted_oracle(values, [lo_rank, hi_rank]);
-                assert_matches_sorted_oracle(values, [r0 % len, r1 % len]);
-            }
-        }
-
         #[test]
         fn prop_segmentation_recovers_planted_bursts(
             gaps in proptest::collection::vec(120usize..400, 2..8),
@@ -937,9 +643,13 @@ mod tests {
             }
             let len = pos + 100;
             let t = synthetic_trace(&truth, len, 1.0, 5.0);
-            let windows = segment_windows(&t, &SegmentConfig::default()).unwrap();
-            prop_assert_eq!(windows.len(), truth.len());
-            prop_assert!(window_alignment_score(&windows, &truth, 20) == 1.0);
+            let bursts =
+                refined_bursts_into(&t, &SegmentConfig::default(), &mut SegmentScratch::new())
+                    .unwrap();
+            prop_assert_eq!(bursts.len(), truth.len());
+            for (found, planted) in bursts.iter().zip(&truth) {
+                prop_assert!(found.0.abs_diff(planted.0) <= 20);
+            }
         }
     }
 }

@@ -1,89 +1,5 @@
-//! Streaming statistics and covariance estimation for template building.
-
-/// Welford's online mean/variance accumulator.
-///
-/// # Examples
-///
-/// ```
-/// use reveal_trace::stats::RunningStats;
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The running mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (divides by `n`).
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample variance (divides by `n - 1`; 0 for fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Standard deviation from the population variance.
-    pub fn population_std(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Merges another accumulator (parallel Welford).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-    }
-}
+//! Streaming (Welford) covariance estimation: the template fit's pooled
+//! covariance and the TVLA t-test's per-sample moments.
 
 /// Largest dimension whose [`Covariance::push`] keeps its work vector on
 /// the stack.
@@ -171,72 +87,9 @@ impl Covariance {
     }
 }
 
-/// Pearson correlation between two equal-length slices (0 when degenerate).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pearson_correlation(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "correlation inputs must match in length");
-    let n = a.len() as f64;
-    if a.is_empty() {
-        return 0.0;
-    }
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        return 0.0;
-    }
-    cov / (va.sqrt() * vb.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn running_stats_basics() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.population_variance(), 0.0);
-        s.push(1.0);
-        assert_eq!(s.mean(), 1.0);
-        assert_eq!(s.sample_variance(), 0.0);
-        s.push(3.0);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.sample_variance(), 2.0);
-        assert_eq!(s.population_variance(), 1.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &data {
-            all.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &data[..37] {
-            left.push(x);
-        }
-        for &x in &data[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-10);
-        assert!((left.population_variance() - all.population_variance()).abs() < 1e-10);
-    }
 
     #[test]
     fn covariance_matches_manual() {
@@ -300,42 +153,6 @@ mod tests {
                     "dim {dim} obs {obs}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn correlation_known_values() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let up = [2.0, 4.0, 6.0, 8.0];
-        let down = [4.0, 3.0, 2.0, 1.0];
-        let flat = [5.0, 5.0, 5.0, 5.0];
-        assert!((pearson_correlation(&a, &up) - 1.0).abs() < 1e-12);
-        assert!((pearson_correlation(&a, &down) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson_correlation(&a, &flat), 0.0);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_welford_matches_two_pass(data in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut s = RunningStats::new();
-            for &x in &data {
-                s.push(x);
-            }
-            let n = data.len() as f64;
-            let mean = data.iter().sum::<f64>() / n;
-            let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-            prop_assert!((s.population_variance() - var).abs() < 1e-4 * (1.0 + var));
-        }
-
-        #[test]
-        fn prop_correlation_bounded(
-            a in proptest::collection::vec(-100.0f64..100.0, 3..50),
-            b in proptest::collection::vec(-100.0f64..100.0, 3..50),
-        ) {
-            let len = a.len().min(b.len());
-            let r = pearson_correlation(&a[..len], &b[..len]);
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
         }
     }
 }

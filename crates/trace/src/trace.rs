@@ -57,19 +57,6 @@ impl Trace {
         self.label
     }
 
-    /// Linearly resamples to `target_len` samples (used to normalize
-    /// variable-duration segments before template matching).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace is empty or `target_len == 0`.
-    pub fn resample(&self, target_len: usize) -> Trace {
-        Trace {
-            samples: resample_linear(&self.samples, target_len),
-            label: self.label,
-        }
-    }
-
     /// Extracts the values at the given sample indices (POI projection).
     ///
     /// # Panics
@@ -80,34 +67,8 @@ impl Trace {
     }
 }
 
-/// Linear-interpolation resampling of a sample vector.
-///
-/// # Panics
-///
-/// Panics if either length is zero.
-pub fn resample_linear(samples: &[f64], target_len: usize) -> Vec<f64> {
-    assert!(!samples.is_empty(), "cannot resample an empty trace");
-    assert!(target_len > 0, "target length must be positive");
-    if samples.len() == 1 {
-        return vec![samples[0]; target_len];
-    }
-    if target_len == 1 {
-        return vec![samples[0]];
-    }
-    let scale = (samples.len() - 1) as f64 / (target_len - 1) as f64;
-    (0..target_len)
-        .map(|i| {
-            let x = i as f64 * scale;
-            let lo = x.floor() as usize;
-            let hi = (lo + 1).min(samples.len() - 1);
-            let frac = x - lo as f64;
-            samples[lo] * (1.0 - frac) + samples[hi] * frac
-        })
-        .collect()
-}
-
-/// A collection of equal-length traces (after windowing/resampling), the
-/// unit templates are trained on.
+/// A collection of equal-length traces (after windowing), the unit
+/// templates are trained on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSet {
     traces: Vec<Trace>,
@@ -257,7 +218,6 @@ impl fmt::Display for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn construction_and_windowing() {
@@ -265,19 +225,7 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.label(), Some(-3));
         assert_eq!(&t.samples()[1..3], &[2.0, 3.0]);
-        assert_eq!(t.resample(2).label(), Some(-3));
         assert!(Trace::new(vec![]).is_empty());
-    }
-
-    #[test]
-    fn resample_identity_and_interpolation() {
-        let t = Trace::new(vec![0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(t.resample(4).samples(), t.samples());
-        let up = t.resample(7);
-        assert_eq!(up.len(), 7);
-        assert!((up.samples()[1] - 0.5).abs() < 1e-12);
-        let down = t.resample(2);
-        assert_eq!(down.samples(), &[0.0, 3.0]);
     }
 
     #[test]
@@ -306,29 +254,5 @@ mod tests {
         let mut set = TraceSet::new();
         set.push(Trace::new(vec![1.0]));
         set.push(Trace::new(vec![1.0, 2.0]));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_resample_preserves_endpoints(
-            samples in proptest::collection::vec(-100.0f64..100.0, 2..50),
-            target in 2usize..100,
-        ) {
-            let t = Trace::new(samples.clone());
-            let r = t.resample(target);
-            prop_assert!((r.samples()[0] - samples[0]).abs() < 1e-9);
-            prop_assert!((r.samples()[target - 1] - samples[samples.len() - 1]).abs() < 1e-9);
-        }
-
-        #[test]
-        fn prop_resample_within_bounds(
-            samples in proptest::collection::vec(-100.0f64..100.0, 2..50),
-            target in 1usize..100,
-        ) {
-            let lo = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let r = resample_linear(&samples, target);
-            prop_assert!(r.iter().all(|&v| v >= lo - 1e-9 && v <= hi + 1e-9));
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! Used here to grade the sampler variants of §V-A the way an evaluation
 //! lab would.
 
-use crate::stats::RunningStats;
+use crate::stats::Covariance;
 use std::fmt;
 
 /// The conventional TVLA pass/fail threshold.
@@ -75,19 +75,19 @@ pub fn welch_t_test(fixed: &[Vec<f64>], random: &[Vec<f64>]) -> Result<TvlaResul
     let mut failing_samples = Vec::new();
     let mut max_abs_t = 0.0f64;
     for s in 0..len {
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
+        let mut a = Covariance::new(1);
+        let mut b = Covariance::new(1);
         for t in fixed {
-            a.push(t[s]);
+            a.push(&[t[s]]);
         }
         for t in random {
-            b.push(t[s]);
+            b.push(&[t[s]]);
         }
-        let va = a.sample_variance() / a.count() as f64;
-        let vb = b.sample_variance() / b.count() as f64;
+        let va = a.sample_covariance()[0] / a.count() as f64;
+        let vb = b.sample_covariance()[0] / b.count() as f64;
         let denom = (va + vb).sqrt();
         let t_stat = if denom > 0.0 {
-            (a.mean() - b.mean()) / denom
+            (a.mean()[0] - b.mean()[0]) / denom
         } else {
             0.0
         };

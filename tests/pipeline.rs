@@ -12,9 +12,40 @@ use reveal_lint::{analyze_kernel, Rule};
 use reveal_rv32::power::PowerModelConfig;
 use reveal_rv32::{KernelVariant, SamplerKernel};
 use reveal_template::ConfusionMatrix;
-use reveal_trace::segment::{find_bursts, window_alignment_score};
+use reveal_trace::segment::find_bursts;
 
 const Q: u64 = 132120577;
+
+/// Compares detected windows with ground truth: the fraction of true windows
+/// whose detected counterpart starts within `tolerance` samples.
+fn window_alignment_score(
+    detected: &[(usize, usize)],
+    truth: &[(usize, usize)],
+    tolerance: usize,
+) -> f64 {
+    if truth.is_empty() {
+        return 0.0;
+    }
+    let mut hits = 0usize;
+    for &(ts, _) in truth {
+        if detected.iter().any(|&(ds, _)| ds.abs_diff(ts) <= tolerance) {
+            hits += 1;
+        }
+    }
+    hits as f64 / truth.len() as f64
+}
+
+#[test]
+fn alignment_score() {
+    let truth = [(100, 200), (300, 400)];
+    assert_eq!(
+        window_alignment_score(&[(102, 200), (299, 400)], &truth, 5),
+        1.0
+    );
+    assert_eq!(window_alignment_score(&[(102, 200)], &truth, 5), 0.5);
+    assert_eq!(window_alignment_score(&[], &truth, 5), 0.0);
+    assert_eq!(window_alignment_score(&[(0, 1)], &[], 5), 0.0);
+}
 
 #[test]
 fn segmentation_matches_ground_truth_windows() {

@@ -1,8 +1,8 @@
 //! Paper-scale security-table integration (Tables III/IV shapes at the real
 //! SEAL-128 parameters — estimator only, no trace simulation needed).
 
-use reveal_attack::rounded_gaussian_prior;
-use reveal_hints::{fold_decisions, DbddInstance, HintPolicy, LweParameters, Posterior};
+use reveal_attack::{rounded_gaussian_prior, sign_only_posterior};
+use reveal_hints::{fold_decisions, DbddInstance, HintPolicy, LweParameters};
 
 #[test]
 fn table_iii_shape_at_full_scale() {
@@ -48,17 +48,7 @@ fn table_iv_sign_only_at_full_scale() {
                 break;
             }
         }
-        let posterior = if value == 0 {
-            Posterior::certain(0)
-        } else {
-            let restricted: Vec<(i64, f64)> = prior
-                .iter()
-                .filter(|(v, _)| v.signum() == value.signum())
-                .copied()
-                .collect();
-            Posterior::new(restricted).unwrap()
-        };
-        posteriors.push(posterior);
+        posteriors.push(sign_only_posterior(&prior, value).unwrap());
     }
     let decisions = posteriors
         .iter()
