@@ -269,9 +269,10 @@ pub struct RobustAttackResult {
 }
 
 impl RobustAttackResult {
-    /// `(value, confidence)` pairs for [`recover_adaptive`]
-    /// (crate::recover::recover_adaptive): unrecoverable coefficients get
-    /// value 0 at confidence 0, so the adaptive solver shrinks past them.
+    /// `(value, confidence)` pairs for
+    /// [`recover_adaptive`](crate::recover::recover_adaptive): unrecoverable
+    /// coefficients get value 0 at confidence 0, so the adaptive solver
+    /// shrinks past them.
     pub fn estimates(&self) -> Vec<(i64, f64)> {
         self.coefficients
             .iter()
@@ -607,16 +608,15 @@ impl<'a> RobustAttack<'a> {
             diagnostics.healed_splits += 1;
         }
 
+        // Every burst here fits its ladder window (the retry filter kept only
+        // fitting ends; a merge keeps the later end, a split cuts before it),
+        // so only the padding below leaves a window without a start.
         let mut windows: Vec<SegmentedWindow> = healed
             .into_iter()
-            .map(|(burst, was_healed)| {
-                let start = full_window_start(samples.len(), burst, self.attack.config());
-                let missing = start.is_none();
-                SegmentedWindow {
-                    start,
-                    burst,
-                    healed: was_healed || missing,
-                }
+            .map(|(burst, was_healed)| SegmentedWindow {
+                start: Some(burst.1),
+                burst,
+                healed: was_healed,
             })
             .collect();
         // Pad to exactly n: when bursts are irrecoverably missing the

@@ -3,29 +3,11 @@
 //! estimate in this workspace, validated here against actual reductions.
 
 use crate::gso::Gso;
-
-/// Root-Hermite factor δ(β) (duplicated from `reveal-hints` to keep the
-/// crates independent; both implementations are pinned by tests).
-pub fn delta_bkz(beta: f64) -> f64 {
-    const LLL_DELTA: f64 = 1.0219;
-    const FORMULA_FLOOR: f64 = 40.0;
-    let formula = |b: f64| -> f64 {
-        let core = (b / (2.0 * std::f64::consts::PI * std::f64::consts::E))
-            * (std::f64::consts::PI * b).powf(1.0 / b);
-        core.powf(1.0 / (2.0 * (b - 1.0)))
-    };
-    if beta >= FORMULA_FLOOR {
-        formula(beta)
-    } else {
-        let beta = beta.max(2.0);
-        let hi = formula(FORMULA_FLOOR);
-        let t = (beta - 2.0) / (FORMULA_FLOOR - 2.0);
-        LLL_DELTA + t * (hi - LLL_DELTA)
-    }
-}
+use reveal_hints::delta_bkz;
 
 /// Predicts the GSA log-profile `ln ‖b*_i‖` of a β-reduced basis of the
 /// given dimension and log-volume: a straight line with slope `−2 ln δ(β)`
+/// (`reveal_hints::delta_bkz`, the δ model of every security estimate)
 /// through the volume constraint `Σ ln ‖b*_i‖ = ln vol`.
 pub fn gsa_profile(dim: usize, ln_volume: f64, beta: f64) -> Vec<f64> {
     let slope = -2.0 * delta_bkz(beta).ln();
@@ -147,18 +129,5 @@ mod tests {
             slope(&bkz_basis) >= slope(&lll_basis) - 1e-9,
             "BKZ must not steepen the profile"
         );
-    }
-
-    #[test]
-    fn delta_matches_hints_crate_values() {
-        // Keep the two independent δ implementations pinned to each other.
-        for beta in [50.0, 100.0, 200.0, 382.25] {
-            let here = delta_bkz(beta);
-            // Reference values recomputed from the shared formula.
-            let core = (beta / (2.0 * std::f64::consts::PI * std::f64::consts::E))
-                * (std::f64::consts::PI * beta).powf(1.0 / beta);
-            let reference = core.powf(1.0 / (2.0 * (beta - 1.0)));
-            assert!((here - reference).abs() < 1e-12);
-        }
     }
 }

@@ -39,6 +39,6 @@ pub mod lll;
 pub use bkz::{bkz_reduce, BkzParams, BkzStats};
 pub use embedding::{solve_lwe, LweInstance, LweSolution, SolveError, SolverConfig};
 pub use enumeration::{enumerate_shortest, shortest_vector, EnumerationResult};
-pub use gsa::{delta_bkz, gsa_profile, measured_profile, profile_rmsd};
+pub use gsa::{gsa_profile, measured_profile, profile_rmsd};
 pub use gso::Gso;
 pub use lll::{is_lll_reduced, lll_reduce, mlll_reduce, LllParams};

@@ -2,7 +2,7 @@
 //! the L1–L4 rule checks.
 //!
 //! The analysis runs in rounds. Each round solves a forward fixpoint with
-//! delayed widening (joins stay exact for [`WIDEN_DELAY`] visits per PC,
+//! delayed widening (joins stay exact for `WIDEN_DELAY` visits per PC,
 //! then [`crate::taint::State::widen_from`] accelerates loop-carried growth
 //! to the type extremes; branch-edge refinement narrows values back inside
 //! loop bodies). After a round, every still-unresolved `jalr` is evaluated

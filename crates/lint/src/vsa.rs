@@ -371,7 +371,7 @@ pub fn eval_binop(op: reveal_rv32::AluOp, a: &Value, b: &Value) -> Value {
             let mut out: Vec<u32> = Vec::with_capacity(xs.len() * ys.len());
             for &x in xs {
                 for &y in ys {
-                    let v = eval_concrete(op, x, y);
+                    let v = reveal_rv32::cpu::alu(op, x, y);
                     if !out.contains(&v) {
                         out.push(v);
                     }
@@ -448,7 +448,7 @@ pub fn eval_muldiv(op: reveal_rv32::MulOp, a: &Value, b: &Value) -> Value {
             let mut out: Vec<u32> = Vec::new();
             for &x in xs {
                 for &y in ys {
-                    let v = eval_muldiv_concrete(op, x, y);
+                    let v = reveal_rv32::cpu::muldiv(op, x, y);
                     if !out.contains(&v) {
                         out.push(v);
                     }
@@ -467,39 +467,6 @@ pub fn eval_muldiv(op: reveal_rv32::MulOp, a: &Value, b: &Value) -> Value {
             _ => Value::Top,
         },
         _ => Value::Top,
-    }
-}
-
-fn eval_concrete(op: reveal_rv32::AluOp, a: u32, b: u32) -> u32 {
-    use reveal_rv32::AluOp;
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Slt => u32::from((a as i32) < (b as i32)),
-        AluOp::Sltu => u32::from(a < b),
-        AluOp::Xor => a ^ b,
-        AluOp::Or => a | b,
-        AluOp::And => a & b,
-        AluOp::Sll => a.wrapping_shl(b & 31),
-        AluOp::Srl => a.wrapping_shr(b & 31),
-        AluOp::Sra => ((a as i32).wrapping_shr(b & 31)) as u32,
-    }
-}
-
-fn eval_muldiv_concrete(op: reveal_rv32::MulOp, x: u32, y: u32) -> u32 {
-    use reveal_rv32::MulOp;
-    match op {
-        MulOp::Mul => x.wrapping_mul(y),
-        MulOp::Mulh => ((i64::from(x as i32) * i64::from(y as i32)) >> 32) as u32,
-        MulOp::Mulhsu => ((i64::from(x as i32) * i64::from(y)) >> 32) as u32,
-        MulOp::Mulhu => ((u64::from(x) * u64::from(y)) >> 32) as u32,
-        MulOp::Div if y != 0 => (x as i32).wrapping_div(y as i32) as u32,
-        MulOp::Divu if y != 0 => x / y,
-        MulOp::Rem if y != 0 => (x as i32).wrapping_rem(y as i32) as u32,
-        MulOp::Remu if y != 0 => x % y,
-        // RISC-V defines division by zero (all-ones / dividend); model it.
-        MulOp::Div | MulOp::Divu => u32::MAX,
-        MulOp::Rem | MulOp::Remu => x,
     }
 }
 

@@ -195,7 +195,7 @@ impl CostModel {
 
     /// Sizes a call of `count` items, each costing `units_per_item` work
     /// units: workers amortize the measured spawn cost, claims target
-    /// [`CLAIM_TARGET_NS`] of work. Deterministic in its *effect* on output
+    /// `CLAIM_TARGET_NS` of work. Deterministic in its *effect* on output
     /// (none — results are placed by index); the plan itself varies with the
     /// machine and with what the model has observed, which is the point.
     pub fn plan(&'static self, count: usize, units_per_item: u64) -> Plan {

@@ -44,11 +44,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Byte length of the program image.
-    pub fn byte_len(&self) -> usize {
-        self.words.len() * 4
-    }
-
     /// Looks up a label's byte offset.
     pub fn symbol(&self, name: &str) -> Option<u32> {
         self.symbols.get(name).copied()

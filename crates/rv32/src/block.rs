@@ -1,15 +1,14 @@
-//! Basic-block superinstruction compilation with fused power emission.
+//! Basic-block compilation for the capture loop's dispatch.
 //!
-//! Stepping pays the full interpreter round trip for every retired
-//! instruction: a fetch and decode, the `step()` match, an [`ExecRecord`]
-//! materialization, and a second dispatch inside the power renderer. This
-//! module goes one level up: straight-line runs of instructions are
-//! discovered at first execution, compiled once into a flat array of
-//! [`MicroOp`]s with pre-resolved register indices, immediates, and
-//! pre-computed PC-relative values, and then executed by a single tight
-//! loop that *also* renders each op's power contribution directly into the
-//! caller's [`TraceBuffer`] — decode once per block, dispatch once per block,
-//! no record materialization, no second pass.
+//! [`Cpu::step`] fetches and decodes one word per retired instruction.
+//! This module decodes once per block instead: straight-line runs of
+//! instructions are discovered at first execution and decoded once into a
+//! [`CompiledBlock`]. [`run_block`] then passes each cached [`Instruction`]
+//! to `Cpu::execute`, the same semantics `step()` runs, and renders the
+//! record it returns with [`PowerRenderer::render_record`] into the
+//! caller's [`TraceBuffer`] as it retires. `run_block` itself does only
+//! the dispatch work: the record budget, halts, the abort after a store
+//! into the code image, and sample counting.
 //!
 //! ## Block discovery
 //!
@@ -25,141 +24,56 @@
 //!
 //! ## Invalidation
 //!
-//! Stores are the only way the image changes. [`run_block`] applies every
-//! store through the same checked bus write as [`Cpu::step`]; when a store
-//! lands inside the code image it additionally aborts the block *after*
-//! that store retires (architectural state and emitted samples are exactly
-//! those of the per-step path) and reports the address so
+//! Stores are the only way the image changes. When a store lands inside
+//! the code image, [`run_block`] aborts the block *after* that store
+//! retires (architectural state and emitted samples are exactly those of
+//! the per-step path) and reports the address so
 //! [`BlockCache::invalidate`] can drop every compiled block overlapping it.
 //! `step()` needs no such bookkeeping: it decodes every word it fetches.
 //!
 //! ## Bit-identity
 //!
-//! Block execution reproduces `step()`'s architectural semantics operation
-//! for operation, and emits noiseless power through the same
-//! `PowerRenderer::emit_record` primitive `render_record` uses, in the same
-//! order; noise is added over the finished capture by the caller. The
-//! verbatim `run_reference`/`render_power_reference` pair remains the
-//! oracle; `tests/fast_path_equivalence.rs` pins block-path-vs-reference
-//! bit-identity over all five sampler variants.
+//! A block retires the records stepping would, in the same order, through
+//! the same execution and emission code; noise is added over the finished
+//! capture by the caller. The verbatim
+//! `run_reference`/`render_power_reference` pair remains the oracle for
+//! dispatch, the burst memo, rendering and noise:
+//! `tests/fast_path_equivalence.rs` pins the block path against it over
+//! all five sampler variants, and against stepping over random programs
+//! cut off at random record budgets.
 
-use crate::cpu::{cycle_cost, Cpu, Halt, Mmio};
-use crate::isa::{AluOp, BranchCond, Instruction, MemWidth, MulOp, Reg};
-use crate::power::{base_level, PowerRenderer, TraceBuffer};
+use crate::cpu::{Cpu, Halt, Mmio};
+use crate::isa::Instruction;
+use crate::power::{PowerRenderer, TraceBuffer};
 
-/// One pre-resolved operation of a compiled block: everything `step()`
-/// would re-derive per execution (PC-relative targets, link values, cycle
-/// costs, the power-model base level) is computed once at compile time.
-#[derive(Debug, Clone)]
-pub struct MicroOp {
-    /// PC of the original instruction (spans and window bookkeeping).
-    pub pc: u32,
-    /// Power-model base level of the instruction class.
-    base: f64,
-    /// Cycle cost when not a taken branch.
-    cycles: u32,
-    /// Cycle cost when a taken branch (equals `cycles` otherwise).
-    cycles_taken: u32,
-    kind: OpKind,
-}
-
-/// The operation payload with pre-resolved operands.
-#[derive(Debug, Clone)]
-enum OpKind {
-    /// `lui` / any op whose result is a compile-time constant.
-    Lui {
-        rd: Reg,
-        value: u32,
-    },
-    /// `auipc` with `pc + imm` folded.
-    Auipc {
-        rd: Reg,
-        value: u32,
-    },
-    /// `jal` with link (`pc + 4`) and target folded.
-    Jal {
-        rd: Reg,
-        link: u32,
-        target: u32,
-    },
-    /// `jalr`: target needs the live register, link is folded.
-    Jalr {
-        rd: Reg,
-        rs1: Reg,
-        offset: i32,
-        link: u32,
-    },
-    /// Conditional branch with both arm PCs folded.
-    Branch {
-        cond: BranchCond,
-        rs1: Reg,
-        rs2: Reg,
-        taken_pc: u32,
-        fall_pc: u32,
-    },
-    Load {
-        rd: Reg,
-        rs1: Reg,
-        offset: i32,
-        width: MemWidth,
-        signed: bool,
-    },
-    Store {
-        rs1: Reg,
-        rs2: Reg,
-        offset: i32,
-        width: MemWidth,
-    },
-    AluImm {
-        op: AluOp,
-        rd: Reg,
-        rs1: Reg,
-        imm: u32,
-    },
-    AluReg {
-        op: AluOp,
-        rd: Reg,
-        rs1: Reg,
-        rs2: Reg,
-    },
-    MulDiv {
-        op: MulOp,
-        rd: Reg,
-        rs1: Reg,
-        rs2: Reg,
-    },
-    Ecall,
-    Ebreak,
-}
-
-/// A compiled basic block: a maximal straight-line op run starting at
-/// `start`, decoded once.
+/// A compiled basic block: a maximal straight-line instruction run
+/// starting at `start`, decoded once.
 #[derive(Debug, Clone)]
 pub struct CompiledBlock {
     /// Entry PC.
     pub start: u32,
     /// One past the PC of the last instruction.
     pub end: u32,
-    /// The superinstruction sequence.
-    ops: Vec<MicroOp>,
+    /// The decoded instructions at `start`, `start + 4`, … up to `end`.
+    instructions: Vec<Instruction>,
 }
 
 impl CompiledBlock {
-    /// Number of operations in the block.
+    /// Number of instructions in the block.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.instructions.len()
     }
 
-    /// Whether the block holds no operations.
+    /// Whether the block holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.instructions.is_empty()
     }
 }
 
 /// Why block execution stopped before (or at) the block's end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlockExit {
-    /// All ops retired; `cpu.pc()` points at the successor.
+    /// All instructions retired; `cpu.pc()` points at the successor.
     Completed,
     /// An `ecall`/`ebreak` retired, or a load or store faulted with
     /// [`Halt::BusFault`]; either way no samples are emitted for it and no
@@ -179,13 +93,26 @@ pub enum BlockExit {
 /// What one [`run_block`] call did, for the caller's bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockRun {
-    /// Operations retired (= records emitted, except a halting
+    /// Instructions retired (= records emitted, except a halting
     /// `ecall`/`ebreak` which retires no record).
     pub executed: usize,
     /// Power samples emitted.
     pub samples: usize,
     /// Why the call returned.
     pub exit: BlockExit,
+}
+
+/// Whether `instr` ends a basic block: branches, jumps, `ecall` and
+/// `ebreak` transfer control.
+fn is_transfer(instr: &Instruction) -> bool {
+    matches!(
+        instr,
+        Instruction::Branch { .. }
+            | Instruction::Jal { .. }
+            | Instruction::Jalr { .. }
+            | Instruction::Ecall
+            | Instruction::Ebreak
+    )
 }
 
 /// Classic static leader set of a program image: the load address, every
@@ -200,20 +127,15 @@ pub fn static_leaders(instrs: &[Option<Instruction>], base: u32, extra: &[u32]) 
         leaders.push(base);
     }
     for (i, instr) in instrs.iter().enumerate() {
+        let Some(instr) = instr else {
+            continue;
+        };
         let pc = base + 4 * i as u32;
-        match instr {
-            Some(Instruction::Jal { offset, .. }) => {
-                leaders.push(pc.wrapping_add(*offset as u32));
-                leaders.push(pc + 4);
-            }
-            Some(Instruction::Branch { offset, .. }) => {
-                leaders.push(pc.wrapping_add(*offset as u32));
-                leaders.push(pc + 4);
-            }
-            Some(Instruction::Jalr { .. } | Instruction::Ecall | Instruction::Ebreak) => {
-                leaders.push(pc + 4);
-            }
-            _ => {}
+        if let Instruction::Jal { offset, .. } | Instruction::Branch { offset, .. } = instr {
+            leaders.push(pc.wrapping_add(*offset as u32));
+        }
+        if is_transfer(instr) {
+            leaders.push(pc + 4);
         }
     }
     leaders.extend_from_slice(extra);
@@ -235,25 +157,18 @@ pub fn block_extent(instrs: &[Option<Instruction>], base: u32, start: u32, leade
         let Some(Some(instr)) = instrs.get(index) else {
             return pc;
         };
-        let is_transfer = matches!(
-            instr,
-            Instruction::Branch { .. }
-                | Instruction::Jal { .. }
-                | Instruction::Jalr { .. }
-                | Instruction::Ecall
-                | Instruction::Ebreak
-        );
         pc += 4;
-        if is_transfer || leaders.binary_search(&pc).is_ok() {
+        if is_transfer(instr) || leaders.binary_search(&pc).is_ok() {
             return pc;
         }
     }
 }
 
 /// Compiles the basic block entered at `start` from the current contents
-/// of `words` (the code image as loaded at `base`). Returns `None` when
-/// the entry word itself does not decode — the caller falls back to
-/// `step()`, which faults identically to the per-step path.
+/// of `words` (the code image as loaded at `base`): decodes from `start`
+/// and stops like [`block_extent`]. Returns `None` when the entry word
+/// itself does not decode — the caller falls back to `step()`, which
+/// faults identically to the per-step path.
 pub fn compile_block(
     words: &[u32],
     base: u32,
@@ -261,114 +176,32 @@ pub fn compile_block(
     leaders: &[u32],
 ) -> Option<CompiledBlock> {
     let offset = start.wrapping_sub(base);
-    if !offset.is_multiple_of(4) || (offset / 4) as usize >= words.len() {
+    if !offset.is_multiple_of(4) {
         return None;
     }
-    let mut ops = Vec::new();
+    let mut instructions = Vec::new();
     let mut pc = start;
-    loop {
-        let index = ((pc - base) / 4) as usize;
-        let Some(instr) = words.get(index).and_then(|&w| Instruction::decode(w).ok()) else {
+    for &word in words.get((offset / 4) as usize..)? {
+        let Ok(instr) = Instruction::decode(word) else {
             break;
         };
-        let kind = match instr {
-            Instruction::Lui { rd, imm } => OpKind::Lui {
-                rd,
-                value: imm as u32,
-            },
-            Instruction::Auipc { rd, imm } => OpKind::Auipc {
-                rd,
-                value: pc.wrapping_add(imm as u32),
-            },
-            Instruction::Jal { rd, offset } => OpKind::Jal {
-                rd,
-                link: pc.wrapping_add(4),
-                target: pc.wrapping_add(offset as u32),
-            },
-            Instruction::Jalr { rd, rs1, offset } => OpKind::Jalr {
-                rd,
-                rs1,
-                offset,
-                link: pc.wrapping_add(4),
-            },
-            Instruction::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => OpKind::Branch {
-                cond,
-                rs1,
-                rs2,
-                taken_pc: pc.wrapping_add(offset as u32),
-                fall_pc: pc.wrapping_add(4),
-            },
-            Instruction::Load {
-                rd,
-                rs1,
-                offset,
-                width,
-                signed,
-            } => OpKind::Load {
-                rd,
-                rs1,
-                offset,
-                width,
-                signed,
-            },
-            Instruction::Store {
-                rs1,
-                rs2,
-                offset,
-                width,
-            } => OpKind::Store {
-                rs1,
-                rs2,
-                offset,
-                width,
-            },
-            Instruction::AluImm { op, rd, rs1, imm } => OpKind::AluImm {
-                op,
-                rd,
-                rs1,
-                imm: imm as u32,
-            },
-            Instruction::AluReg { op, rd, rs1, rs2 } => OpKind::AluReg { op, rd, rs1, rs2 },
-            Instruction::MulDiv { op, rd, rs1, rs2 } => OpKind::MulDiv { op, rd, rs1, rs2 },
-            Instruction::Ecall => OpKind::Ecall,
-            Instruction::Ebreak => OpKind::Ebreak,
-        };
-        let is_transfer = matches!(
-            kind,
-            OpKind::Branch { .. }
-                | OpKind::Jal { .. }
-                | OpKind::Jalr { .. }
-                | OpKind::Ecall
-                | OpKind::Ebreak
-        );
-        ops.push(MicroOp {
-            pc,
-            base: base_level(&instr),
-            cycles: cycle_cost(&instr, false),
-            cycles_taken: cycle_cost(&instr, true),
-            kind,
-        });
+        instructions.push(instr);
         pc += 4;
-        if is_transfer || leaders.binary_search(&pc).is_ok() {
+        if is_transfer(&instr) || leaders.binary_search(&pc).is_ok() {
             break;
         }
     }
-    if ops.is_empty() {
+    if instructions.is_empty() {
         return None;
     }
     Some(CompiledBlock {
         start,
         end: pc,
-        ops,
+        instructions,
     })
 }
 
-/// Execution and fused-emission statistics of one [`BlockCache`].
+/// Compilation and execution statistics of one [`BlockCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockCacheStats {
     /// Blocks compiled (first-execution discoveries plus recompiles after
@@ -378,7 +211,7 @@ pub struct BlockCacheStats {
     pub dispatch_hits: u64,
     /// Compiled blocks dropped because a store overlapped them.
     pub invalidations: u64,
-    /// Power samples emitted by the fused block emit loop.
+    /// Power samples emitted by block execution.
     pub fused_samples: u64,
 }
 
@@ -391,7 +224,7 @@ pub struct BlockCache {
     /// the block *entered* at that PC.
     index: Vec<Option<u32>>,
     arena: Vec<CompiledBlock>,
-    /// Execution statistics (reset with [`BlockCache::reset`]).
+    /// Execution statistics; they survive [`BlockCache::reset_program`].
     pub stats: BlockCacheStats,
 }
 
@@ -476,17 +309,16 @@ impl BlockCache {
     }
 }
 
-/// Executes `block` on `cpu`, rendering each op's noiseless power through
-/// `renderer` into `sink` as it retires (record indices start at
-/// `record_index`; at most `fuel - record_index` ops retire). `image` is
-/// the code image's byte range: a store landing inside it retires fully
-/// and then aborts the block with [`BlockExit::SelfModified`].
+/// Executes `block` on `cpu`, rendering each instruction's noiseless power
+/// through `renderer` into `sink` as it retires (record indices start at
+/// `record_index`; at most `fuel - record_index` instructions retire).
+/// `image` is the code image's byte range: a store landing inside it
+/// retires fully and then aborts the block with
+/// [`BlockExit::SelfModified`].
 ///
-/// Architectural semantics and sample values are bit-identical to stepping
-/// the same instructions through [`Cpu::step`] and rendering each
-/// [`ExecRecord`](crate::cpu::ExecRecord) with
-/// `PowerRenderer::render_record`.
-#[allow(clippy::too_many_lines)]
+/// Each instruction goes through `Cpu::execute` and
+/// [`PowerRenderer::render_record`], so architectural state and samples
+/// are those of stepping the same instructions through [`Cpu::step`].
 pub fn run_block<M: Mmio>(
     cpu: &mut Cpu<M>,
     block: &CompiledBlock,
@@ -496,214 +328,36 @@ pub fn run_block<M: Mmio>(
     fuel: usize,
     image: &std::ops::Range<u32>,
 ) -> BlockRun {
-    let config = renderer.config();
-    let (alpha_hw, beta_hd) = (config.alpha_hw, config.beta_hd);
-    let (gamma_mem, delta_addr) = (config.gamma_mem, config.delta_addr);
-    let epsilon_flush = config.epsilon_flush;
+    let first_sample = sink.len();
     let mut executed = 0usize;
-    let mut samples = 0usize;
-    for op in &block.ops {
-        if record_index + executed >= fuel {
-            return BlockRun {
-                executed,
-                samples,
-                exit: BlockExit::OutOfFuel,
+    let exit = 'run: {
+        for &instruction in &block.instructions {
+            if record_index + executed >= fuel {
+                break 'run BlockExit::OutOfFuel;
+            }
+            let record = match cpu.execute(instruction) {
+                Ok(record) => record,
+                Err(halt) => break 'run BlockExit::Halted(halt),
             };
-        }
-        // Mirrors `step()` + `PowerRenderer::data_term` exactly: register
-        // terms first, then memory terms, then the flush term, each added
-        // in the same order so the f64 sums are bit-identical.
-        let mut data_term = 0.0;
-        let mut cycles = op.cycles;
-        let mut next_pc = op.pc.wrapping_add(4);
-        let mut store_addr = None;
-        match op.kind {
-            OpKind::Lui { rd, value } | OpKind::Auipc { rd, value } => {
-                if rd != Reg::ZERO {
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, value);
-                    data_term += alpha_hw * renderer.leakage(value);
-                    data_term += beta_hd * f64::from((old ^ value).count_ones());
+            renderer.render_record(record_index + executed, &record, sink);
+            executed += 1;
+            if let Some((addr, _, true)) = record.mem_access {
+                // A store into the code image may have rewritten
+                // instructions later in *this* block. Abort after the store
+                // so the caller can drop stale blocks and re-dispatch from
+                // fresh memory.
+                let w0 = addr & !3;
+                let w1 = addr.wrapping_add(3) & !3;
+                if image.contains(&w0) || image.contains(&w1) {
+                    break 'run BlockExit::SelfModified { addr };
                 }
-            }
-            OpKind::Jal { rd, link, target } => {
-                if rd != Reg::ZERO {
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, link);
-                    data_term += alpha_hw * renderer.leakage(link);
-                    data_term += beta_hd * f64::from((old ^ link).count_ones());
-                }
-                next_pc = target;
-            }
-            OpKind::Jalr {
-                rd,
-                rs1,
-                offset,
-                link,
-            } => {
-                let target = cpu.reg(rs1).wrapping_add(offset as u32) & !1;
-                if rd != Reg::ZERO {
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, link);
-                    data_term += alpha_hw * renderer.leakage(link);
-                    data_term += beta_hd * f64::from((old ^ link).count_ones());
-                }
-                next_pc = target;
-            }
-            OpKind::Branch {
-                cond,
-                rs1,
-                rs2,
-                taken_pc,
-                fall_pc,
-            } => {
-                let a = cpu.reg(rs1);
-                let b = cpu.reg(rs2);
-                let taken = match cond {
-                    BranchCond::Eq => a == b,
-                    BranchCond::Ne => a != b,
-                    BranchCond::Lt => (a as i32) < (b as i32),
-                    BranchCond::Ge => (a as i32) >= (b as i32),
-                    BranchCond::Ltu => a < b,
-                    BranchCond::Geu => a >= b,
-                };
-                if taken {
-                    next_pc = taken_pc;
-                    cycles = op.cycles_taken;
-                    data_term += epsilon_flush;
-                } else {
-                    next_pc = fall_pc;
-                }
-            }
-            OpKind::Load {
-                rd,
-                rs1,
-                offset,
-                width,
-                signed,
-            } => {
-                let addr = cpu.reg(rs1).wrapping_add(offset as u32);
-                let Some(value) = cpu.bus.read_width(addr, width, signed) else {
-                    return BlockRun {
-                        executed,
-                        samples,
-                        exit: BlockExit::Halted(Halt::BusFault { pc: op.pc, addr }),
-                    };
-                };
-                if rd != Reg::ZERO {
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, value);
-                    data_term += alpha_hw * renderer.leakage(value);
-                    data_term += beta_hd * f64::from((old ^ value).count_ones());
-                }
-                data_term += gamma_mem * renderer.leakage(value);
-                data_term += delta_addr * f64::from(addr.count_ones());
-            }
-            OpKind::Store {
-                rs1,
-                rs2,
-                offset,
-                width,
-            } => {
-                let addr = cpu.reg(rs1).wrapping_add(offset as u32);
-                let value = cpu.reg(rs2);
-                if cpu.bus.write_width(addr, value, width).is_none() {
-                    return BlockRun {
-                        executed,
-                        samples,
-                        exit: BlockExit::Halted(Halt::BusFault { pc: op.pc, addr }),
-                    };
-                }
-                store_addr = Some(addr);
-                data_term += gamma_mem * renderer.leakage(value);
-                data_term += delta_addr * f64::from(addr.count_ones());
-            }
-            OpKind::AluImm {
-                op: alu,
-                rd,
-                rs1,
-                imm,
-            } => {
-                if rd != Reg::ZERO {
-                    let value = crate::cpu::alu(alu, cpu.reg(rs1), imm);
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, value);
-                    data_term += alpha_hw * renderer.leakage(value);
-                    data_term += beta_hd * f64::from((old ^ value).count_ones());
-                }
-            }
-            OpKind::AluReg {
-                op: alu,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                if rd != Reg::ZERO {
-                    let value = crate::cpu::alu(alu, cpu.reg(rs1), cpu.reg(rs2));
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, value);
-                    data_term += alpha_hw * renderer.leakage(value);
-                    data_term += beta_hd * f64::from((old ^ value).count_ones());
-                }
-            }
-            OpKind::MulDiv {
-                op: mop,
-                rd,
-                rs1,
-                rs2,
-            } => {
-                if rd != Reg::ZERO {
-                    let value = crate::cpu::muldiv(mop, cpu.reg(rs1), cpu.reg(rs2));
-                    let old = cpu.reg(rd);
-                    cpu.set_reg(rd, value);
-                    data_term += alpha_hw * renderer.leakage(value);
-                    data_term += beta_hd * f64::from((old ^ value).count_ones());
-                }
-            }
-            OpKind::Ecall => {
-                return BlockRun {
-                    executed,
-                    samples,
-                    exit: BlockExit::Halted(Halt::Ecall),
-                };
-            }
-            OpKind::Ebreak => {
-                return BlockRun {
-                    executed,
-                    samples,
-                    exit: BlockExit::Halted(Halt::Ebreak),
-                };
             }
         }
-        cpu.add_cycles(u64::from(cycles));
-        cpu.set_pc(next_pc);
-        samples += renderer.emit_record(
-            record_index + executed,
-            op.pc,
-            op.base,
-            cycles,
-            data_term,
-            sink,
-        );
-        executed += 1;
-        if let Some(addr) = store_addr {
-            // A store into the code image may have rewritten ops later in
-            // *this* block. Abort after the store so the caller can drop
-            // stale blocks and re-dispatch from fresh memory.
-            let w0 = addr & !3;
-            let w1 = addr.wrapping_add(3) & !3;
-            if image.contains(&w0) || image.contains(&w1) {
-                return BlockRun {
-                    executed,
-                    samples,
-                    exit: BlockExit::SelfModified { addr },
-                };
-            }
-        }
-    }
+        BlockExit::Completed
+    };
     BlockRun {
         executed,
-        samples,
-        exit: BlockExit::Completed,
+        samples: sink.len() - first_sample,
+        exit,
     }
 }

@@ -298,7 +298,7 @@ impl Cfg {
     /// Block boundaries come from the same
     /// [`static_leaders`](crate::block::static_leaders) /
     /// [`block_extent`](crate::block::block_extent) pair the interpreter's
-    /// superinstruction compiler uses, with the CFG's resolved
+    /// block compiler uses, with the CFG's resolved
     /// indirect-jump edges fed in as extra leaders — so the static analyzer
     /// and the block cache can never disagree about where a block begins or
     /// ends.
@@ -493,9 +493,10 @@ mod tests {
     fn basic_blocks_agree_with_the_superinstruction_compiler() {
         // The analyzer and the interpreter derive block extents from the
         // same leader set; a block the compiler would form at any CFG block
-        // start must span exactly the CFG block. (`compile_block` walks the
-        // image with its own loop, so this is a real cross-check, not a
-        // tautology.)
+        // start must span exactly the CFG block. (`compile_block` decodes
+        // the raw words with its own loop and shares only the
+        // control-transfer test with `block_extent`, so this is a real
+        // cross-check, not a tautology.)
         let kernel = crate::kernel::SamplerKernel::new(8, &[132120577]).unwrap();
         let program = kernel.program();
         let cfg = Cfg::from_program(program, 0).unwrap();

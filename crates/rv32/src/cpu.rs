@@ -78,11 +78,6 @@ impl<M: Mmio> Bus<M> {
         }
     }
 
-    /// RAM size in bytes.
-    pub fn ram_len(&self) -> usize {
-        self.ram.len()
-    }
-
     /// Loads a word-aligned image at `addr`.
     ///
     /// # Panics
@@ -257,9 +252,11 @@ pub fn cycle_cost(instr: &Instruction, branch_taken: bool) -> u32 {
     }
 }
 
-/// The RV32IM core. Every step fetches and decodes the word at the PC, so
-/// stores into the code image take effect on the next fetch; the
-/// superinstruction fast path lives in [`crate::block`].
+/// The RV32IM core. `Cpu::execute` holds the one instruction semantics.
+/// [`Cpu::step`] fetches and decodes the word at the PC before executing
+/// it, so stores into the code image take effect on the next fetch;
+/// compiled blocks ([`crate::block`]) execute cached decodes instead and
+/// drop them when a store overlaps them.
 pub struct Cpu<M: Mmio> {
     regs: [u32; 32],
     pc: u32,
@@ -312,7 +309,7 @@ impl<M: Mmio> Cpu<M> {
         self.cycle += cycles;
     }
 
-    /// Executes one instruction, returning its record, or the halt reason.
+    /// Fetches and decodes the word at the PC, then executes it.
     /// A faulting instruction changes no architectural state.
     pub fn step(&mut self) -> Result<ExecRecord, Halt> {
         let pc = self.pc;
@@ -321,6 +318,20 @@ impl<M: Mmio> Cpu<M> {
             .load_u32(pc)
             .ok_or(Halt::BusFault { pc, addr: pc })?;
         let instruction = Instruction::decode(word).map_err(|_| Halt::DecodeFault { pc, word })?;
+        self.execute(instruction)
+    }
+
+    /// Executes `instruction` as the one at the PC, returning its record,
+    /// or the halt reason: the crate's one RV32IM semantics, which both
+    /// [`Cpu::step`] and compiled blocks ([`crate::block::run_block`]) run.
+    /// A faulting instruction changes no architectural state.
+    ///
+    /// Always inlined: in the block loop the record then lives in
+    /// registers and the renderer reads its fields directly, which keeps
+    /// block execution as fast as a hand-fused copy of this match.
+    #[inline(always)]
+    pub(crate) fn execute(&mut self, instruction: Instruction) -> Result<ExecRecord, Halt> {
+        let pc = self.pc;
         let mut next_pc = pc.wrapping_add(4);
         let mut reg_write = None;
         let mut mem_access = None;
@@ -447,7 +458,9 @@ impl<M: Mmio> Cpu<M> {
     }
 }
 
-pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
+/// The RV32I register-register / register-immediate ALU: `a op b`, with
+/// shift amounts taken from the low five bits of `b`.
+pub fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),
@@ -462,7 +475,9 @@ pub(crate) fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     }
 }
 
-pub(crate) fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
+/// The RV32M multiply/divide unit, with the ISA's defined results for
+/// division by zero (all ones / the dividend) and signed overflow.
+pub fn muldiv(op: MulOp, a: u32, b: u32) -> u32 {
     match op {
         MulOp::Mul => a.wrapping_mul(b),
         MulOp::Mulh => ((a as i32 as i64).wrapping_mul(b as i32 as i64) >> 32) as u32,
@@ -594,6 +609,43 @@ mod tests {
         assert_eq!(cpu.reg(Reg::parse("t2").unwrap()), u32::MAX);
         assert_eq!(cpu.reg(Reg::parse("t3").unwrap()), 7);
         assert_eq!(cpu.reg(Reg::parse("t6").unwrap()), 0x8000_0000);
+    }
+
+    #[test]
+    fn alu_and_muldiv_match_the_isa_on_edge_operands() {
+        // Results the RV32IM specification fixes, on the operands where
+        // sign handling, shift masking and the divider's special cases show.
+        const MIN: u32 = 0x8000_0000;
+        for (op, a, b, expected) in [
+            (AluOp::Sll, 1, 33, 2),
+            (AluOp::Srl, MIN, 31, 1),
+            (AluOp::Sra, MIN, 31, u32::MAX),
+            (AluOp::Slt, u32::MAX, 0, 1),
+            (AluOp::Sltu, u32::MAX, 0, 0),
+            (AluOp::Sub, 0, 1, u32::MAX),
+        ] {
+            assert_eq!(alu(op, a, b), expected, "{op:?} {a:#x} {b:#x}");
+        }
+        for (op, a, b, expected) in [
+            (MulOp::Mul, MIN, u32::MAX, MIN),
+            (MulOp::Mulh, MIN, MIN, 0x4000_0000),
+            (MulOp::Mulh, u32::MAX, u32::MAX, 0),
+            (MulOp::Mulhsu, MIN, u32::MAX, MIN),
+            (MulOp::Mulhsu, u32::MAX, u32::MAX, u32::MAX),
+            (MulOp::Mulhu, u32::MAX, u32::MAX, 0xFFFF_FFFE),
+            (MulOp::Div, -7i32 as u32, 2, -3i32 as u32),
+            (MulOp::Div, MIN, u32::MAX, MIN),
+            (MulOp::Div, 5, 0, u32::MAX),
+            (MulOp::Divu, u32::MAX, 2, 0x7FFF_FFFF),
+            (MulOp::Divu, 5, 0, u32::MAX),
+            (MulOp::Rem, -7i32 as u32, 2, u32::MAX),
+            (MulOp::Rem, MIN, u32::MAX, 0),
+            (MulOp::Rem, 5, 0, 5),
+            (MulOp::Remu, 7, 0, 7),
+            (MulOp::Remu, u32::MAX, 10, 5),
+        ] {
+            assert_eq!(muldiv(op, a, b), expected, "{op:?} {a:#x} {b:#x}");
+        }
     }
 
     #[test]

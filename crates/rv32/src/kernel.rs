@@ -784,8 +784,8 @@ impl SamplerKernel {
                 }
                 continue;
             }
-            // Superinstruction dispatch: decode once per block, execute the
-            // flat op array with power emission fused into the same loop.
+            // Block dispatch: decode once per block, then execute and
+            // render its cached instructions one by one (`run_block`).
             let pc = cpu.pc();
             if scratch.block_cache.get(pc).is_some() {
                 scratch.block_cache.stats.dispatch_hits += 1;
@@ -1140,7 +1140,7 @@ impl SamplerScratch {
         self.memo_misses
     }
 
-    /// Superinstruction-block compilation and dispatch statistics over this
+    /// Block compilation and dispatch statistics over this
     /// scratch's lifetime.
     ///
     /// Diagnostics only, like [`SamplerScratch::memo_hits`]: the totals

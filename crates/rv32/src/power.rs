@@ -281,7 +281,7 @@ impl TraceBuffer {
 ///
 /// [`render_power_reference`] recomputes `sin(2.3 b + 1.7)` for every set
 /// bit of every leaked word — roughly one `sin` per set data bit per
-/// executed instruction. The renderer evaluates [`bit_weight`] once per bit
+/// executed instruction. The renderer evaluates `bit_weight` once per bit
 /// position at construction; the lookups then produce the exact same
 /// floating-point sums (same per-bit values, same ascending-bit
 /// accumulation order), so traces stay bit-identical to the reference.
@@ -332,7 +332,9 @@ impl PowerRenderer {
     }
 
     /// The data-dependent term of one record (lands on the final cycle).
-    #[inline]
+    ///
+    /// Always inlined, like [`PowerRenderer::render_record`]: see there.
+    #[inline(always)]
     pub fn data_term(&self, record: &ExecRecord) -> f64 {
         let config = &self.config;
         let mut data_term = 0.0;
@@ -350,53 +352,31 @@ impl PowerRenderer {
         data_term
     }
 
-    /// Renders the noiseless samples of one record into `sink`.
+    /// Renders the noiseless samples of one record into `sink`: the one
+    /// emission routine, for stepped records and compiled blocks alike.
     ///
     /// Feeding records of a run in execution order with consecutive
     /// `record_index` values, then adding noise over the finished samples
     /// with [`add_noise`], reproduces [`render_power_reference`] exactly.
+    ///
+    /// Always inlined: `block::run_block` calls it on the record
+    /// `Cpu::execute` just returned, and
+    /// inlining both lets the compiler keep that record in registers
+    /// instead of building it in memory for every retired instruction.
+    #[inline(always)]
     pub fn render_record(&self, record_index: usize, record: &ExecRecord, sink: &mut TraceBuffer) {
         let base = base_level(&record.instruction);
         let data_term = self.data_term(record);
-        self.emit_record(
-            record_index,
-            record.pc,
-            base,
-            record.cycles,
-            data_term,
-            sink,
-        );
-    }
-
-    /// Emits the noiseless samples of one retired instruction from its
-    /// already-derived power inputs, returning the sample count.
-    ///
-    /// This is the single emission primitive: [`PowerRenderer::render_record`]
-    /// feeds it from an [`ExecRecord`], and the basic-block superinstruction
-    /// path (`block::run_block`) feeds it straight from block execution
-    /// without materializing a record — both therefore produce the exact same
-    /// sample stream by construction.
-    #[inline]
-    pub(crate) fn emit_record(
-        &self,
-        record_index: usize,
-        pc: u32,
-        base: f64,
-        cycles: u32,
-        data_term: f64,
-        sink: &mut TraceBuffer,
-    ) -> usize {
         let samples_per_cycle = self.config.samples_per_cycle;
-        let total = cycles as usize * samples_per_cycle;
+        let total = record.cycles as usize * samples_per_cycle;
         // The reference's per-sample branch `k + samples_per_cycle >= total`
         // splits the record into a constant body (`base`) and a final-cycle
         // tail (`base + data_term`); two fills are bit-identical.
         let body = total.saturating_sub(samples_per_cycle);
-        sink.begin_record(record_index, pc);
+        sink.begin_record(record_index, record.pc);
         sink.push_fill(base, body);
         sink.push_fill(base + data_term, total - body);
         sink.end_record();
-        total
     }
 }
 

@@ -3,7 +3,7 @@
 //! boundary of a monotone rounded predicate.
 //!
 //! The segmenter's percentiles and [`robust_noise_sigma`]'s medians select
-//! through [`RankRun`]; the segmenter's division-free threshold and the
+//! through `RankRun`; the segmenter's division-free threshold and the
 //! robust driver's gain screen both find their boundaries with
 //! [`last_not_exceeding`].
 //!
@@ -189,7 +189,7 @@ const WALK_LIMIT: usize = 64;
 /// down while `exceeds(x)`, then up while the next finite value does not
 /// exceed. When `start` is the rounded estimate of the exact boundary the
 /// walk takes a step or two; `None` when it has not settled within
-/// [`WALK_LIMIT`] steps. A non-finite `start` the predicate accepts is
+/// `WALK_LIMIT` (64) steps. A non-finite `start` the predicate accepts is
 /// returned as is, so a threshold of `±∞` or NaN keeps its meaning.
 ///
 /// A rounded expression that is monotone in `x` turns into a plain compare

@@ -1,16 +1,18 @@
 //! Equivalence suite for the rv32 trace-generation fast path.
 //!
-//! The streaming pipeline (compiled basic blocks with fused power
-//! emission, sub-trace memoization, worker-pinned profiling scratch) is a
-//! pure performance layer: every output it produces must be bit-identical
-//! to the materializing reference oracle (`run_reference`: per-step
-//! decoding, a record list, per-sample noise) for the same inputs and RNG
-//! seed. These tests pin that contract at the kernel level (all five
-//! sampler variants, deterministic cases and a proptest over random
-//! coefficient sequences), at the block level (self-modifying code and
-//! guest bus faults, blocks against stepping) and at the pipeline level
-//! (profiling collection and the trained attack built from it). One timing
-//! test checks that the fast path still pays for itself against the
+//! The streaming pipeline (compiled basic blocks, sub-trace memoization,
+//! worker-pinned profiling scratch) is a pure performance layer: every
+//! output it produces must be bit-identical to the materializing reference
+//! oracle (`run_reference`: per-step decoding, a record list, per-sample
+//! noise) for the same inputs and RNG seed. Blocks and steps run the one
+//! instruction semantics (`Cpu::execute`), which `Cpu::step`'s unit tests
+//! pin; these tests pin dispatch, the memo, rendering and noise at the
+//! kernel level (all five sampler variants, deterministic cases and a
+//! proptest over random coefficient sequences), at the block level
+//! (self-modifying code, guest bus faults, and random programs cut off at
+//! random record budgets, blocks against stepping) and at the pipeline
+//! level (profiling collection and the trained attack built from it). One
+//! timing test checks that the fast path still pays for itself against the
 //! reference collector.
 
 use std::time::{Duration, Instant};
@@ -25,7 +27,9 @@ use reveal_rv32::block::{run_block, BlockCache, BlockCacheStats, BlockExit};
 use reveal_rv32::cpu::{Bus, Cpu, Halt, QueueMmio};
 use reveal_rv32::kernel::{KernelRun, KernelVariant, SamplerKernel, SamplerScratch};
 use reveal_rv32::power::{add_noise, PowerModelConfig, PowerRenderer, TraceBuffer};
-use reveal_rv32::{assemble, static_leaders, Instruction, Program};
+use reveal_rv32::{
+    assemble, static_leaders, AluOp, BranchCond, Instruction, MemWidth, MulOp, Program, Reg,
+};
 
 const Q: u64 = 132_120_577;
 const Q2: u64 = 12_289;
@@ -65,8 +69,8 @@ fn assert_fast_path_identical(
     prop_assert_eq!(&fast.shares, &baseline.shares);
     prop_assert_eq!(&fast.coefficient_windows, &baseline.coefficient_windows);
     prop_assert_eq!(fast.instruction_count, baseline.instruction_count);
-    // The superinstruction path must also match the reference oracle, which
-    // shares no code with the block compiler or the burst memo.
+    // The block path must also match the reference oracle, whose dispatch,
+    // rendering and noise share no code with the block path or the memo.
     prop_assert_eq!(&fast.capture.samples, &reference.capture.samples);
     prop_assert_eq!(&fast.capture.spans, &reference.capture.spans);
     prop_assert_eq!(&fast.poly, &reference.poly);
@@ -139,10 +143,16 @@ fn add_capture_noise(config: &PowerModelConfig, seed: u64, sink: &mut TraceBuffe
 type Finished = (TraceBuffer, Cpu<QueueMmio>, Halt);
 
 /// Drives `program` to halt on `ram_bytes` of RAM through the
-/// block-dispatch loop (compile at first execution, superinstruction
-/// execution with fused power emission, store-overlap invalidation),
-/// mirroring the kernel's dispatch.
-fn run_via_blocks(program: &Program, ram_bytes: usize, seed: u64) -> (Finished, BlockCacheStats) {
+/// block-dispatch loop (compile at first execution, block execution with
+/// per-instruction rendering, store-overlap invalidation), mirroring the
+/// kernel's dispatch. The run ends with `Halt::OutOfFuel` once `fuel`
+/// records have retired.
+fn run_via_blocks(
+    program: &Program,
+    ram_bytes: usize,
+    seed: u64,
+    fuel: usize,
+) -> (Finished, BlockCacheStats) {
     let mut bus = Bus::new(ram_bytes, QueueMmio::new());
     bus.load_words(0, &program.words);
     let mut cpu = Cpu::new(bus);
@@ -158,10 +168,11 @@ fn run_via_blocks(program: &Program, ram_bytes: usize, seed: u64) -> (Finished, 
     let mut cache = BlockCache::new();
     cache.reset_program(0, program.words.len());
     let image = cache.image_range();
-    let fuel = 10_000;
     let mut record_index = 0usize;
     let halt = loop {
-        assert!(record_index < fuel, "runaway test program");
+        if record_index >= fuel {
+            break Halt::OutOfFuel;
+        }
         let pc = cpu.pc();
         if cache.get(pc).is_some() {
             cache.stats.dispatch_hits += 1;
@@ -206,8 +217,8 @@ fn run_via_blocks(program: &Program, ram_bytes: usize, seed: u64) -> (Finished, 
 }
 
 /// The same program, stepped one instruction at a time with per-record
-/// rendering — the interpreter semantics blocks must reproduce.
-fn run_via_steps(program: &Program, ram_bytes: usize, seed: u64) -> Finished {
+/// rendering — the dispatch blocks must reproduce — under the same `fuel`.
+fn run_via_steps(program: &Program, ram_bytes: usize, seed: u64, fuel: usize) -> Finished {
     let mut bus = Bus::new(ram_bytes, QueueMmio::new());
     bus.load_words(0, &program.words);
     let mut cpu = Cpu::new(bus);
@@ -216,6 +227,9 @@ fn run_via_steps(program: &Program, ram_bytes: usize, seed: u64) -> Finished {
     let mut sink = TraceBuffer::new();
     let mut record_index = 0usize;
     let halt = loop {
+        if record_index >= fuel {
+            break Halt::OutOfFuel;
+        }
         match cpu.step() {
             Ok(record) => {
                 renderer.render_record(record_index, &record, &mut sink);
@@ -255,8 +269,9 @@ fn store_into_executed_block_invalidates_and_stays_bit_identical() {
     );
     let program = assemble(&src, 0).unwrap();
 
-    let ((blocked, blocked_cpu, blocked_halt), stats) = run_via_blocks(&program, 64 * 1024, 0xB10C);
-    let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 64 * 1024, 0xB10C);
+    let ((blocked, blocked_cpu, blocked_halt), stats) =
+        run_via_blocks(&program, 64 * 1024, 0xB10C, 10_000);
+    let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 64 * 1024, 0xB10C, 10_000);
 
     assert_eq!(blocked_halt, Halt::Ebreak);
     assert_eq!(stepped_halt, Halt::Ebreak);
@@ -268,7 +283,7 @@ fn store_into_executed_block_invalidates_and_stays_bit_identical() {
     // did rewrite the executed block.
     assert_eq!(blocked_cpu.reg(t1), 6);
     // And the cache saw it: at least one invalidation, a recompile beyond
-    // the initial discovery, and fused emission for every sample.
+    // the initial discovery, and block execution for every sample.
     assert!(stats.invalidations >= 1, "stats: {stats:?}");
     assert!(stats.blocks_compiled >= 2, "stats: {stats:?}");
     assert_eq!(stats.fused_samples as usize, blocked.samples().len());
@@ -284,8 +299,9 @@ fn bus_faults_halt_identically_on_blocks_and_steps() {
         "li t0, 0x100000\njr t0\nebreak",
     ] {
         let program = assemble(source, 0).unwrap();
-        let ((blocked, blocked_cpu, blocked_halt), _) = run_via_blocks(&program, 4096, 0xFA17);
-        let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 4096, 0xFA17);
+        let ((blocked, blocked_cpu, blocked_halt), _) =
+            run_via_blocks(&program, 4096, 0xFA17, 10_000);
+        let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 4096, 0xFA17, 10_000);
         assert!(
             matches!(
                 stepped_halt,
@@ -300,6 +316,210 @@ fn bus_faults_halt_identically_on_blocks_and_steps() {
         assert_eq!(blocked.samples(), stepped.samples(), "{source}");
         assert_eq!(blocked.spans(), stepped.spans(), "{source}");
         assert_eq!(blocked_cpu.pc(), stepped_cpu.pc(), "{source}");
+    }
+}
+
+/// Registers random programs write: `x0` (the write is dropped) and six
+/// temporaries.
+const DESTS: [u8; 7] = [0, 5, 6, 7, 10, 11, 12];
+
+/// Registers random programs read: the destinations plus three the
+/// prologue pins and nothing overwrites — `s0` (x8) holds the data
+/// region's base, `s1` (x9) `u32::MAX` and `s2` (x18) `0x8000_0000`, so
+/// with `x0` every operand edge of the multiplier and divider turns up.
+const SOURCES: [u8; 10] = [0, 5, 6, 7, 10, 11, 12, 8, 9, 18];
+
+/// The data region loads and stores address, well past the code.
+const DATA_BASE: u32 = 0x2000;
+
+/// Values the prologue may load into a temporary besides random words.
+const EDGE_VALUES: [u32; 5] = [0, 1, u32::MAX, 0x8000_0000, 0x7FFF_FFFF];
+
+const ALU_IMM_OPS: [AluOp; 9] = [
+    AluOp::Add,
+    AluOp::Slt,
+    AluOp::Sltu,
+    AluOp::Xor,
+    AluOp::Or,
+    AluOp::And,
+    AluOp::Sll,
+    AluOp::Srl,
+    AluOp::Sra,
+];
+
+const ALU_REG_OPS: [AluOp; 10] = [
+    AluOp::Add,
+    AluOp::Sub,
+    AluOp::Slt,
+    AluOp::Sltu,
+    AluOp::Xor,
+    AluOp::Or,
+    AluOp::And,
+    AluOp::Sll,
+    AluOp::Srl,
+    AluOp::Sra,
+];
+
+const MUL_OPS: [MulOp; 8] = [
+    MulOp::Mul,
+    MulOp::Mulh,
+    MulOp::Mulhsu,
+    MulOp::Mulhu,
+    MulOp::Div,
+    MulOp::Divu,
+    MulOp::Rem,
+    MulOp::Remu,
+];
+
+const CONDS: [BranchCond; 6] = [
+    BranchCond::Eq,
+    BranchCond::Ne,
+    BranchCond::Lt,
+    BranchCond::Ge,
+    BranchCond::Ltu,
+    BranchCond::Geu,
+];
+
+/// `li rd, value` as `lui` + `addi`.
+fn load_immediate(rd: Reg, value: u32) -> [Instruction; 2] {
+    let low = ((value << 20) as i32) >> 20;
+    let upper = value.wrapping_sub(low as u32) as i32;
+    [
+        Instruction::Lui { rd, imm: upper },
+        Instruction::AluImm {
+            op: AluOp::Add,
+            rd,
+            rs1: rd,
+            imm: low,
+        },
+    ]
+}
+
+/// Instruction `index` of a random body of `len` instructions, drawn from
+/// `bits`. Control transfers only jump forward, to at most the `ebreak`
+/// that follows the body, so every program halts.
+fn random_instruction(bits: u64, index: usize, len: usize) -> Instruction {
+    let pick = |shift: u32, n: usize| (bits >> shift) as usize % n;
+    let rd = Reg(DESTS[pick(8, DESTS.len())]);
+    let rs1 = Reg(SOURCES[pick(12, SOURCES.len())]);
+    let rs2 = Reg(SOURCES[pick(16, SOURCES.len())]);
+    let imm = ((bits >> 20) & 0xFFF) as i32 - 2048;
+    let upper = ((bits >> 32) as u32 & 0xFFFF_F000) as i32;
+    let forward = 4 * (1 + pick(40, len - index)) as i32;
+    let width = [MemWidth::Byte, MemWidth::Half, MemWidth::Word][pick(48, 3)];
+    let offset = match width {
+        MemWidth::Byte => pick(50, 256),
+        MemWidth::Half => 2 * pick(50, 128),
+        MemWidth::Word => 4 * pick(50, 64),
+    } as i32;
+    let base = Reg(8);
+    match bits % 8 {
+        0 => {
+            let op = ALU_IMM_OPS[pick(24, ALU_IMM_OPS.len())];
+            let imm = if matches!(op, AluOp::Sll | AluOp::Srl | AluOp::Sra) {
+                imm & 31
+            } else {
+                imm
+            };
+            Instruction::AluImm { op, rd, rs1, imm }
+        }
+        1 => Instruction::AluReg {
+            op: ALU_REG_OPS[pick(24, ALU_REG_OPS.len())],
+            rd,
+            rs1,
+            rs2,
+        },
+        2 => Instruction::MulDiv {
+            op: MUL_OPS[pick(24, MUL_OPS.len())],
+            rd,
+            rs1,
+            rs2,
+        },
+        3 if bits & 8 == 0 => Instruction::Lui { rd, imm: upper },
+        3 => Instruction::Auipc { rd, imm: upper },
+        4 => Instruction::Load {
+            rd,
+            rs1: base,
+            offset,
+            width,
+            signed: bits & 8 == 0,
+        },
+        5 => Instruction::Store {
+            rs1: base,
+            rs2,
+            offset,
+            width,
+        },
+        6 => Instruction::Branch {
+            cond: CONDS[pick(24, CONDS.len())],
+            rs1,
+            rs2,
+            offset: forward,
+        },
+        _ => Instruction::Jal {
+            rd,
+            offset: forward,
+        },
+    }
+}
+
+/// A random program: a prologue that pins `s0`–`s2` and loads the
+/// temporaries from `initial`, the body drawn from `body`, then `ebreak`.
+fn random_program(initial: &[u64], body: &[u64]) -> Program {
+    let mut instructions = Vec::new();
+    instructions.extend(load_immediate(Reg(8), DATA_BASE));
+    instructions.extend(load_immediate(Reg(9), u32::MAX));
+    instructions.extend(load_immediate(Reg(18), 0x8000_0000));
+    for (&rd, &bits) in DESTS[1..].iter().zip(initial) {
+        let value = if bits & 1 == 0 {
+            EDGE_VALUES[(bits >> 1) as usize % EDGE_VALUES.len()]
+        } else {
+            (bits >> 32) as u32
+        };
+        instructions.extend(load_immediate(Reg(rd), value));
+    }
+    for (index, &bits) in body.iter().enumerate() {
+        instructions.push(random_instruction(bits, index, body.len()));
+    }
+    instructions.push(Instruction::Ebreak);
+    Program {
+        words: instructions.into_iter().map(Instruction::encode).collect(),
+        symbols: Default::default(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random straight-line and forward-branching programs over every ALU
+    /// and multiply/divide operation, `lui`/`auipc`, loads and stores of
+    /// every width and `jal`, stopped by a random record budget that often
+    /// ends a block part-way: block dispatch must leave the same capture
+    /// and core state as stepping.
+    #[test]
+    fn blocks_match_steps_on_random_programs_with_fuel(
+        initial in proptest::collection::vec(any::<u64>(), 6),
+        body in proptest::collection::vec(any::<u64>(), 1..=40),
+        fuel_pick in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        const MARGIN: usize = 8;
+        let program = random_program(&initial, &body);
+        let fuel = 1 + (fuel_pick % (program.words.len() + MARGIN) as u64) as usize;
+        let ((blocked, blocked_cpu, blocked_halt), _) =
+            run_via_blocks(&program, 16 * 1024, seed, fuel);
+        let (stepped, stepped_cpu, stepped_halt) = run_via_steps(&program, 16 * 1024, seed, fuel);
+        prop_assert_eq!(&blocked_halt, &stepped_halt);
+        let bits = |buffer: &TraceBuffer| -> Vec<u64> {
+            buffer.samples().iter().map(|s| s.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&blocked), bits(&stepped));
+        prop_assert_eq!(blocked.spans(), stepped.spans());
+        for r in 0..32 {
+            prop_assert_eq!(blocked_cpu.reg(Reg(r)), stepped_cpu.reg(Reg(r)), "x{}", r);
+        }
+        prop_assert_eq!(blocked_cpu.pc(), stepped_cpu.pc());
+        prop_assert_eq!(blocked_cpu.cycle(), stepped_cpu.cycle());
     }
 }
 
