@@ -1,42 +1,37 @@
-//! The self-healing attack driver: runs the single-trace pipeline on
-//! degraded captures, with per-stage sanity checks, bounded segmentation
-//! retry, and a confidence-gated hint-degradation ladder.
+//! The robust attack driver: runs the single-trace pipeline on degraded
+//! captures, with bounded segmentation retry, per-window sanity screens
+//! and a confidence-gated hint-degradation ladder.
 //!
 //! ## Architecture
 //!
 //! 1. **Segment with retry** — burst detection runs through a bounded
-//!    schedule of progressively relaxed [`SegmentConfig`]s until the burst
-//!    count matches the expected coefficient count; leftover mismatches are
-//!    *healed* (over-count → merge the closest pair, under-count → split
-//!    the longest burst), and every healed window is remembered as
-//!    untrustworthy.
-//! 2. **Screen** — each ladder window passes sample-level (MAD z-scores
-//!    against the window's own samples), gain-level (burst-median vs a
-//!    calibrated clean reference) and fit-level (raw sign-template
-//!    log-likelihood vs the per-trace population) sanity checks; failures
-//!    mark the window *suspect* without aborting anything. At the default
-//!    knobs the sample-level screen cannot fire: its threshold,
-//!    `glitch_z · glitch_floor_fraction · range` = 10 · 0.1 · range, is
-//!    the trace's whole dynamic range, and no sample deviates from its
-//!    window median by more; spiked windows are flagged, when at all,
-//!    mostly by the fit screen. The glitch and gain screens decide each
-//!    window from exact bounds (its span; the burst's counts against the
-//!    exact level interval the gain test passes) and run their selections
-//!    only where a bound cannot decide.
+//!    schedule of progressively relaxed [`SegmentConfig`]s, and the first
+//!    rung that finds exactly one full ladder window per expected
+//!    coefficient wins; each window starts at its burst's end. When no rung
+//!    does, no window can be tied to its coefficient, so every coefficient
+//!    is skipped: no estimate, confidence 0.
+//! 2. **Screen** — each ladder window passes a gain-level (burst median vs
+//!    a calibrated clean reference) and a fit-level (raw sign-template
+//!    log-likelihood vs the per-trace population) sanity check; failures
+//!    mark the window *suspect* without aborting anything. The gain screen
+//!    decides each burst from its counts against the exact level interval
+//!    the test passes, and selects the median only where they cannot.
 //! 3. **Gate** — per-coefficient posteriors are classified onto the
 //!    perfect / approximate / skipped ladder by the *shared*
 //!    [`HintPolicy::decide`] rule, with the posterior
 //!    variance inflated when the trace's robust noise estimate exceeds the
-//!    calibrated clean level, suspect windows demoted to at most an
-//!    approximate hint, and healed windows skipped outright.
+//!    calibrated clean level, and suspect windows demoted to at most an
+//!    approximate hint.
 //!
-//! With zero faults nothing fires: rung 0 of the retry schedule *is* the
-//! production configuration, the variance inflation is exactly `1.0`
-//! (a float multiply by 1.0 is the identity), and no screen trips — so the
-//! recovered coefficients and the bikz estimate are bit-identical to
-//! [`TrainedAttack::attack_trace`] followed by
-//! [`report_full_attack`](crate::report::report_full_attack). The
-//! `tests/chaos.rs` suite pins exactly that.
+//! With zero faults the retry and the noise terms are identities: rung 0
+//! of the retry schedule *is* the production configuration, and the
+//! variance inflation is exactly `1.0` (a float multiply by 1.0 is the
+//! identity). Where no screen trips, the recovered coefficients and the
+//! bikz estimate are then bit-identical to [`TrainedAttack::attack_trace`]
+//! followed by [`report_full_attack`](crate::report::report_full_attack);
+//! the `tests/chaos.rs` suite pins exactly that. The fit screen can still
+//! flag a clean window (about 0.3% of clean paper-scale windows), which
+//! then gets at most an approximate hint.
 
 use crate::config::AttackConfig;
 use crate::profile::{
@@ -46,56 +41,41 @@ use crate::report::{report_decisions, AttackReport, ReportError};
 use reveal_hints::{HintDecision, HintPolicy, HintSummary, LweParameters, Posterior};
 use reveal_trace::order::last_not_exceeding;
 use reveal_trace::sanity::{
-    finite_min_max, mad_in_place, mad_outlier_flags, median, median_in_place, robust_noise_sigma,
-    MAD_TO_SIGMA,
+    mad_in_place, median, median_in_place, robust_noise_sigma, MAD_TO_SIGMA,
 };
 use reveal_trace::segment::{refined_bursts_into, SegmentConfig, SegmentError, SegmentScratch};
 use std::cmp::Ordering;
 
-/// Knobs of the robust driver. Defaults are deliberately conservative: on a
-/// clean capture none of the screens may fire (the zero-fault bit-identity
-/// test enforces this).
+/// Knobs of the robust driver's two screens. At the defaults neither flags
+/// a window of the zero-fault captures in `tests/chaos.rs` (the bit-identity
+/// test enforces this); the fit screen does flag a few clean paper-scale
+/// windows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustConfig {
-    /// Robust z-score above which a window sample counts as a glitch/clip
-    /// artifact (screened against the window's own sample population).
-    pub glitch_z: f64,
-    /// MAD floor for the glitch screen, as a fraction of the trace's
-    /// dynamic range (keeps near-constant windows from flagging noise).
-    /// At the default 0.1, with the default `glitch_z` of 10, the screen's
-    /// threshold is the whole dynamic range and it never fires; a floor of
-    /// 0.01 lets it flag spiked windows.
-    pub glitch_floor_fraction: f64,
     /// Robust z-score below the population median at which a window's raw
     /// sign-template log-likelihood marks it suspect (misalignment screen).
     pub score_z: f64,
     /// Relative burst-gain deviation (|level/reference − 1|) above which a
     /// window is suspect. Matches the injector's corruption tolerance.
     pub gain_tolerance: f64,
-    /// Robust z-score for the burst-length outlier screen.
-    pub length_z: f64,
-    /// σ̂/σ_ref ratio below which variance inflation stays exactly 1.0
-    /// (bit-identity regime); above it, inflation grows as the ratio
-    /// squared.
-    pub inflation_knee: f64,
-    /// Posterior-variance floor assigned when a suspect window's hint is
-    /// demoted from perfect to approximate.
-    pub demoted_variance_floor: f64,
 }
 
 impl Default for RobustConfig {
     fn default() -> Self {
         Self {
-            glitch_z: 10.0,
-            glitch_floor_fraction: 0.1,
             score_z: 8.0,
             gain_tolerance: 0.015,
-            length_z: 8.0,
-            inflation_knee: 1.5,
-            demoted_variance_floor: 0.25,
         }
     }
 }
+
+/// σ̂/σ_ref ratio below which variance inflation stays exactly 1.0
+/// (bit-identity regime); above it, inflation grows as the ratio squared.
+const INFLATION_KNEE: f64 = 1.5;
+
+/// Posterior-variance floor of a suspect window's hint demoted from perfect
+/// to approximate, and of every learned-rail hint.
+const DEMOTED_VARIANCE_FLOOR: f64 = 0.25;
 
 /// Clean-capture reference levels, measured once on a known-good trace
 /// (e.g. a profiling capture). Without a calibration the gain screen and
@@ -125,64 +105,48 @@ pub fn calibrate(samples: &[f64], config: &AttackConfig) -> Result<Calibration, 
     })
 }
 
-/// The bounded retry schedule: rung 0 is the production configuration
-/// (bit-identity), later rungs progressively widen the burst-merge gap
-/// (heals split bursts), lower the detection threshold and minimum burst
-/// length (recovers attenuated bursts), and vary the smoothing width. The
-/// merge gap stays below the ~96-sample ladder region so two *real* bursts
-/// are never fused.
+/// The bounded retry schedule of three rungs. Rung 0 is the production
+/// configuration (bit-identity). Rung 1 widens the burst-merge gap (fuses a
+/// burst split by a notch) and lowers the detection threshold. Rung 2
+/// widens the gap further, lowers the threshold and the minimum burst
+/// length (recovers attenuated bursts) and smooths wider. The merge gap
+/// stays below the ~96-sample ladder region so two *real* bursts are never
+/// fused.
 pub fn relaxation_schedule(base: &SegmentConfig) -> Vec<SegmentConfig> {
-    let mut schedule = vec![*base];
-    schedule.push(SegmentConfig {
-        merge_gap: base.merge_gap.max(40),
-        threshold_fraction: base.threshold_fraction * 0.9,
-        ..*base
-    });
-    schedule.push(SegmentConfig {
-        merge_gap: base.merge_gap.max(56),
-        threshold_fraction: base.threshold_fraction * 0.8,
-        min_burst_len: base.min_burst_len.min(16),
-        smooth_window: base.smooth_window.max(24),
-    });
-    schedule.push(SegmentConfig {
-        merge_gap: base.merge_gap.max(72),
-        threshold_fraction: base.threshold_fraction * 1.1,
-        min_burst_len: base.min_burst_len.min(12),
-        smooth_window: (base.smooth_window / 2).max(1),
-    });
-    schedule
+    vec![
+        *base,
+        SegmentConfig {
+            merge_gap: base.merge_gap.max(40),
+            threshold_fraction: base.threshold_fraction * 0.9,
+            ..*base
+        },
+        SegmentConfig {
+            merge_gap: base.merge_gap.max(56),
+            threshold_fraction: base.threshold_fraction * 0.8,
+            min_burst_len: base.min_burst_len.min(16),
+            smooth_window: base.smooth_window.max(24),
+        },
+    ]
 }
 
-/// Why a window was marked untrustworthy.
+/// Which screens marked a window suspect.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Suspicion {
-    /// A sample in the window failed the glitch/clip z-screen.
-    pub glitch: bool,
     /// The burst feeding this window deviates from the calibrated gain.
     pub gain: bool,
     /// The raw sign-template fit score is a low outlier (misalignment).
     pub poor_fit: bool,
-    /// The burst length is a robust outlier.
-    pub length: bool,
-    /// The window came out of burst healing (merge/split repair) or
-    /// padding — its very extent is guesswork.
-    pub healed: bool,
 }
 
 impl Suspicion {
-    /// Any soft screen fired (window content is questionable).
+    /// Any screen fired (window content is questionable).
     pub fn soft(&self) -> bool {
-        self.glitch || self.gain || self.poor_fit || self.length
-    }
-
-    /// The window cannot be trusted at all.
-    pub fn hard(&self) -> bool {
-        self.healed
+        self.gain || self.poor_fit
     }
 
     /// Nothing fired.
     pub fn clean(&self) -> bool {
-        !self.soft() && !self.hard()
+        !self.soft()
     }
 }
 
@@ -203,10 +167,10 @@ pub struct RobustCoefficient {
     /// The winning rail's estimate (`None` when no usable window existed).
     pub estimate: Option<CoefficientEstimate>,
     /// Derated confidence in `[0, 1]`: the posterior top probability times
-    /// the noise derating, zeroed for hard-suspect windows. Monotonically
-    /// non-increasing in the injected noise level by construction on the
-    /// template rail; the learned rail reports its calibrated confidence
-    /// instead.
+    /// the noise derating, halved for suspect windows, 0 without an
+    /// estimate. Monotonically non-increasing in the injected noise level
+    /// by construction on the template rail; the learned rail reports its
+    /// calibrated confidence instead.
     pub confidence: f64,
     /// Which sanity screens fired.
     pub suspicion: Suspicion,
@@ -216,17 +180,26 @@ pub struct RobustCoefficient {
     pub rail: Rail,
 }
 
+impl RobustCoefficient {
+    /// A coefficient without an estimate: no confidence, no hint.
+    fn skipped() -> Self {
+        Self {
+            estimate: None,
+            confidence: 0.0,
+            suspicion: Suspicion::default(),
+            decision: HintDecision::Skipped,
+            rail: Rail::Lda,
+        }
+    }
+}
+
 /// Pipeline observability: what the driver had to do to get a result.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Diagnostics {
-    /// Index of the relaxation rung that produced the segmentation.
-    pub relaxation_rung: usize,
-    /// Bursts fused by healing (over-count repair).
-    pub healed_merges: usize,
-    /// Bursts split by healing (under-count repair).
-    pub healed_splits: usize,
-    /// Coefficients with no window at all (padded as unrecoverable).
-    pub missing_windows: usize,
+    /// The first relaxation rung that found exactly one full ladder window
+    /// per coefficient (`None` when no rung did, so every coefficient was
+    /// skipped).
+    pub relaxation_rung: Option<usize>,
     /// The trace's robust noise estimate.
     pub noise_sigma: f64,
     /// The variance inflation applied to every posterior (1.0 = clean).
@@ -234,7 +207,7 @@ pub struct Diagnostics {
     /// Noise-derived lower bound on every posterior variance before hint
     /// classification (0.0 = clean; → prior variance as noise grows).
     pub noise_variance_floor: f64,
-    /// Windows with at least one soft suspicion.
+    /// Windows flagged by at least one screen.
     pub suspect_windows: usize,
     /// Two-rail arbitration observability.
     pub rail: RailDiagnostics,
@@ -289,18 +262,14 @@ impl RobustAttackResult {
     }
 }
 
-/// A window produced by robust segmentation.
-struct SegmentedWindow {
-    /// Where the ladder window starts in the trace (`None` when no full
-    /// window fits after the burst).
-    start: Option<usize>,
-    burst: (usize, usize),
-    healed: bool,
-}
+/// The rung that segmentation accepted, and its bursts: one per
+/// coefficient.
+type AcceptedRung = (usize, Vec<(usize, usize)>);
 
-/// The per-window screening stage of [`RobustAttack::attack_trace`].
+/// The per-window screening stage of [`RobustAttack::attack_trace`], over
+/// the accepted bursts (each window starts at its burst's end).
 type ScreenStage<'a> =
-    fn(&RobustAttack<'a>, &[f64], &[SegmentedWindow], &[Option<f64>]) -> Vec<Suspicion>;
+    fn(&RobustAttack<'a>, &[f64], &[(usize, usize)], &[Option<f64>]) -> Vec<Suspicion>;
 
 /// The robust pipeline driver: wraps a [`TrainedAttack`] with retrying
 /// segmentation, sanity screens and the hint-degradation ladder.
@@ -364,12 +333,14 @@ impl<'a> RobustAttack<'a> {
         noise_sigma: fn(&[f64]) -> f64,
         screen: ScreenStage<'a>,
     ) -> Result<RobustAttackResult, AttackError> {
+        let learned_rail = self.attack.learned_rail();
         let mut diagnostics = Diagnostics {
             variance_inflation: 1.0,
             noise_sigma: noise_sigma(samples),
             ..Diagnostics::default()
         };
-        let segmented = self.segment_with_retry(samples, n, &mut diagnostics)?;
+        diagnostics.rail.attached = learned_rail.is_some();
+        let segmented = self.segment_with_retry(samples, n)?;
 
         // Noise-driven variance inflation: exactly 1.0 while the trace is
         // no noisier than the calibrated clean reference (the knee keeps
@@ -396,10 +367,10 @@ impl<'a> RobustAttack<'a> {
         let (derate, noise_floor) = if let Some(cal) = self.calibration {
             let reference = cal.reference_noise_sigma.max(1e-12);
             let ratio = diagnostics.noise_sigma / reference;
-            if ratio > self.config.inflation_knee {
+            if ratio > INFLATION_KNEE {
                 diagnostics.variance_inflation = ratio * ratio;
             }
-            let excess = (ratio - self.config.inflation_knee).max(0.0);
+            let excess = (ratio - INFLATION_KNEE).max(0.0);
             (
                 (-4.0 * ((ratio - 1.0).max(0.0)).powi(3)).exp(),
                 policy.prior_variance * (1.0 - (-4.0 * excess.powi(3)).exp()),
@@ -409,53 +380,59 @@ impl<'a> RobustAttack<'a> {
         };
         diagnostics.noise_variance_floor = noise_floor;
 
+        // No rung found one full window per coefficient. A missing or extra
+        // burst shifts every later window by a coefficient, so no window
+        // can be tied to its coefficient: skip them all.
+        let Some((rung, bursts)) = segmented else {
+            return Ok(RobustAttackResult {
+                coefficients: vec![RobustCoefficient::skipped(); n],
+                diagnostics,
+            });
+        };
+        diagnostics.relaxation_rung = Some(rung);
+
         // One classification per window, fanned out like the plain
         // pipeline: the template-rail estimate and the raw sign fit score
         // the fit screen reads come from the same sign-template pass.
         let ladder = self.attack.config().ladder_window;
-        let window = |sw: &SegmentedWindow| sw.start.map(|s| &samples[s..s + ladder]);
+        let window = |&(_, end): &(usize, usize)| &samples[end..end + ladder];
         let (estimates, fit_scores): (Vec<Option<CoefficientEstimate>>, Vec<Option<f64>>) =
             reveal_par::par_map_index_modeled(
-                segmented.len(),
+                bursts.len(),
                 &ATTACK_WINDOW_COST,
                 ladder as u64,
                 |i| {
-                    window(&segmented[i]).map_or((None, None), |w| {
-                        let (estimate, fit) = self.attack.attack_window_scored(w);
-                        (estimate.ok(), fit)
-                    })
+                    let (estimate, fit) = self.attack.attack_window_scored(window(&bursts[i]));
+                    (estimate.ok(), fit)
                 },
             )
             .into_iter()
             .unzip();
 
-        let suspicions = screen(self, samples, &segmented, &fit_scores);
+        let suspicions = screen(self, samples, &bursts, &fit_scores);
         diagnostics.suspect_windows = suspicions.iter().filter(|s| s.soft()).count();
 
         // Per-burst rail arbitration arms only on degraded evidence: a
-        // trace-level degradation signal (the same ones that arm variance
-        // inflation and healing) or a window's own soft suspicion. On a
-        // clean capture nothing below fires, the learned rail is never
-        // consulted, and the template path runs verbatim — that is how
-        // arbitration coexists with the zero-fault bit-identity contract.
-        let learned_rail = self.attack.learned_rail();
-        diagnostics.rail.attached = learned_rail.is_some();
+        // trace-level degradation signal (variance inflation, the noise
+        // floor, or a relaxed segmentation rung) or a window's own
+        // suspicion. On a clean capture nothing below fires, the learned
+        // rail is never consulted, and the template path runs verbatim —
+        // that is how arbitration coexists with the zero-fault
+        // bit-identity contract.
         let trace_degraded = diagnostics.variance_inflation > 1.0
             || diagnostics.noise_variance_floor > 0.0
-            || diagnostics.relaxation_rung > 0
-            || diagnostics.healed_merges + diagnostics.healed_splits > 0
-            || diagnostics.missing_windows > 0;
+            || rung > 0;
 
         // The learned rail scores the armed windows only, in a second
         // fan-out after the screens decided which windows those are.
-        let mut learned: Vec<Option<CoefficientEstimate>> = vec![None; segmented.len()];
+        let mut learned: Vec<Option<CoefficientEstimate>> = vec![None; bursts.len()];
         if let Some(rail) = learned_rail {
-            let armed: Vec<(usize, &[f64])> = segmented
+            let armed: Vec<(usize, &[f64])> = bursts
                 .iter()
                 .zip(&suspicions)
                 .enumerate()
-                .filter(|(_, (_, s))| !s.hard() && (trace_degraded || s.soft()))
-                .filter_map(|(i, (sw, _))| Some((i, window(sw)?)))
+                .filter(|(_, (_, s))| trace_degraded || s.soft())
+                .map(|(i, (burst, _))| (i, window(burst)))
                 .collect();
             diagnostics.rail.armed_windows = armed.len();
             let scored = reveal_par::par_map_index_modeled(
@@ -476,7 +453,7 @@ impl<'a> RobustAttack<'a> {
         let mut coefficients = Vec::with_capacity(n);
         for ((lda, learned), suspicion) in estimates.into_iter().zip(learned).zip(suspicions) {
             let learned_scored = learned.is_some();
-            let coefficient = self.gate(
+            let coefficient = gate(
                 lda,
                 learned,
                 suspicion,
@@ -499,144 +476,41 @@ impl<'a> RobustAttack<'a> {
         })
     }
 
-    /// Stage 1: segmentation with bounded retry and healing.
+    /// Stage 1: segmentation with bounded retry. The first rung that finds
+    /// exactly one full ladder window per coefficient, with its bursts;
+    /// `None` when every rung finds another count.
     fn segment_with_retry(
         &self,
         samples: &[f64],
         n: usize,
-        diagnostics: &mut Diagnostics,
-    ) -> Result<Vec<SegmentedWindow>, AttackError> {
+    ) -> Result<Option<AcceptedRung>, AttackError> {
         let config = self.attack.config();
-        let schedule = relaxation_schedule(&config.segment);
         let mut scratch = SegmentScratch::new();
-        let mut best: Option<(usize, Vec<(usize, usize)>)> = None;
+        let mut segmented = false;
         let mut last_error = None;
-        for (rung, cfg) in schedule.iter().enumerate() {
-            let bursts = match refined_bursts_into(samples, cfg, &mut scratch) {
-                Ok(b) => b,
-                Err(e) => {
-                    last_error = Some(e);
-                    continue;
+        for (rung, cfg) in relaxation_schedule(&config.segment).iter().enumerate() {
+            match refined_bursts_into(samples, cfg, &mut scratch) {
+                Ok(bursts) => {
+                    // Mirror `extract_ladder_windows`: only bursts whose
+                    // ladder window fits count as coefficients (drops the
+                    // epilogue burst).
+                    let usable: Vec<(usize, usize)> = bursts
+                        .into_iter()
+                        .filter(|&burst| full_window_start(samples.len(), burst, config).is_some())
+                        .collect();
+                    if usable.len() == n {
+                        return Ok(Some((rung, usable)));
+                    }
+                    segmented = true;
                 }
-            };
-            // Mirror `extract_ladder_windows`: only bursts whose ladder
-            // window fits count as coefficients (drops the epilogue burst).
-            let usable: Vec<(usize, usize)> = bursts
-                .into_iter()
-                .filter(|&burst| full_window_start(samples.len(), burst, config).is_some())
-                .collect();
-            if usable.len() == n {
-                diagnostics.relaxation_rung = rung;
-                return Ok(usable
-                    .into_iter()
-                    .map(|burst| SegmentedWindow {
-                        start: Some(burst.1),
-                        burst,
-                        healed: false,
-                    })
-                    .collect());
-            }
-            let better = match &best {
-                Some((count, _)) => {
-                    usable.len().abs_diff(n) < count.abs_diff(n)
-                        || (usable.len().abs_diff(n) == count.abs_diff(n) && usable.len() > *count)
-                }
-                None => true,
-            };
-            if better {
-                diagnostics.relaxation_rung = rung;
-                best = Some((usable.len(), usable));
+                Err(e) => last_error = Some(e),
             }
         }
-        let Some((_, bursts)) = best else {
-            return Err(AttackError::Segment(
-                last_error.unwrap_or(SegmentError::NoPeaksFound),
-            ));
-        };
-        self.heal(samples, bursts, n, diagnostics)
-    }
-
-    /// Repairs a burst-count mismatch left over after every relaxation
-    /// rung: merge the closest adjacent pair while over-count, split the
-    /// longest burst while under-count, pad with unrecoverable windows if
-    /// splitting runs out of oversized bursts.
-    fn heal(
-        &self,
-        samples: &[f64],
-        bursts: Vec<(usize, usize)>,
-        n: usize,
-        diagnostics: &mut Diagnostics,
-    ) -> Result<Vec<SegmentedWindow>, AttackError> {
-        let mut healed: Vec<((usize, usize), bool)> =
-            bursts.into_iter().map(|b| (b, false)).collect();
-
-        while healed.len() > n && healed.len() >= 2 {
-            // Merge the adjacent pair with the smallest gap: split bursts
-            // sit a notch apart, real bursts a full ladder apart.
-            let mut best_pair = 0;
-            let mut best_gap = usize::MAX;
-            for i in 0..healed.len() - 1 {
-                let gap = healed[i + 1].0 .0.saturating_sub(healed[i].0 .1);
-                if gap < best_gap {
-                    best_gap = gap;
-                    best_pair = i;
-                }
-            }
-            let (second, _) = healed.remove(best_pair + 1);
-            healed[best_pair] = ((healed[best_pair].0 .0, second.1), true);
-            diagnostics.healed_merges += 1;
+        // The driver fails only when every rung fails to segment.
+        match last_error {
+            Some(e) if !segmented => Err(AttackError::Segment(e)),
+            _ => Ok(None),
         }
-
-        while healed.len() < n {
-            let lengths: Vec<f64> = healed.iter().map(|((s, e), _)| (e - s) as f64).collect();
-            let median_len = median(&lengths);
-            let Some((idx, _)) = healed
-                .iter()
-                .enumerate()
-                .filter(|(_, ((s, e), _))| (e - s) as f64 >= 1.5 * median_len)
-                .max_by_key(|(_, ((s, e), _))| e - s)
-            else {
-                break; // Nothing left to split; pad below.
-            };
-            let ((s, e), _) = healed[idx];
-            let cut = s + median_len as usize;
-            if cut <= s || cut >= e {
-                break;
-            }
-            healed[idx] = ((s, cut), true);
-            healed.insert(idx + 1, ((cut, e), true));
-            diagnostics.healed_splits += 1;
-        }
-
-        // Every burst here fits its ladder window (the retry filter kept only
-        // fitting ends; a merge keeps the later end, a split cuts before it),
-        // so only the padding below leaves a window without a start.
-        let mut windows: Vec<SegmentedWindow> = healed
-            .into_iter()
-            .map(|(burst, was_healed)| SegmentedWindow {
-                start: Some(burst.1),
-                burst,
-                healed: was_healed,
-            })
-            .collect();
-        // Pad to exactly n: when bursts are irrecoverably missing the
-        // alignment of *every* coefficient is in doubt, so mark them all.
-        if windows.len() < n {
-            diagnostics.missing_windows = n - windows.len();
-            let end = samples.len();
-            while windows.len() < n {
-                windows.push(SegmentedWindow {
-                    start: None,
-                    burst: (end, end),
-                    healed: true,
-                });
-            }
-            for w in &mut windows {
-                w.healed = true;
-            }
-        }
-        windows.truncate(n);
-        Ok(windows)
     }
 
     /// Stage 2: per-window sanity screens. `fit_scores` are the windows'
@@ -644,43 +518,15 @@ impl<'a> RobustAttack<'a> {
     fn screen(
         &self,
         samples: &[f64],
-        segmented: &[SegmentedWindow],
+        bursts: &[(usize, usize)],
         fit_scores: &[Option<f64>],
     ) -> Vec<Suspicion> {
         let cfg = &self.config;
-        let ladder = self.attack.config().ladder_window;
-        let mut suspicions: Vec<Suspicion> = segmented
-            .iter()
-            .map(|sw| Suspicion {
-                healed: sw.healed,
-                ..Suspicion::default()
-            })
-            .collect();
+        let mut suspicions = vec![Suspicion::default(); bursts.len()];
 
-        let (lo, hi) = finite_min_max(samples);
-        let range = (hi - lo).max(1e-12);
-
-        // The glitch, gain and fit screens select in place on this one
-        // buffer, refilled per window and per burst, where a bound cannot
-        // decide the screen.
+        // The gain and fit screens select in place on this one buffer,
+        // refilled per burst where the counts cannot decide the gain screen.
         let mut buf: Vec<f64> = Vec::new();
-
-        // Glitch screen: any sample in a window that is a massive robust
-        // outlier against the window's own population.
-        let floor = cfg.glitch_floor_fraction * range;
-        for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
-            let Some(start) = sw.start else { continue };
-            let window = &samples[start..start + ladder];
-            if span_clears_glitch(window, cfg.glitch_z, floor) {
-                continue;
-            }
-            buf.clear();
-            buf.extend_from_slice(window);
-            let (_, mad) = mad_in_place(&mut buf);
-            let scale = (mad * MAD_TO_SIGMA).max(floor);
-            // `buf` now holds each sample's |x − median|.
-            suspicion.glitch = buf.iter().any(|&d| d > cfg.glitch_z * scale);
-        }
 
         // Gain screen: the dist burst preceding each window is
         // value-independent, so its median level is a local gain probe.
@@ -689,28 +535,13 @@ impl<'a> RobustAttack<'a> {
             if reference.abs() > 1e-12 {
                 let tolerance = cfg.gain_tolerance;
                 let bounds = gain_bounds(reference, tolerance);
-                for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
-                    let (s, e) = sw.burst;
-                    if sw.start.is_none() || e <= s || e > samples.len() {
-                        continue;
+                for (&(s, e), suspicion) in bursts.iter().zip(&mut suspicions) {
+                    if s < e {
+                        suspicion.gain =
+                            gain_flagged(&samples[s..e], reference, tolerance, bounds, &mut buf);
                     }
-                    suspicion.gain =
-                        gain_flagged(&samples[s..e], reference, tolerance, bounds, &mut buf);
                 }
             }
-        }
-
-        // Burst-length screen: merged/split leftovers are gross outliers;
-        // the sampler's genuine time variance stays within the MAD band.
-        let lengths: Vec<f64> = segmented
-            .iter()
-            .map(|sw| (sw.burst.1.saturating_sub(sw.burst.0)) as f64)
-            .collect();
-        for (flag, suspicion) in mad_outlier_flags(&lengths, cfg.length_z, 4.0)
-            .into_iter()
-            .zip(&mut suspicions)
-        {
-            suspicion.length |= flag;
         }
 
         // Fit screen: raw sign-template log-likelihoods. Scores of healthy
@@ -731,122 +562,107 @@ impl<'a> RobustAttack<'a> {
         }
         suspicions
     }
+}
 
-    /// Stage 3: the degradation ladder for one coefficient, with per-burst
-    /// rail arbitration. The template leg runs exactly as it always has
-    /// (inflated variance, noise floor, suspicion demotion); when the
-    /// learned rail also scored the window, its *calibrated* posterior is
-    /// classified against the caller's uninflated policy — the calibration
-    /// already priced the noise in, that is what the augmented training and
-    /// temperature scaling are for — but capped at an approximate hint
-    /// (arbitration only arms on degraded evidence, and a degraded window
-    /// must never claim a perfect hint). The rail with the better
-    /// calibrated margin (top-probability confidence, after the same
-    /// suspicion halving) wins the burst.
-    #[allow(clippy::too_many_arguments)]
-    fn gate(
-        &self,
-        estimate: Option<CoefficientEstimate>,
-        learned: Option<CoefficientEstimate>,
-        suspicion: Suspicion,
-        policy: &HintPolicy,
-        base_policy: &HintPolicy,
-        derate: f64,
-        noise_floor: f64,
-    ) -> RobustCoefficient {
-        let Some(estimate) = estimate else {
-            return RobustCoefficient {
-                estimate: None,
-                confidence: 0.0,
-                suspicion,
-                decision: HintDecision::Skipped,
-                rail: Rail::Lda,
-            };
-        };
-        if suspicion.hard() {
-            return RobustCoefficient {
-                estimate: Some(estimate),
-                confidence: 0.0,
-                suspicion,
-                decision: HintDecision::Skipped,
-                rail: Rail::Lda,
-            };
-        }
-        let posterior = Posterior::new(estimate.probabilities.clone()).ok();
-        let variance = match &posterior {
-            Some(p) => p.variance(),
-            None => f64::INFINITY,
-        };
-        // Degenerate single-class posteriors (the sign-zero shortcut) have
-        // variance exactly 0, which multiplicative inflation cannot touch
-        // (0 × k = 0) — yet on a noisy capture a zero-sign call is as
-        // fallible as any other. The additive term pushes such posteriors
-        // past the perfect threshold whenever inflation is active, and is
-        // exactly 0.0 on clean captures (inflation 1.0), preserving
-        // bit-identity.
-        let variance = variance
-            + (policy.variance_inflation - 1.0).max(0.0) * policy.perfect_variance_threshold;
-        // Noise floor (0.0 on clean captures): a sharp posterior measured
-        // through heavy noise is not actually sharp evidence.
-        let variance = variance.max(noise_floor);
-        let mut decision = policy.decide(estimate.predicted, variance);
-        let floor = self.config.demoted_variance_floor;
-        let mut confidence = estimate.confidence() * derate;
-        if suspicion.soft() {
-            confidence *= 0.5;
-            // A suspect window never yields a perfect hint: demote to an
-            // approximate hint whose variance is floored at the demotion
-            // level (still conservative, still informative).
-            if let HintDecision::Perfect { value } = decision {
-                decision = at_most_approximate(policy, value, variance.max(floor));
-            }
-        }
-
-        // The learned leg: calibrated posterior variance, floored at the
-        // demotion level and never promoted past an approximate hint.
-        if let Some(learned_estimate) = learned {
-            let learned_variance = Posterior::new(learned_estimate.probabilities.clone())
-                .ok()
-                .map_or(f64::INFINITY, |p| p.variance());
-            let learned_decision = at_most_approximate(
-                base_policy,
-                learned_estimate.predicted,
-                learned_variance.max(floor),
-            );
-            let mut learned_confidence = learned_estimate.confidence();
-            if suspicion.soft() {
-                learned_confidence *= 0.5;
-            }
-            // Switching rails must never weaken the hint: the learned
-            // decision has to dominate the template one — a higher ladder
-            // rung, or the same approximate rung at no worse ε². In the
-            // transition band where LDA is degraded-but-usable this keeps
-            // its sharper hints; once inflation has pushed LDA to skipped,
-            // any learned approximate dominates. Per-window dominance makes
-            // the arbitrated hint set at least as strong as LDA-only's, so
-            // the resulting bikz can only improve.
-            let dominates = matches!(
-                learned_decision.cmp_strength(&decision),
-                Some(Ordering::Greater | Ordering::Equal)
-            );
-            if learned_confidence > confidence && dominates {
-                return RobustCoefficient {
-                    estimate: Some(learned_estimate),
-                    confidence: learned_confidence,
-                    suspicion,
-                    decision: learned_decision,
-                    rail: Rail::Learned,
-                };
-            }
-        }
-
-        RobustCoefficient {
-            estimate: Some(estimate),
-            confidence,
+/// Stage 3: the degradation ladder for one coefficient, with per-burst
+/// rail arbitration. The template leg runs exactly as it always has
+/// (inflated variance, noise floor, suspicion demotion); when the learned
+/// rail also scored the window, its *calibrated* posterior is classified
+/// against the caller's uninflated `base_policy` — the calibration already
+/// priced the noise in, that is what the augmented training and
+/// temperature scaling are for — but capped at an approximate hint
+/// (arbitration only arms on degraded evidence, and a degraded window must
+/// never claim a perfect hint). The rail with the better calibrated margin
+/// (top-probability confidence, after the same suspicion halving) wins the
+/// burst.
+fn gate(
+    estimate: Option<CoefficientEstimate>,
+    learned: Option<CoefficientEstimate>,
+    suspicion: Suspicion,
+    policy: &HintPolicy,
+    base_policy: &HintPolicy,
+    derate: f64,
+    noise_floor: f64,
+) -> RobustCoefficient {
+    let Some(estimate) = estimate else {
+        return RobustCoefficient {
             suspicion,
-            decision,
-            rail: Rail::Lda,
+            ..RobustCoefficient::skipped()
+        };
+    };
+    let posterior = Posterior::new(estimate.probabilities.clone()).ok();
+    let variance = match &posterior {
+        Some(p) => p.variance(),
+        None => f64::INFINITY,
+    };
+    // Degenerate single-class posteriors (the sign-zero shortcut) have
+    // variance exactly 0, which multiplicative inflation cannot touch
+    // (0 × k = 0) — yet on a noisy capture a zero-sign call is as
+    // fallible as any other. The additive term pushes such posteriors
+    // past the perfect threshold whenever inflation is active, and is
+    // exactly 0.0 on clean captures (inflation 1.0), preserving
+    // bit-identity.
+    let variance =
+        variance + (policy.variance_inflation - 1.0).max(0.0) * policy.perfect_variance_threshold;
+    // Noise floor (0.0 on clean captures): a sharp posterior measured
+    // through heavy noise is not actually sharp evidence.
+    let variance = variance.max(noise_floor);
+    let mut decision = policy.decide(estimate.predicted, variance);
+    let mut confidence = estimate.confidence() * derate;
+    if suspicion.soft() {
+        confidence *= 0.5;
+        // A suspect window never yields a perfect hint: demote to an
+        // approximate hint whose variance is floored at the demotion
+        // level (still conservative, still informative).
+        if let HintDecision::Perfect { value } = decision {
+            decision = at_most_approximate(policy, value, variance.max(DEMOTED_VARIANCE_FLOOR));
         }
+    }
+
+    // The learned leg: calibrated posterior variance, floored at the
+    // demotion level and never promoted past an approximate hint.
+    if let Some(learned_estimate) = learned {
+        let learned_variance = Posterior::new(learned_estimate.probabilities.clone())
+            .ok()
+            .map_or(f64::INFINITY, |p| p.variance());
+        let learned_decision = at_most_approximate(
+            base_policy,
+            learned_estimate.predicted,
+            learned_variance.max(DEMOTED_VARIANCE_FLOOR),
+        );
+        let mut learned_confidence = learned_estimate.confidence();
+        if suspicion.soft() {
+            learned_confidence *= 0.5;
+        }
+        // Switching rails must never weaken the hint: the learned
+        // decision has to dominate the template one — a higher ladder
+        // rung, or the same approximate rung at no worse ε². In the
+        // transition band where LDA is degraded-but-usable this keeps
+        // its sharper hints; once inflation has pushed LDA to skipped,
+        // any learned approximate dominates. Per-window dominance makes
+        // the arbitrated hint set at least as strong as LDA-only's, so
+        // the resulting bikz can only improve.
+        let dominates = matches!(
+            learned_decision.cmp_strength(&decision),
+            Some(Ordering::Greater | Ordering::Equal)
+        );
+        if learned_confidence > confidence && dominates {
+            return RobustCoefficient {
+                estimate: Some(learned_estimate),
+                confidence: learned_confidence,
+                suspicion,
+                decision: learned_decision,
+                rail: Rail::Learned,
+            };
+        }
+    }
+
+    RobustCoefficient {
+        estimate: Some(estimate),
+        confidence,
+        suspicion,
+        decision,
+        rail: Rail::Lda,
     }
 }
 
@@ -864,20 +680,6 @@ fn at_most_approximate(policy: &HintPolicy, value: i64, variance: f64) -> HintDe
                 eps_squared: variance * prior / (prior - variance).max(1e-9),
             }
         }
-    }
-}
-
-/// Whether a window's span alone proves the glitch screen cannot flag it:
-/// `glitch_z ≥ 0` and `max − min ≤ glitch_z · floor`. Exact: the screen's
-/// threshold `glitch_z · max(MAD · 1.4826, floor)` is at least
-/// `glitch_z · floor`, and no `|x − median|` exceeds `max − min`, because
-/// the median lies in `[min, max]` and rounded subtraction is monotone.
-/// (An even-length median whose half-sum overflows is `±∞`; then every
-/// deviation and the MAD are `∞`, and nothing flags either.)
-fn span_clears_glitch(window: &[f64], glitch_z: f64, floor: f64) -> bool {
-    glitch_z >= 0.0 && {
-        let (lo, hi) = finite_min_max(window);
-        hi - lo <= glitch_z * floor
     }
 }
 
@@ -984,12 +786,24 @@ mod tests {
         let base = SegmentConfig::default();
         let schedule = relaxation_schedule(&base);
         assert_eq!(schedule[0], base);
-        assert!(schedule.len() >= 3);
+        assert_eq!(schedule.len(), 3);
         assert!(schedule
             .iter()
             .skip(1)
             .all(|c| c.merge_gap > base.merge_gap));
         assert!(schedule.iter().all(|c| c.merge_gap < 96));
+    }
+
+    /// A smoothing-width-8 config outside the retry schedule: the only
+    /// config of the segmenter-equivalence tests whose fused path switches
+    /// to the short-trace oracle at 160 samples.
+    fn narrow_smoothing(base: &SegmentConfig) -> SegmentConfig {
+        SegmentConfig {
+            merge_gap: base.merge_gap.max(72),
+            threshold_fraction: base.threshold_fraction * 1.1,
+            min_burst_len: base.min_burst_len.min(12),
+            smooth_window: (base.smooth_window / 2).max(1),
+        }
     }
 
     /// The segmentation oracle: the materialized two-stage composition.
@@ -1003,8 +817,9 @@ mod tests {
     #[test]
     fn fused_segmenter_matches_two_stage_on_every_rung() {
         // The retry loop segments through the fused three-pass segmenter;
-        // every rung (rungs 2 and 3 change the smoothing width to 24 and 8)
-        // must reproduce the oracle's two-stage composition, errors included.
+        // every rung (rung 2 changes the smoothing width to 24) and the
+        // width-8 config must reproduce the oracle's two-stage composition,
+        // errors included.
         let synthetic = |bursts: &[(usize, usize)], len: usize, floor: f64| {
             let mut t = vec![floor; len];
             for &(s, e) in bursts {
@@ -1046,13 +861,15 @@ mod tests {
         traces.push(chaotic);
 
         let mut scratch = SegmentScratch::new();
-        let schedule = relaxation_schedule(&SegmentConfig::default());
-        for (rung, cfg) in schedule.iter().enumerate() {
+        let base = SegmentConfig::default();
+        let mut configs = relaxation_schedule(&base);
+        configs.push(narrow_smoothing(&base));
+        for (c, cfg) in configs.iter().enumerate() {
             for (t, samples) in traces.iter().enumerate() {
                 assert_eq!(
                     refined_bursts_into(samples, cfg, &mut scratch),
                     oracle_bursts(samples, cfg),
-                    "rung {rung}, trace {t}"
+                    "config {c}, trace {t}"
                 );
             }
         }
@@ -1072,8 +889,9 @@ mod tests {
             // Planted bursts over a floor of -0.0, 0.0 or 1.0, with no, weak
             // or strong noise, cut to every length from 1 to 600: this
             // crosses the fused path's short-trace switch (at 160, 320 and
-            // 480 samples for smoothing widths 8, 16 and 24) on every rung,
-            // and covers widths 0 and 1, which smooth nothing.
+            // 480 samples for smoothing widths 8, 16 and 24) on every rung
+            // and at width 8, and covers widths 0 and 1, which smooth
+            // nothing.
             let floor = [-0.0, 0.0, 1.0][floor];
             let noise = [0.0, 0.05, 0.3][noise];
             let trace: Vec<f64> = (0..600)
@@ -1085,6 +903,7 @@ mod tests {
                 .collect();
             let base = SegmentConfig::default();
             let mut configs = relaxation_schedule(&base);
+            configs.push(narrow_smoothing(&base));
             configs.extend([0, 1].map(|w| SegmentConfig { smooth_window: w, ..base }));
             let mut scratch = SegmentScratch::new();
             for cfg in &configs {
@@ -1100,126 +919,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn glitch_screen_agrees_with_mad_outlier_flags() {
-        // The screen decides a window from its span where it can, else
-        // reads each sample's deviation from the buffer its MAD selection
-        // leaves behind; its verdicts must equal the plain MAD outlier
-        // flags at every threshold and floor, including the ones that let
-        // it fire.
-        let (device, attack) = trained(16, 0x6117C4);
-        let capture = device
-            .capture_fresh(&mut StdRng::seed_from_u64(12))
-            .unwrap();
-        let plan = reveal_chaos::ChaosPlan {
-            seed: 3,
-            faults: vec![reveal_chaos::Fault::GlitchSpikes {
-                rate: 0.002,
-                magnitude: 1.5,
-            }],
-        };
-        let samples = plan
-            .inject(
-                &capture.run.capture.samples,
-                &capture.run.coefficient_windows,
-            )
-            .samples;
-        let starts = crate::profile::ladder_window_starts(&samples, attack.config()).unwrap();
-        assert_eq!(starts.len(), 16);
-        let ladder = attack.config().ladder_window;
-        let lo = samples.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let (mut fired, mut span_decided, mut selected) = (0, 0, 0);
-        for glitch_z in [-1.0, 0.0, 2.0, 10.0, f64::INFINITY] {
-            for fraction in [-0.1, 0.0, 0.01, 0.1] {
-                let config = RobustConfig {
-                    glitch_z,
-                    glitch_floor_fraction: fraction,
-                    ..RobustConfig::default()
-                };
-                let result = RobustAttack::new(&attack)
-                    .with_config(config)
-                    .attack_trace(&samples, 16, &HintPolicy::seal_paper())
-                    .unwrap();
-                assert_eq!(result.diagnostics.relaxation_rung, 0);
-                let floor = fraction * (hi - lo);
-                for (c, &start) in result.coefficients.iter().zip(&starts) {
-                    let window = &samples[start..start + ladder];
-                    let expected = mad_outlier_flags(window, glitch_z, floor).contains(&true);
-                    assert_eq!(
-                        c.suspicion.glitch, expected,
-                        "z {glitch_z}, fraction {fraction}"
-                    );
-                    fired += usize::from(expected);
-                    if span_clears_glitch(window, glitch_z, floor) {
-                        span_decided += 1;
-                    } else {
-                        selected += 1;
-                    }
-                }
-            }
-        }
-        assert!(fired > 0, "no window exercised the full screen");
-        assert!(
-            span_decided > 0 && selected > 0,
-            "{span_decided} / {selected}"
-        );
-        // A flat window near f64::MAX: its median's half-sum overflows, and
-        // the infinite MAD keeps it unflagged, as its span says.
-        let huge = vec![0.75 * f64::MAX; ladder];
-        assert!(span_clears_glitch(&huge, 10.0, 1.0));
-        assert!(!mad_outlier_flags(&huge, 10.0, 1.0).contains(&true));
-    }
-
-    #[test]
-    fn default_glitch_screen_never_fires_but_a_lower_floor_does() {
-        // At the defaults the glitch threshold, glitch_z · 0.1 · range, is
-        // the trace's whole dynamic range: no sample deviates from its
-        // window median by more (up to one rounding ulp), so the default
-        // screen cannot flag even a spiked window. A floor of 1% of the
-        // range lets it fire. Lowering the default moves the committed
-        // BENCH_chaos and BENCH_classifier artifacts.
-        let (device, attack) = trained(16, 0x6117C4);
-        let mut rng = StdRng::seed_from_u64(21);
-        let policy = HintPolicy::seal_paper();
-        let lowered = RobustConfig {
-            glitch_floor_fraction: 0.01,
-            ..RobustConfig::default()
-        };
-        let (mut at_default, mut at_lowered) = (0, 0);
-        for seed in 0..3 {
-            let capture = device.capture_fresh(&mut rng).unwrap();
-            let spikes = reveal_chaos::ChaosPlan {
-                seed,
-                faults: vec![reveal_chaos::Fault::GlitchSpikes {
-                    rate: 0.002,
-                    magnitude: 1.5,
-                }],
-            };
-            let sweeps = [0.25, 0.5, 1.0].map(|i| reveal_chaos::ChaosPlan::standard_sweep(seed, i));
-            for plan in sweeps.into_iter().chain([spikes]) {
-                let samples = plan
-                    .inject(
-                        &capture.run.capture.samples,
-                        &capture.run.coefficient_windows,
-                    )
-                    .samples;
-                let flags = |config: RobustConfig| {
-                    RobustAttack::new(&attack)
-                        .with_config(config)
-                        .attack_trace(&samples, 16, &policy)
-                        .map_or(0, |r| {
-                            r.coefficients.iter().filter(|c| c.suspicion.glitch).count()
-                        })
-                };
-                at_default += flags(RobustConfig::default());
-                at_lowered += flags(lowered.clone());
-            }
-        }
-        assert_eq!(at_default, 0);
-        assert!(at_lowered > 0);
     }
 
     #[test]
@@ -1318,46 +1017,22 @@ mod tests {
             mad_in_place(&mut diffs).1 * MAD_TO_SIGMA / std::f64::consts::SQRT_2
         }
 
-        /// The screens with a selection per window and per burst.
+        /// The screens with a selection per burst.
         pub fn screen(
             robust: &RobustAttack<'_>,
             samples: &[f64],
-            segmented: &[SegmentedWindow],
+            bursts: &[(usize, usize)],
             fit_scores: &[Option<f64>],
         ) -> Vec<Suspicion> {
             let cfg = &robust.config;
-            let ladder = robust.attack.config().ladder_window;
-            let mut suspicions: Vec<Suspicion> = segmented
-                .iter()
-                .map(|sw| Suspicion {
-                    healed: sw.healed,
-                    ..Suspicion::default()
-                })
-                .collect();
-
-            let finite = samples.iter().copied().filter(|s| s.is_finite());
-            let lo = finite.clone().fold(f64::INFINITY, f64::min);
-            let hi = finite.fold(f64::NEG_INFINITY, f64::max);
-            let range = (hi - lo).max(1e-12);
-
+            let mut suspicions = vec![Suspicion::default(); bursts.len()];
             let mut buf: Vec<f64> = Vec::new();
-
-            let floor = cfg.glitch_floor_fraction * range;
-            for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
-                let Some(start) = sw.start else { continue };
-                buf.clear();
-                buf.extend_from_slice(&samples[start..start + ladder]);
-                let (_, mad) = mad_in_place(&mut buf);
-                let scale = (mad * MAD_TO_SIGMA).max(floor);
-                suspicion.glitch = buf.iter().any(|&d| d > cfg.glitch_z * scale);
-            }
 
             if let Some(cal) = robust.calibration {
                 let reference = cal.reference_burst_level;
                 if reference.abs() > 1e-12 {
-                    for (sw, suspicion) in segmented.iter().zip(&mut suspicions) {
-                        let (s, e) = sw.burst;
-                        if sw.start.is_none() || e <= s || e > samples.len() {
+                    for (&(s, e), suspicion) in bursts.iter().zip(&mut suspicions) {
+                        if e <= s {
                             continue;
                         }
                         buf.clear();
@@ -1366,17 +1041,6 @@ mod tests {
                         suspicion.gain = (level / reference - 1.0).abs() > cfg.gain_tolerance;
                     }
                 }
-            }
-
-            let lengths: Vec<f64> = segmented
-                .iter()
-                .map(|sw| (sw.burst.1.saturating_sub(sw.burst.0)) as f64)
-                .collect();
-            for (flag, suspicion) in mad_outlier_flags(&lengths, cfg.length_z, 4.0)
-                .into_iter()
-                .zip(&mut suspicions)
-            {
-                suspicion.length |= flag;
             }
 
             buf.clear();
@@ -1443,7 +1107,7 @@ mod tests {
             poison in 0usize..4,
             at in 0.0f64..1.0,
             scale in 0usize..5,
-            knobs in proptest::collection::vec(0usize..16, 5),
+            knobs in proptest::collection::vec(0usize..16, 2),
             calibration in 0usize..4,
             level in 0usize..9,
             n in 0usize..8,
@@ -1475,12 +1139,8 @@ mod tests {
             };
             let defaults = RobustConfig::default();
             let config = RobustConfig {
-                glitch_z: knob(0, defaults.glitch_z),
-                glitch_floor_fraction: knob(1, defaults.glitch_floor_fraction),
-                score_z: knob(2, defaults.score_z),
-                gain_tolerance: knob(3, defaults.gain_tolerance),
-                length_z: knob(4, defaults.length_z),
-                ..defaults
+                score_z: knob(0, defaults.score_z),
+                gain_tolerance: knob(1, defaults.gain_tolerance),
             };
             let mut robust = RobustAttack::new(attack).with_config(config);
             robust = match calibration {
@@ -1523,9 +1183,7 @@ mod tests {
             .attack_trace(&capture.run.capture.samples, 16, &HintPolicy::seal_paper())
             .unwrap();
         assert_eq!(result.coefficients.len(), 16);
-        assert_eq!(result.diagnostics.relaxation_rung, 0);
-        assert_eq!(result.diagnostics.healed_merges, 0);
-        assert_eq!(result.diagnostics.healed_splits, 0);
+        assert_eq!(result.diagnostics.relaxation_rung, Some(0));
         assert_eq!(result.diagnostics.variance_inflation, 1.0);
         assert!(result.coefficients.iter().all(|c| c.suspicion.clean()));
         // Plain pipeline agreement on the clean trace.
@@ -1708,8 +1366,8 @@ mod tests {
 
     #[test]
     fn flat_padding_yields_valid_partial_result() {
-        // Two bursts where sixteen are expected: the driver must heal what
-        // it can and pad the rest as unrecoverable, not crash.
+        // Two bursts where sixteen are expected: no rung ties one window to
+        // each coefficient, so every coefficient is skipped, without a crash.
         let (_, attack) = trained(16, 0xF00D);
         let mut t = vec![1.0; 3000];
         for s in [100usize, 900] {
@@ -1721,12 +1379,11 @@ mod tests {
             .attack_trace(&t, 16, &HintPolicy::seal_paper())
             .unwrap();
         assert_eq!(result.coefficients.len(), 16);
-        assert!(result.diagnostics.missing_windows > 0);
-        // Padded coefficients carry no confidence and are skipped.
+        assert_eq!(result.diagnostics.relaxation_rung, None);
         assert!(result
             .coefficients
             .iter()
-            .all(|c| c.decision == HintDecision::Skipped));
+            .all(|c| c.decision == HintDecision::Skipped && c.confidence == 0.0));
         assert_eq!(result.estimates().len(), 16);
     }
 }

@@ -1,14 +1,14 @@
 // Generator binaries must fail with a message naming the broken stage,
 // not a bare unwrap panic; tests keep their unwraps.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
-//! **Chaos robustness sweep**: runs the self-healing attack driver against
+//! **Chaos robustness sweep**: runs the robust attack driver against
 //! `reveal-chaos` fault plans of increasing intensity and records how the
 //! hint ladder degrades — perfect hints must fall, approximate/skipped
-//! hints must rise, mean confidence must fall, and no corrupted
-//! coefficient may ever be claimed as a *wrong* perfect hint.
+//! hints must rise, mean confidence must fall, and no coefficient,
+//! corrupted or not, may ever be claimed as a *wrong* perfect hint.
 //!
 //! Emits `BENCH_chaos.json` under `target/reveal/` (schema
-//! `reveal-bench-chaos/v1`); a committed copy lives in `docs/results/`.
+//! `reveal-bench-chaos/v2`); a committed copy lives in `docs/results/`.
 //!
 //! Run with `cargo run --release -p reveal-bench --bin bench_chaos`
 //! (honours `REVEAL_QUICK` / `REVEAL_FULL` and `REVEAL_THREADS`).
@@ -35,12 +35,12 @@ struct SweepRow {
     perfect: usize,
     approximate: usize,
     skipped: usize,
-    wrong_perfect_on_corrupted: usize,
+    wrong_perfect: usize,
     mean_confidence: f64,
     noise_sigma: f64,
     variance_inflation: f64,
-    relaxation_rung: usize,
-    healed: usize,
+    /// The rung number, or `null` when no rung fit.
+    relaxation_rung: String,
     with_hints_bikz: f64,
 }
 
@@ -84,14 +84,14 @@ fn main() {
             approximate,
             skipped,
         } = result.decision_counts();
-        let wrong_perfect_on_corrupted = result
+        // Every coefficient counts: a window tied to the wrong coefficient
+        // lands its hint on an uncorrupted one.
+        let wrong_perfect = result
             .coefficients
             .iter()
-            .enumerate()
-            .filter(|(i, c)| {
-                injected.log.is_corrupted(*i)
-                    && matches!(c.decision,
-                        HintDecision::Perfect { value } if value != victim.values[*i])
+            .zip(&victim.values)
+            .filter(|(c, &truth)| {
+                matches!(c.decision, HintDecision::Perfect { value } if value != truth)
             })
             .count();
         let mean_confidence = result
@@ -101,15 +101,17 @@ fn main() {
             .sum::<f64>()
             / degree as f64;
         let report = report_robust(&result, &params).expect("security report");
+        let relaxation_rung = result
+            .diagnostics
+            .relaxation_rung
+            .map_or_else(|| "null".to_string(), |rung| rung.to_string());
 
         println!(
             "  intensity {intensity:.2}: corrupted {:>3}  perfect {perfect:>3}  \
              approx {approximate:>3}  skipped {skipped:>3}  mean_conf {mean_confidence:.3}  \
-             bikz {:.1}  rung {}  healed {}",
+             bikz {:.1}  rung {relaxation_rung}",
             injected.log.corrupted.len(),
             report.with_hints.bikz,
-            result.diagnostics.relaxation_rung,
-            result.diagnostics.healed_merges + result.diagnostics.healed_splits,
         );
 
         rows.push(SweepRow {
@@ -118,18 +120,17 @@ fn main() {
             perfect,
             approximate,
             skipped,
-            wrong_perfect_on_corrupted,
+            wrong_perfect,
             mean_confidence,
             noise_sigma: result.diagnostics.noise_sigma,
             variance_inflation: result.diagnostics.variance_inflation,
-            relaxation_rung: result.diagnostics.relaxation_rung,
-            healed: result.diagnostics.healed_merges + result.diagnostics.healed_splits,
+            relaxation_rung,
             with_hints_bikz: report.with_hints.bikz,
         });
     }
 
     // The degradation contracts the artifact certifies.
-    let no_false_perfect = rows.iter().all(|r| r.wrong_perfect_on_corrupted == 0);
+    let no_false_perfect = rows.iter().all(|r| r.wrong_perfect == 0);
     let monotone_perfect = rows.windows(2).all(|w| w[1].perfect <= w[0].perfect);
     let monotone_confidence = rows
         .windows(2)
@@ -150,28 +151,27 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"intensity\": {:.2}, \"corrupted\": {}, \"perfect\": {}, \
-                 \"approximate\": {}, \"skipped\": {}, \"wrong_perfect_on_corrupted\": {}, \
+                 \"approximate\": {}, \"skipped\": {}, \"wrong_perfect\": {}, \
                  \"mean_confidence\": {:.4}, \"noise_sigma\": {:.4}, \
-                 \"variance_inflation\": {:.3}, \"relaxation_rung\": {}, \"healed\": {}, \
+                 \"variance_inflation\": {:.3}, \"relaxation_rung\": {}, \
                  \"with_hints_bikz\": {:.2}}}",
                 r.intensity,
                 r.corrupted,
                 r.perfect,
                 r.approximate,
                 r.skipped,
-                r.wrong_perfect_on_corrupted,
+                r.wrong_perfect,
                 r.mean_confidence,
                 r.noise_sigma,
                 r.variance_inflation,
                 r.relaxation_rung,
-                r.healed,
                 r.with_hints_bikz,
             )
         })
         .collect();
     let baseline = reveal_hints::DbddInstance::from_lwe(&params).estimate();
     let json = format!(
-        "{{\n  \"schema\": \"reveal-bench-chaos/v1\",\n  \"scale\": \"{}\",\n  \
+        "{{\n  \"schema\": \"reveal-bench-chaos/v2\",\n  \"scale\": \"{}\",\n  \
          \"ring_degree\": {},\n  \"profile_runs\": {},\n  \"chaos_seed\": {},\n  \
          \"baseline_bikz\": {:.2},\n  \"no_false_perfect\": {},\n  \
          \"monotone_perfect\": {},\n  \"monotone_confidence\": {},\n  \
@@ -195,7 +195,7 @@ fn main() {
 
     assert!(
         no_false_perfect,
-        "a corrupted coefficient was claimed as a wrong perfect hint"
+        "a coefficient was claimed as a wrong perfect hint"
     );
     assert!(
         monotone_perfect,

@@ -64,13 +64,11 @@ fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-/// Disables the per-window suspicion screens (every z threshold and
-/// tolerance to ∞) for the bit-identity phase; calibration, inflation, and
-/// the hint ladder stay live.
+/// Disables the per-window suspicion screens (the fit z threshold and the
+/// gain tolerance to ∞) for the bit-identity phase; calibration, inflation,
+/// and the hint ladder stay live.
 fn disable_screens(robust: &mut RobustConfig) {
-    robust.glitch_z = f64::INFINITY;
     robust.score_z = f64::INFINITY;
-    robust.length_z = f64::INFINITY;
     robust.gain_tolerance = f64::INFINITY;
 }
 

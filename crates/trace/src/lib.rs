@@ -45,7 +45,7 @@ pub mod tvla;
 
 pub use cpa::{cpa_rank, distinguishing_margin, CpaError, CpaScore};
 pub use poi::{select_pois, PoiError, PoiMethod};
-pub use sanity::{check_finite, mad_outlier_flags, median, robust_noise_sigma};
+pub use sanity::{check_finite, median, robust_noise_sigma};
 pub use segment::{SegmentConfig, SegmentError};
 pub use stats::Covariance;
 pub use trace::{Trace, TraceSet};

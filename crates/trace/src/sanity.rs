@@ -1,22 +1,22 @@
 //! Robust sanity statistics for degraded acquisitions: finiteness checks,
-//! median / median-absolute-deviation (MAD) outlier detection, a robust
-//! per-trace noise estimate and the finite range of a trace.
+//! median / median-absolute-deviation (MAD) statistics and a robust
+//! per-trace noise estimate.
 //!
-//! These are the building blocks of the self-healing attack driver
-//! (`reveal-attack`'s `robust` module): ladder-window samples, burst
-//! lengths and fit scores are screened with MAD statistics, burst gains
-//! with medians, and the noise estimate feeds the confidence derating that
-//! gates the hint-degradation ladder. MAD is used instead of mean/σ
-//! throughout because a single glitch spike or a merged burst would drag a
-//! moment-based screen past its own outliers.
+//! These are the building blocks of the robust attack driver
+//! (`reveal-attack`'s `robust` module): fit scores are screened with MAD
+//! statistics, burst gains with medians, and the noise estimate feeds the
+//! confidence derating that gates the hint-degradation ladder. MAD is used
+//! instead of mean/σ throughout because a single glitch spike or a
+//! misaligned window would drag a moment-based screen past its own
+//! outliers.
 //!
 //! Every order statistic is a linear-time selection, not a sort.
 //! [`median_in_place`] and [`mad_in_place`] are the in-place primitives: a
-//! caller screening many windows refills one buffer instead of allocating
-//! per window. [`robust_noise_sigma`] selects both of its medians with the
+//! caller screening many bursts refills one buffer instead of allocating
+//! per burst. [`robust_noise_sigma`] selects both of its medians with the
 //! bracket selection of [`crate::order`], over differences computed on the
-//! fly. The robust driver runs the window and burst selections only where
-//! an exact bound cannot decide its screen.
+//! fly. The robust driver runs the burst selections only where an exact
+//! bound cannot decide its screen.
 
 use crate::order::bracketed_median;
 use crate::segment::SegmentError;
@@ -90,15 +90,6 @@ pub fn median(xs: &[f64]) -> f64 {
     median_in_place(&mut xs.to_vec())
 }
 
-/// Flags entries whose robust z-score `|x − median| / (MAD·1.4826)` exceeds
-/// `k`. The MAD is floored at `scale_floor` so an (almost) constant
-/// population does not flag every harmless wiggle.
-pub fn mad_outlier_flags(xs: &[f64], k: f64, scale_floor: f64) -> Vec<bool> {
-    let (med, mad) = mad_in_place(&mut xs.to_vec());
-    let scale = (mad * MAD_TO_SIGMA).max(scale_floor);
-    xs.iter().map(|x| (x - med).abs() > k * scale).collect()
-}
-
 /// Robust estimate of the white-noise σ riding on a trace: the MAD of the
 /// first differences, scaled to σ (differencing doubles the noise variance
 /// and suppresses the slow signal component, so glitches and bursts barely
@@ -119,36 +110,6 @@ pub fn robust_noise_sigma(samples: &[f64]) -> f64 {
     let med = bracketed_median(len, diff, &mut sample, &mut inside);
     let mad = bracketed_median(len, |j| (diff(j) - med).abs(), &mut sample, &mut inside);
     mad * MAD_TO_SIGMA / std::f64::consts::SQRT_2
-}
-
-/// The minimum and maximum of the finite samples (`(∞, −∞)` when there are
-/// none), in one pass over four independent compare-and-select lanes. Each
-/// lane keeps one of its inputs, so the pair equals a sequential
-/// `f64::min` / `f64::max` fold over the finite samples, up to the sign of
-/// a zero extreme.
-pub fn finite_min_max(samples: &[f64]) -> (f64, f64) {
-    const LANES: usize = 4;
-    let mut lo = [f64::INFINITY; LANES];
-    let mut hi = [f64::NEG_INFINITY; LANES];
-    let chunks = samples.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for lane in 0..LANES {
-            // NaN and ±∞ fail the finiteness compare.
-            let x = chunk[lane];
-            let finite = x.abs() < f64::INFINITY;
-            lo[lane] = if finite && x < lo[lane] { x } else { lo[lane] };
-            hi[lane] = if finite && x > hi[lane] { x } else { hi[lane] };
-        }
-    }
-    for &x in tail.iter().filter(|x| x.is_finite()) {
-        lo[0] = lo[0].min(x);
-        hi[0] = hi[0].max(x);
-    }
-    (
-        lo.into_iter().fold(f64::INFINITY, f64::min),
-        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
-    )
 }
 
 #[cfg(test)]
@@ -191,12 +152,6 @@ mod tests {
             median(&deviations)
         }
 
-        pub fn mad_outlier_flags(xs: &[f64], k: f64, scale_floor: f64) -> Vec<bool> {
-            let med = median(xs);
-            let scale = (median_abs_deviation(xs) * MAD_TO_SIGMA).max(scale_floor);
-            xs.iter().map(|x| (x - med).abs() > k * scale).collect()
-        }
-
         pub fn robust_noise_sigma(samples: &[f64]) -> f64 {
             if samples.len() < 2 {
                 return 0.0;
@@ -226,7 +181,6 @@ mod tests {
         fn prop_selection_statistics_match_sorted_oracle(
             codes in proptest::collection::vec(0u32..u32::MAX, 1..301),
             scale in 0usize..4,
-            k in 0.5f64..8.0,
         ) {
             let xs: Vec<f64> = codes.iter().map(|&c| finite_sample(c, SCALES[scale])).collect();
             prop_assert_eq!(median(&xs), oracle::median(&xs));
@@ -234,12 +188,6 @@ mod tests {
                 mad_in_place(&mut xs.clone()),
                 (oracle::median(&xs), oracle::median_abs_deviation(&xs))
             );
-            for floor in [0.0, 1e-9] {
-                prop_assert_eq!(
-                    mad_outlier_flags(&xs, k, floor),
-                    oracle::mad_outlier_flags(&xs, k, floor)
-                );
-            }
             prop_assert_eq!(
                 robust_noise_sigma(&xs).to_bits(),
                 oracle::robust_noise_sigma(&xs).to_bits()
@@ -336,36 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn finite_min_max_matches_the_filtered_folds() {
-        let values = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -0.0,
-            0.0,
-            1.0,
-            -3.5,
-            1e300,
-            5e-324,
-        ];
-        for len in 0..40usize {
-            for seed in 0..6u64 {
-                let xs: Vec<f64> = (0..len)
-                    .map(|i| values[reveal_par::derive_seed(seed, i as u64) as usize % 9])
-                    .collect();
-                let finite = xs.iter().copied().filter(|x| x.is_finite());
-                let lo = finite.clone().fold(f64::INFINITY, f64::min);
-                let hi = finite.fold(f64::NEG_INFINITY, f64::max);
-                assert_eq!(finite_min_max(&xs), (lo, hi), "{xs:?}");
-                // The screens' range keeps its bits whatever sign a zero
-                // extreme carries.
-                let (l, h) = finite_min_max(&xs);
-                assert_eq!((h - l).max(1e-12).to_bits(), (hi - lo).max(1e-12).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn in_place_primitives_leave_deviations_behind() {
         let mut buf = vec![4.0, -1.0, 10.0, 3.0];
         assert_eq!(median_in_place(&mut buf), 3.5);
@@ -387,7 +305,7 @@ mod tests {
         }
         let _ = robust_noise_sigma(&trace);
         let _ = median(&trace);
-        let _ = mad_outlier_flags(&trace, 6.0, 1e-9);
+        let _ = mad_in_place(&mut trace.clone());
     }
 
     #[test]
@@ -415,16 +333,9 @@ mod tests {
     #[test]
     fn mad_is_robust_to_one_outlier() {
         let xs = [10.0, 10.1, 9.9, 10.0, 1000.0];
-        assert!(mad_in_place(&mut xs.to_vec()).1 < 0.2);
-        let flags = mad_outlier_flags(&xs, 6.0, 1e-9);
-        assert_eq!(flags, vec![false, false, false, false, true]);
-    }
-
-    #[test]
-    fn mad_floor_suppresses_constant_population_noise() {
-        let xs = [5.0, 5.0 + 1e-12, 5.0 - 1e-12, 5.0];
-        let flags = mad_outlier_flags(&xs, 6.0, 0.01);
-        assert!(flags.iter().all(|f| !f));
+        let (med, mad) = mad_in_place(&mut xs.to_vec());
+        assert_eq!(med, 10.0);
+        assert!(mad < 0.2);
     }
 
     #[test]

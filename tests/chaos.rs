@@ -91,7 +91,7 @@ fn zero_faults_is_bit_identical_to_plain_pipeline() {
         .attack_trace(&injected.samples, DEGREE, &HintPolicy::seal_paper())
         .unwrap();
     assert_eq!(result.coefficients.len(), DEGREE);
-    assert_eq!(result.diagnostics.relaxation_rung, 0);
+    assert_eq!(result.diagnostics.relaxation_rung, Some(0));
     assert_eq!(result.diagnostics.variance_inflation, 1.0);
     for (i, (r, p)) in result
         .coefficients
@@ -168,6 +168,87 @@ fn high_intensity_degrades_hints_without_false_perfects() {
         // The report must still build (valid partial security estimate).
         let report = report_robust(&result, &LweParameters::seal_128_paper()).unwrap();
         assert!(report.with_hints.bikz >= 0.0);
+    }
+}
+
+#[test]
+fn segmentation_never_ties_a_window_to_the_wrong_coefficient() {
+    // A merged or split burst changes the burst count, and every window
+    // after it then sits one coefficient off. A window tied to the wrong
+    // coefficient claims a confidently wrong perfect hint on an uncorrupted
+    // coefficient, so no coefficient, corrupted or not, may claim one.
+    // The relaxed rungs fuse short notches: some traces must align at rung
+    // 1 and some at rung 2.
+    let sh = shared();
+    let policy = HintPolicy::seal_paper();
+    let cases = [
+        (Fault::BurstMerge { pairs: 1 }, false),
+        (Fault::BurstMerge { pairs: 2 }, false),
+        (
+            Fault::BurstSplit {
+                count: 1,
+                notch_len: 40,
+            },
+            false,
+        ),
+        (
+            Fault::BurstSplit {
+                count: 2,
+                notch_len: 40,
+            },
+            false,
+        ),
+        (
+            Fault::BurstSplit {
+                count: 1,
+                notch_len: 24,
+            },
+            true,
+        ),
+        (
+            Fault::BurstSplit {
+                count: 3,
+                notch_len: 24,
+            },
+            true,
+        ),
+    ];
+    for (fault, relaxed_rungs_align) in cases {
+        let mut wrong_perfect = 0;
+        let mut rungs = Vec::new();
+        for k in 0..40u64 {
+            let capture = sh
+                .device
+                .capture_fresh(&mut StdRng::seed_from_u64(1000 + k))
+                .unwrap();
+            let plan = ChaosPlan {
+                seed: k,
+                faults: vec![fault.clone()],
+            };
+            let injected = plan.inject(
+                &capture.run.capture.samples,
+                &capture.run.coefficient_windows,
+            );
+            let result = robust(sh)
+                .attack_trace(&injected.samples, DEGREE, &policy)
+                .unwrap();
+            wrong_perfect += result
+                .coefficients
+                .iter()
+                .zip(&capture.values)
+                .filter(|(c, &truth)| {
+                    matches!(c.decision, HintDecision::Perfect { value } if value != truth)
+                })
+                .count();
+            rungs.push(result.diagnostics.relaxation_rung);
+        }
+        assert_eq!(wrong_perfect, 0, "{fault:?}: wrong perfect hints");
+        if relaxed_rungs_align {
+            assert!(
+                rungs.contains(&Some(1)) && rungs.contains(&Some(2)),
+                "{fault:?}: rungs {rungs:?}"
+            );
+        }
     }
 }
 
@@ -260,10 +341,11 @@ fn adaptive_finisher_survives_moderate_chaos() {
     let clean = device.capture_fresh(&mut cal_rng).unwrap();
     let calibration = calibrate(&clean.run.capture.samples, attack.config()).unwrap();
 
-    // Glitch spikes corrupt a handful of windows; the sanity screens must
-    // halve those windows' confidence below the trust threshold so the
-    // adaptive finisher solves around them with BKZ instead of feeding a
-    // corrupted relation into the linear system.
+    // Glitch spikes corrupt a handful of windows, and only the relaxed
+    // rung 1 aligns this trace. No screen flags a window here: the
+    // adaptive finisher trusts only coefficients above its confidence
+    // threshold and solves around the rest with BKZ, so a corrupted
+    // relation must not reach its linear system.
     let capture = device.capture_chosen(&wit.e2, &mut rng).unwrap();
     let plan = ChaosPlan {
         seed: 5,
